@@ -739,12 +739,14 @@ def sweep_user_degree(
 #
 # The ``shards=`` knob above splits the *fan-out* of one materialised
 # dataset; the ``*_datasets`` drivers below shard the dataset itself.
-# They iterate ``ShardedDataset.shard(k)`` — one shard dataset, one set
-# of schedules, one cohort slice in memory at a time — and roll the
-# per-shard aggregates up with :meth:`AggregateMetrics.merge`.  Because a
-# shard dataset reproduces its cohort's candidates, activities and
-# schedules bit for bit, per-user metrics equal the whole-dataset run's;
-# the rollup differs from a single pass only by float-summation order.
+# They iterate ``ShardedDataset.shard(k, users=cohort)`` — a view of
+# shard ``k`` that covers only its cohort slice and those users' replica
+# candidates, one at a time in memory — and roll the per-shard
+# aggregates up with :meth:`AggregateMetrics.merge`.  Because a view
+# reproduces its cohort's candidates, activities and schedules bit for
+# bit, per-user metrics equal the whole-dataset run's (and the full
+# ``shard(k)``'s); the rollup differs from a single pass only by
+# float-summation order.
 #
 # Rollup shape: the inner sweeps run one repeat at a time (``seed + r``,
 # ``repeats=1``), shards are merged *within* each repeat first (exact
@@ -792,11 +794,12 @@ def sweep_replication_degree_datasets(
     """:func:`sweep_replication_degree` over a :class:`ShardedDataset`.
 
     Streams shard datasets one at a time instead of materialising the
-    whole dataset — the peak working set is one shard's graph, trace and
-    schedules.  ``shards`` still controls the fan-out granularity of
-    each inner sweep.  With a ``cache``, each (shard, repeat) sweep is
-    content-addressed by the shard's fingerprint, so reruns and
-    overlapping sweeps reuse per-shard entries.
+    whole dataset — each is the view of its shard that covers that
+    shard's cohort slice and their candidates, so the peak working set
+    is one cohort slice's graph, trace and schedules.  ``shards`` still
+    controls the fan-out granularity of each inner sweep.  With a
+    ``cache``, each (shard, repeat) sweep is content-addressed by the
+    view's fingerprint, so reruns reuse per-shard entries.
     """
     if not users:
         raise ValueError("empty user cohort")
@@ -812,7 +815,7 @@ def sweep_replication_degree_datasets(
     for shard, cohort in enumerate(cohorts):
         if not cohort:
             continue
-        dataset = sharded.shard(shard)
+        dataset = sharded.shard(shard, users=cohort)
         for r in range(repeats):
             point = sweep_replication_degree(
                 dataset,
@@ -855,10 +858,10 @@ def sweep_session_length_datasets(
 ) -> Dict[str, List[AggregateMetrics]]:
     """:func:`sweep_session_length` over a :class:`ShardedDataset`.
 
-    Each shard dataset is materialised once and swept across *every*
-    session length before the next shard is touched, so the peak
-    working set stays one shard wide regardless of how many lengths the
-    figure plots.
+    Each shard's cohort view is materialised once and swept across
+    *every* session length before the next shard is touched, so the peak
+    working set stays one cohort slice wide regardless of how many
+    lengths the figure plots.
     """
     if not users:
         raise ValueError("empty user cohort")
@@ -872,7 +875,7 @@ def sweep_session_length_datasets(
     for shard, cohort in enumerate(cohorts):
         if not cohort:
             continue
-        dataset = sharded.shard(shard)
+        dataset = sharded.shard(shard, users=cohort)
         for i, length in enumerate(session_lengths):
             model = SporadicModel(session_seconds=length)
             for r in range(repeats):
@@ -918,8 +921,9 @@ def sweep_user_degree_datasets(
 
     Cohorts are selected from the sharded survivor survey (identical to
     the filtered graph's degree bins, including the subsample order);
-    every degree's slice of a shard is swept while that shard is
-    materialised.  Degrees with no users anywhere yield ``None``.
+    every degree's slice of a shard is swept while one view of that
+    shard, covering the union of those slices, is materialised.
+    Degrees with no users anywhere yield ``None``.
     """
     user_degrees = list(user_degrees)
     full_cohorts = [
@@ -934,9 +938,10 @@ def sweep_user_degree_datasets(
         for p in policies
     }
     for shard in range(sharded.num_shards):
-        if not any(per_shard[i][shard] for i in range(len(user_degrees))):
+        union = {u for cohorts in per_shard for u in cohorts[shard]}
+        if not union:
             continue
-        dataset = sharded.shard(shard)
+        dataset = sharded.shard(shard, users=union)
         for i, degree in enumerate(user_degrees):
             cohort = per_shard[i][shard]
             if not cohort:

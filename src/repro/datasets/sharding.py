@@ -18,6 +18,15 @@ as a real :class:`~repro.datasets.schema.Dataset` covering a contiguous
 slice of the surviving cohort plus exactly the context users (replica
 candidates) the sweep kernels read.
 
+A shard build is *cohort-scoped*: ``shard(k, users=cohort)`` materialises
+only ``cohort`` (a subset of shard ``k``'s slice) and its surviving
+candidates, which is all a sweep of that cohort reads — a cohort user's
+metrics depend on its candidates, its received activities and the
+candidates' schedules, and each schedule is a pure function of the
+candidate's own created activities and ``derive_rng(seed, user)``.  So a
+view gives the same per-user metrics, bit for bit, as the whole shard,
+and the ``*_datasets`` sweep drivers build only their cohort's view.
+
 Two graph layouts:
 
 * ``"legacy"`` (default) — the sequential generators of
@@ -32,7 +41,8 @@ Two graph layouts:
   its ``GRAPH_STREAM_VERSION``), and legacy fingerprints are unchanged.
 
 Shard datasets are stamped with a content fingerprint derived from
-``(spec, shard, num_shards)`` so they compose with the content-addressed
+``(spec, shard, num_shards)`` — or, for a view of part of a shard, from
+``(spec, sorted users)`` — so they compose with the content-addressed
 :class:`~repro.cache.SweepCache` without hashing their activities.
 
 Equivalence guarantees (property-tested):
@@ -40,7 +50,8 @@ Equivalence guarantees (property-tested):
 * the surviving-user set equals :func:`repro.datasets.filters.filter_dataset`'s
   fixpoint on the eager dataset;
 * a cohort user's candidate set, created activities and received
-  activities in its shard are bit-identical to the eager dataset's.
+  activities in its shard — or in any view of it that covers the user —
+  are bit-identical to the eager dataset's.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -529,18 +540,48 @@ class ShardedDataset:
             )
         ).hexdigest()
 
-    def shard(self, shard: int) -> Dataset:
-        """Materialise shard ``shard`` as a self-contained dataset.
+    def shard(
+        self, shard: int, users: Optional[Iterable[UserId]] = None
+    ) -> Dataset:
+        """Materialise shard ``shard`` (or a cohort view of it) as a
+        self-contained dataset.
 
-        The shard graph is the induced subgraph on the cohort plus every
-        cohort user's surviving replica candidates, so cohort candidate
-        sets are exact.  The shard trace regenerates each covered user's
-        activities from his per-user stream (full-graph partner list)
+        ``users`` (default: the whole :meth:`shard_users` slice) must be
+        a non-empty subset of ``shard_users(shard)``; anything else
+        raises :class:`ValueError`.  The build covers exactly ``users``
+        plus their surviving replica candidates — the closure a sweep of
+        that cohort reads — so a sweep over a small cohort pays for its
+        cohort, not for the whole owned slice.
+
+        The graph is the induced subgraph on that closure, so every
+        cohort user's candidate set (and the edges among its candidates)
+        is exact.  The trace regenerates each covered creator's
+        activities from its per-user stream (full-graph partner list)
         and keeps those whose receiver survived the filter — the same
         activities, bit for bit, that the eager generate-then-filter
-        pipeline retains for those creators.
+        pipeline retains for those creators.  Every sender to a cohort
+        user is one of its candidates, so ``received_by`` is exact too,
+        and a candidate's schedule depends only on its own
+        ``created_by``.  A view therefore yields the same per-user
+        metrics as the whole shard, for any cohort it covers.
+
+        The stamped fingerprint is :meth:`shard_fingerprint` when
+        ``users`` covers the whole slice, and otherwise a content
+        address of ``(spec, sorted users)`` — a view's content depends
+        on nothing else.
         """
-        cohort = self.shard_users(shard)
+        owned = self.shard_users(shard)
+        cohort = owned
+        if users is not None:
+            cohort = tuple(sorted({int(u) for u in users}))
+            if not cohort:
+                raise ValueError(f"empty cohort view of shard {shard}")
+            outside = set(cohort).difference(owned)
+            if outside:
+                raise ValueError(
+                    f"users {sorted(outside)[:5]} are not surviving users "
+                    f"owned by shard {shard}"
+                )
         closure = set(cohort)
         for user in cohort:
             for candidate in self._plane.candidates(user):
@@ -570,6 +611,14 @@ class ShardedDataset:
         )
         # Pre-stamp the content fingerprint the sweep cache would
         # otherwise compute by hashing every edge and activity: shards
-        # are pure functions of (spec, shard, num_shards).
-        dataset._repro_content_fingerprint = self.shard_fingerprint(shard)
+        # and views are pure functions of the spec and their user set.
+        dataset._repro_content_fingerprint = (
+            self.shard_fingerprint(shard)
+            if len(cohort) == len(owned)
+            else hashlib.sha256(
+                canonical_key_bytes(
+                    "shard-cohort", self.spec.fingerprint(), *cohort
+                )
+            ).hexdigest()
+        )
         return dataset

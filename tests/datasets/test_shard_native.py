@@ -10,7 +10,10 @@ dataset-per-shard mode can replace it at scale:
 3. the ``*_datasets`` sweep drivers == the whole-dataset sweeps,
    field for field, across the (jobs, engine, backend, shards) grid —
    integer fields exactly, float fields to ~1e-9 (the only divergence
-   is float-summation order in the cross-shard merge).
+   is float-summation order in the cross-shard merge);
+4. the ``*_datasets`` drivers, which build only each shard's cohort
+   view, == the same per-shard sweeps over the full ``shard(k)``,
+   byte for byte.
 
 The subprocess suite re-asserts layer 1+3 under ``PYTHONHASHSEED=random``
 so no set/dict iteration order can leak into shard content or metrics.
@@ -27,6 +30,7 @@ import pytest
 
 import repro
 from repro.core import (
+    CONREP,
     AggregateMetrics,
     make_policy,
     select_cohort,
@@ -37,6 +41,7 @@ from repro.core import (
     sweep_user_degree,
     sweep_user_degree_datasets,
 )
+from repro.core.evaluation import _rollup, _shard_cohorts
 from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import SporadicModel
 from repro.parallel import ParallelExecutor, fork_available
@@ -228,6 +233,124 @@ class TestDatasetModeSweepIdentity:
             )
 
 
+def _canonical(series):
+    """The exact JSON text of a sweep's series (floats by shortest repr)."""
+    return json.dumps(
+        {
+            name: [
+                None if m is None else dataclasses.asdict(m) for m in points
+            ]
+            for name, points in series.items()
+        },
+        sort_keys=True,
+    )
+
+
+def _full_shard_reference(sharded, points, policies, *, seed, repeats, **knobs):
+    """Per-shard sweeps over the *full* ``shard(k)``, rolled up per point.
+
+    ``points`` lists ``(model, degrees, users)``; each contributes one
+    series entry per degree, or a ``None`` when ``users`` is empty.
+    """
+    full = {}
+    out = {p.name: [] for p in policies}
+    for model, degrees, users in points:
+        if not users:
+            for p in policies:
+                out[p.name].append(None)
+            continue
+        cells = {
+            p.name: [[[] for _ in range(repeats)] for _ in degrees]
+            for p in policies
+        }
+        for k, cohort in enumerate(_shard_cohorts(sharded, users)):
+            if not cohort:
+                continue
+            if k not in full:
+                full[k] = sharded.shard(k)
+            for r in range(repeats):
+                point = sweep_replication_degree(
+                    full[k],
+                    model,
+                    policies,
+                    degrees=degrees,
+                    users=cohort,
+                    seed=seed + r,
+                    repeats=1,
+                    **knobs,
+                )
+                for name, series in point.items():
+                    for i, aggregate in enumerate(series):
+                        cells[name][i][r].append(aggregate)
+        for p in policies:
+            out[p.name].extend(_rollup(cell) for cell in cells[p.name])
+    return out
+
+
+_DRIVERS = ("replication_degree", "session_length", "user_degree")
+
+
+@pytest.mark.parametrize("driver", _DRIVERS)
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cohort_views_match_full_shards_exactly(driver, backend, jobs):
+    """Cohort-scoped builds change what is materialised, never a bit of
+    the result: every driver's series equals the full-shard reference
+    under canonical JSON."""
+    if jobs > 1 and not fork_available():
+        pytest.skip("needs fork pools")
+    _, sharded = _sweep_fixture("facebook")
+    policies = _policies()
+    common = dict(seed=0, repeats=2)
+    with ParallelExecutor(jobs=jobs) as executor:
+        knobs = dict(executor=executor, backend=backend, mode=CONREP)
+        if driver == "replication_degree":
+            users = select_cohort(sharded, 10, max_users=8, seed=0)
+            got = sweep_replication_degree_datasets(
+                sharded,
+                SporadicModel(),
+                policies,
+                degrees=[0, 1, 3],
+                users=users,
+                **common,
+                **knobs,
+            )
+            points = [(SporadicModel(), [0, 1, 3], users)]
+        elif driver == "session_length":
+            users = select_cohort(sharded, 10, max_users=6, seed=0)
+            lengths = (1000.0, 10000.0)
+            got = sweep_session_length_datasets(
+                sharded, lengths, policies, k=2, users=users, **common, **knobs
+            )
+            points = [
+                (SporadicModel(session_seconds=length), [2], users)
+                for length in lengths
+            ]
+        else:
+            degrees = [2, 3, 10_000]
+            got = sweep_user_degree_datasets(
+                sharded,
+                SporadicModel(),
+                policies,
+                user_degrees=degrees,
+                max_users_per_degree=6,
+                **common,
+                **knobs,
+            )
+            points = [
+                (
+                    SporadicModel(),
+                    [degree],
+                    select_cohort(sharded, degree, max_users=6, seed=0),
+                )
+                for degree in degrees
+            ]
+        want = _full_shard_reference(
+            sharded, points, policies, **common, **knobs
+        )
+    assert _canonical(got) == _canonical(want)
+
+
 _SUBPROCESS_SCRIPT = """
 import dataclasses, json, sys
 from repro.core import (
@@ -235,6 +358,7 @@ from repro.core import (
     select_cohort,
     sweep_replication_degree_datasets,
 )
+from repro.core.evaluation import _rollup, _shard_cohorts
 from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import SporadicModel
 

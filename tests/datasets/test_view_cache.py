@@ -1,0 +1,122 @@
+"""Cohort views compose with the sweep cache and mid-sweep checkpoints.
+
+Dataset-mode sweeps address each (shard, repeat) entry by the cohort
+view's content fingerprint, so a rerun — in another process, under
+another string-hash salt — must hit every entry, and an interrupted
+dataset-mode batch must resume from the checkpoint slices it wrote.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.cache.keys import dataset_fingerprint
+from repro.experiments import facebook_sharded, load_result, run_batch
+from repro.experiments.checkpoint import SweepCheckpoint
+from tests.experiments.test_config_and_registry import TINY
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+_CACHED_SWEEP_SCRIPT = """
+import dataclasses, json, sys
+from repro.cache import SweepCache
+from repro.core import make_policy, select_cohort, sweep_replication_degree_datasets
+from repro.datasets import ShardedDataset, SyntheticSpec
+from repro.onlinetime import SporadicModel
+
+sharded = ShardedDataset(SyntheticSpec(kind="facebook", num_users=300, seed=7), 3)
+users = select_cohort(sharded, 10, max_users=8, seed=0)
+cache = SweepCache(sys.argv[1])
+series = sweep_replication_degree_datasets(
+    sharded,
+    SporadicModel(),
+    [make_policy("maxav"), make_policy("random")],
+    degrees=[0, 2],
+    users=users,
+    seed=0,
+    repeats=2,
+    cache=cache,
+)
+owners = {k for k in range(3) for u in users if u in sharded.shard_users(k)}
+print(json.dumps({
+    "entries": len(owners) * 2,
+    "stats": cache.stats.as_dict(),
+    "series": {
+        name: [dataclasses.asdict(m) for m in points]
+        for name, points in sorted(series.items())
+    },
+}, sort_keys=True))
+"""
+
+
+def _cached_sweep(cache_dir, hashseed):
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hashseed
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CACHED_SWEEP_SCRIPT, str(cache_dir)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_disk_cache_hits_every_view_entry_across_hash_seeds(tmp_path):
+    first = _cached_sweep(tmp_path, "1")
+    policies = len(first["series"])
+    # One series entry per (shard, repeat, policy), all computed once.
+    assert first["entries"] > 1
+    assert first["stats"]["stores"] == first["entries"] * policies
+    second = _cached_sweep(tmp_path, "2")
+    assert second["stats"]["misses"] == 0
+    assert second["stats"]["stores"] == 0
+    assert second["stats"]["hits"] == first["stats"]["stores"]
+    assert second["series"] == first["series"]
+
+
+def test_dataset_mode_resume_reloads_view_checkpoints(
+    tmp_path, monkeypatch
+):
+    kwargs = dict(scale=TINY, ids=["fig3"], shard_mode="dataset", shards=2)
+    fingerprints = []
+    key_for = SweepCheckpoint.key_for
+    store = SweepCheckpoint.store
+
+    def recording_key_for(self, dataset, *args, **kw):
+        fingerprints.append(dataset_fingerprint(dataset))
+        return key_for(self, dataset, *args, **kw)
+
+    def interrupting_store(self, *args, **kw):
+        store(self, *args, **kw)
+        if self.stores == 3:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(SweepCheckpoint, "key_for", recording_key_for)
+    monkeypatch.setattr(SweepCheckpoint, "store", interrupting_store)
+    interrupted = tmp_path / "interrupted"
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(interrupted, **kwargs)
+    # The sweeps ran over cohort views, not whole shards.
+    sharded = facebook_sharded(TINY, 2)
+    whole = {sharded.shard_fingerprint(k) for k in range(2)}
+    assert fingerprints and not set(fingerprints) & whole
+    monkeypatch.setattr(SweepCheckpoint, "store", store)
+
+    run_batch(interrupted, resume=True, **kwargs)
+    summary = json.loads((interrupted / "batch_summary.json").read_text())
+    assert summary["checkpoints"]["loads"] == 3
+    assert summary["checkpoints"]["stale"] == 0
+    assert summary["checkpoints"]["stores"] > 0
+    clean = tmp_path / "clean"
+    run_batch(clean, **kwargs)
+    a = load_result(interrupted / "fig3.json")
+    b = load_result(clean / "fig3.json")
+    a.pop("timings")
+    b.pop("timings")
+    assert a == b
