@@ -31,11 +31,12 @@ from repro.datasets import (
     synthetic_twitter,
 )
 from repro.experiments import (
+    Execution,
+    execute,
     experiment_ids,
     format_table,
     get_scale,
     render_batch_summary,
-    run_experiment,
     summarize_batch,
 )
 from repro.graph import write_graph
@@ -112,17 +113,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             strict=args.strict,
             fault_injector=_fault_injector_from_args(args),
         ) as executor:
+            ex = Execution(
+                executor,
+                args.engine,
+                args.backend,
+                cache,
+                args.shards,
+                args.shard_mode,
+            )
             for eid in ids:
-                result = run_experiment(
-                    eid,
-                    scale,
-                    executor=executor,
-                    engine=args.engine,
-                    backend=args.backend,
-                    cache=cache,
-                    shards=args.shards,
-                    shard_mode=args.shard_mode,
-                )
+                result = execute(eid, scale, ex)
                 results.append(result)
                 print(result.render(), file=out)
                 if args.plot:
@@ -139,15 +139,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         print(chart, file=out)
                 print(file=out)
             summary = summarize_batch(
-                results,
-                scale=scale,
-                jobs=executor.effective_jobs,
-                engine=args.engine,
-                backend=args.backend,
-                shards=args.shards,
-                shard_mode=args.shard_mode,
-                cache=cache,
-                executor=executor,
+                results, scale=scale, ex=ex, jobs=executor.effective_jobs
             )
         print(render_batch_summary(summary), file=out)
     finally:
@@ -527,6 +519,63 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_execution_args(parser: argparse.ArgumentParser) -> None:
+    """The scale and the :class:`~repro.experiments.Execution` knobs
+    shared by ``run`` and ``batch``."""
+    parser.add_argument("--scale", default="bench", choices=("bench", "full"))
+    parser.add_argument(
+        "--jobs",
+        type=_jobs_arg,
+        default=1,
+        help=(
+            "worker processes for the per-user sweep work "
+            "(1 = serial, 0 = all CPUs; results are identical for any value)"
+        ),
+    )
+    parser.add_argument(
+        "--engine",
+        default="incremental",
+        choices=("incremental", "naive"),
+        help=(
+            "prefix-evaluation engine for degree sweeps: 'incremental' "
+            "evaluates all degrees in one pass per user, 'naive' is the "
+            "per-degree reference (identical results, slower)"
+        ),
+    )
+    parser.add_argument(
+        "--backend",
+        default="python",
+        choices=("python", "numpy"),
+        help=(
+            "timeline kernel backend: 'python' is the exact reference "
+            "scans, 'numpy' batches the overlap/set-cover/activity "
+            "kernels (identical results, faster on large cohorts)"
+        ),
+    )
+    parser.add_argument(
+        "--shards",
+        type=_shards_arg,
+        default=1,
+        help=(
+            "split each sweep cohort into this many contiguous slices "
+            "dispatched one at a time, bounding peak memory on large "
+            "cohorts (results are bit-identical for any value)"
+        ),
+    )
+    parser.add_argument(
+        "--shard-mode",
+        default="cohort",
+        choices=("cohort", "dataset"),
+        help=(
+            "'cohort' (default) materialises each dataset whole and "
+            "shards only the sweep fan-out; 'dataset' streams the "
+            "dataset shard by shard (--shards sets the shard count) so "
+            "only one shard's graph/trace/schedules is in memory at a "
+            "time — results agree up to float rounding"
+        ),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-osn",
@@ -542,58 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment (or 'all')")
     p_run.add_argument("experiment", help="experiment id or 'all'")
-    p_run.add_argument("--scale", default="bench", choices=("bench", "full"))
-    p_run.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default=1,
-        help=(
-            "worker processes for the per-user sweep work "
-            "(1 = serial, 0 = all CPUs; results are identical for any value)"
-        ),
-    )
-    p_run.add_argument(
-        "--engine",
-        default="incremental",
-        choices=("incremental", "naive"),
-        help=(
-            "prefix-evaluation engine for degree sweeps: 'incremental' "
-            "evaluates all degrees in one pass per user, 'naive' is the "
-            "per-degree reference (identical results, slower)"
-        ),
-    )
-    p_run.add_argument(
-        "--backend",
-        default="python",
-        choices=("python", "numpy"),
-        help=(
-            "timeline kernel backend: 'python' is the exact reference "
-            "scans, 'numpy' batches the overlap/set-cover/activity "
-            "kernels (identical results, faster on large cohorts)"
-        ),
-    )
-    p_run.add_argument(
-        "--shards",
-        type=_shards_arg,
-        default=1,
-        help=(
-            "split each sweep cohort into this many contiguous slices "
-            "dispatched one at a time, bounding peak memory on large "
-            "cohorts (results are bit-identical for any value)"
-        ),
-    )
-    p_run.add_argument(
-        "--shard-mode",
-        default="cohort",
-        choices=("cohort", "dataset"),
-        help=(
-            "'cohort' (default) materialises each dataset whole and "
-            "shards only the sweep fan-out; 'dataset' streams the "
-            "dataset shard by shard (--shards sets the shard count) so "
-            "only one shard's graph/trace/schedules is in memory at a "
-            "time — results agree up to float rounding"
-        ),
-    )
+    _add_execution_args(p_run)
     p_run.add_argument(
         "--cache-dir",
         help=(
@@ -635,43 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="experiment ids to run (default: all)",
     )
-    p_batch.add_argument(
-        "--scale", default="bench", choices=("bench", "full")
-    )
-    p_batch.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default=1,
-        help=(
-            "worker processes for the per-user sweep work "
-            "(1 = serial, 0 = all CPUs; results are identical for any value)"
-        ),
-    )
-    p_batch.add_argument(
-        "--engine", default="incremental", choices=("incremental", "naive")
-    )
-    p_batch.add_argument(
-        "--backend", default="python", choices=("python", "numpy")
-    )
-    p_batch.add_argument(
-        "--shards",
-        type=_shards_arg,
-        default=1,
-        help=(
-            "split each sweep cohort into this many contiguous slices "
-            "dispatched one at a time (results are bit-identical)"
-        ),
-    )
-    p_batch.add_argument(
-        "--shard-mode",
-        default="cohort",
-        choices=("cohort", "dataset"),
-        help=(
-            "'cohort' (default) materialises each dataset whole; "
-            "'dataset' streams it shard by shard (--shards sets the "
-            "shard count) — results agree up to float rounding"
-        ),
-    )
+    _add_execution_args(p_batch)
     p_batch.add_argument(
         "--cache-dir", help="directory for the persistent sweep-result cache"
     )

@@ -6,12 +6,19 @@ allowed replication degree 0..10, and report the metric means over the
 cohort; runs involving randomness (Random placement, the RandomLength
 model, Sporadic's in-session placement) are repeated 5 times and averaged.
 
+Every sweep of the evaluation is a grid of ``(model, degrees, cohort)``
+points walked by one driver, :func:`sweep_grid`, over either a whole
+:class:`~repro.datasets.schema.Dataset` or a
+:class:`~repro.datasets.sharding.ShardedDataset` streamed shard by
+shard.  The figure-shaped sweeps (replication degree, session length,
+user degree) are thin grids over it.
+
 All policies select replicas *incrementally*, so the selection
 sequence for the maximum degree is computed once per user and every
 smaller allowed degree is evaluated on its prefix — an exact, order-
 preserving shortcut (property-tested in the suite).
 
-The per-user work is embarrassingly parallel; every sweep accepts a
+The per-user work is embarrassingly parallel; the driver accepts a
 :class:`repro.parallel.ParallelExecutor` and fans the cohort out over a
 process pool when ``jobs > 1``.  Per-user RNGs are derived with
 process-independent hashing (:mod:`repro.seeding`), so parallel results
@@ -23,7 +30,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.incremental import (
     INCREMENTAL,
@@ -33,7 +49,6 @@ from repro.core.incremental import (
 from repro.core.metrics import UserMetrics, evaluate_user
 from repro.core.placement.base import (
     CONREP,
-    PlacementContext,
     PlacementPolicy,
 )
 from repro.datasets.schema import Dataset
@@ -54,7 +69,6 @@ from repro.parallel import (
     select_sequences_chunk,
 )
 from repro.partition import partition_bounds
-from repro.seeding import derive_rng
 from repro.timeline.packed import (
     NUMPY,
     PYTHON,
@@ -89,6 +103,23 @@ def _pack_for_backend(
     return PackedSchedules.from_schedules(schedules)
 
 
+#: Plain cohort means: aggregate field -> the per-user field it averages.
+_MEANS: Dict[str, str] = {
+    "availability": "availability",
+    "max_achievable_availability": "max_achievable_availability",
+    "aod_time": "aod_time",
+    "aod_activity": "aod_activity",
+    "expected_activity_fraction": "expected_activity_fraction",
+    "mean_replicas_used": "replication_degree",
+}
+
+#: Finite-sample delay means -> the count of users whose delay was infinite.
+_DELAYS: Dict[str, str] = {
+    "delay_hours_actual": "num_infinite_delay",
+    "delay_hours_observed": "num_infinite_delay_observed",
+}
+
+
 @dataclass(frozen=True)
 class AggregateMetrics:
     """Cohort means of the per-user metrics (finite-delay means, with the
@@ -113,41 +144,19 @@ class AggregateMetrics:
         if not metrics:
             raise ValueError("cannot aggregate an empty cohort")
         n = len(metrics)
-        finite_actual = [
-            m.delay_hours_actual
-            for m in metrics
-            if not math.isinf(m.delay_hours_actual)
-        ]
-        finite_observed = [
-            m.delay_hours_observed
-            for m in metrics
-            if not math.isinf(m.delay_hours_observed)
-        ]
-        return AggregateMetrics(
-            num_users=n,
-            availability=sum(m.availability for m in metrics) / n,
-            max_achievable_availability=sum(
-                m.max_achievable_availability for m in metrics
-            )
-            / n,
-            aod_time=sum(m.aod_time for m in metrics) / n,
-            aod_activity=sum(m.aod_activity for m in metrics) / n,
-            expected_activity_fraction=sum(
-                m.expected_activity_fraction for m in metrics
-            )
-            / n,
-            delay_hours_actual=(
-                sum(finite_actual) / len(finite_actual) if finite_actual else 0.0
-            ),
-            delay_hours_observed=(
-                sum(finite_observed) / len(finite_observed)
-                if finite_observed
-                else 0.0
-            ),
-            mean_replicas_used=sum(m.replication_degree for m in metrics) / n,
-            num_infinite_delay=n - len(finite_actual),
-            num_infinite_delay_observed=n - len(finite_observed),
-        )
+        fields = {
+            name: sum(getattr(m, source) for m in metrics) / n
+            for name, source in _MEANS.items()
+        }
+        for delay, infinite in _DELAYS.items():
+            finite = [
+                getattr(m, delay)
+                for m in metrics
+                if not math.isinf(getattr(m, delay))
+            ]
+            fields[delay] = sum(finite) / len(finite) if finite else 0.0
+            fields[infinite] = n - len(finite)
+        return AggregateMetrics(num_users=n, **fields)
 
     @staticmethod
     def merge(parts: Sequence["AggregateMetrics"]) -> "AggregateMetrics":
@@ -171,50 +180,14 @@ class AggregateMetrics:
         total = sum(p.num_users for p in parts)
         if not total:
             raise ValueError("cannot merge aggregates over zero users")
-
-        def by_users(get) -> float:
-            return sum(get(p) * p.num_users for p in parts) / total
-
-        def by_finite(get, finite) -> float:
-            # Zero-weight parts are skipped, not multiplied by 0: a part
-            # with no finite-delay users may carry a NaN (or any
-            # placeholder) in the delay field, and NaN * 0 would poison
-            # the sum.  Skipping adds nothing for finite values either,
-            # so all-finite inputs are unchanged bit for bit.
-            weights = [finite(p) for p in parts]
-            denom = sum(weights)
-            if not denom:
-                return 0.0
-            return (
-                sum(get(p) * w for p, w in zip(parts, weights) if w)
-                / denom
-            )
-
-        return AggregateMetrics(
-            num_users=total,
-            availability=by_users(lambda p: p.availability),
-            max_achievable_availability=by_users(
-                lambda p: p.max_achievable_availability
-            ),
-            aod_time=by_users(lambda p: p.aod_time),
-            aod_activity=by_users(lambda p: p.aod_activity),
-            expected_activity_fraction=by_users(
-                lambda p: p.expected_activity_fraction
-            ),
-            delay_hours_actual=by_finite(
-                lambda p: p.delay_hours_actual,
-                lambda p: p.num_users - p.num_infinite_delay,
-            ),
-            delay_hours_observed=by_finite(
-                lambda p: p.delay_hours_observed,
-                lambda p: p.num_users - p.num_infinite_delay_observed,
-            ),
-            mean_replicas_used=by_users(lambda p: p.mean_replicas_used),
-            num_infinite_delay=sum(p.num_infinite_delay for p in parts),
-            num_infinite_delay_observed=sum(
-                p.num_infinite_delay_observed for p in parts
-            ),
-        )
+        fields = {
+            name: sum(getattr(p, name) * p.num_users for p in parts) / total
+            for name in _MEANS
+        }
+        for delay, infinite in _DELAYS.items():
+            fields[delay] = _finite_mean(parts, delay, infinite)
+            fields[infinite] = sum(getattr(p, infinite) for p in parts)
+        return AggregateMetrics(num_users=total, **fields)
 
     @staticmethod
     def mean(aggregates: Sequence["AggregateMetrics"]) -> "AggregateMetrics":
@@ -229,52 +202,38 @@ class AggregateMetrics:
         if not aggregates:
             raise ValueError("cannot average zero aggregates")
         n = len(aggregates)
-
-        def weighted(values: List[float], weights: List[int]) -> float:
-            total = sum(weights)
-            if not total:
-                return 0.0
-            # Skip zero-weight repeats (see AggregateMetrics.merge): a
-            # repeat whose every delay was infinite contributes nothing,
-            # and must not poison the sum if its field is non-finite.
-            return (
-                sum(v * w for v, w in zip(values, weights) if w) / total
+        fields = {
+            name: sum(getattr(a, name) for a in aggregates) / n
+            for name in _MEANS
+        }
+        for delay, infinite in _DELAYS.items():
+            fields[delay] = _finite_mean(aggregates, delay, infinite)
+            fields[infinite] = round(
+                sum(getattr(a, infinite) for a in aggregates) / n
             )
-
-        actual_weights = [
-            a.num_users - a.num_infinite_delay for a in aggregates
-        ]
-        observed_weights = [
-            a.num_users - a.num_infinite_delay_observed for a in aggregates
-        ]
         return AggregateMetrics(
             num_users=round(sum(a.num_users for a in aggregates) / n),
-            availability=sum(a.availability for a in aggregates) / n,
-            max_achievable_availability=sum(
-                a.max_achievable_availability for a in aggregates
-            )
-            / n,
-            aod_time=sum(a.aod_time for a in aggregates) / n,
-            aod_activity=sum(a.aod_activity for a in aggregates) / n,
-            expected_activity_fraction=sum(
-                a.expected_activity_fraction for a in aggregates
-            )
-            / n,
-            delay_hours_actual=weighted(
-                [a.delay_hours_actual for a in aggregates], actual_weights
-            ),
-            delay_hours_observed=weighted(
-                [a.delay_hours_observed for a in aggregates],
-                observed_weights,
-            ),
-            mean_replicas_used=sum(a.mean_replicas_used for a in aggregates) / n,
-            num_infinite_delay=round(
-                sum(a.num_infinite_delay for a in aggregates) / n
-            ),
-            num_infinite_delay_observed=round(
-                sum(a.num_infinite_delay_observed for a in aggregates) / n
-            ),
+            **fields,
         )
+
+
+def _finite_mean(
+    parts: Sequence[AggregateMetrics], delay: str, infinite: str
+) -> float:
+    """``delay`` averaged with each part weighted by its finite-delay
+    user count (0.0 when no part has any).
+
+    Zero-weight parts are skipped, not multiplied by 0: a part with no
+    finite-delay users may carry a NaN (or any placeholder) in the delay
+    field, and NaN * 0 would poison the sum.  Skipping adds nothing for
+    finite values either, so all-finite inputs are unchanged bit for bit.
+    """
+    weights = [p.num_users - getattr(p, infinite) for p in parts]
+    total = sum(weights)
+    if not total:
+        return 0.0
+    weighted = (getattr(p, delay) * w for p, w in zip(parts, weights) if w)
+    return sum(weighted) / total
 
 
 def select_cohort(
@@ -288,16 +247,13 @@ def select_cohort(
     reproducible subsample of at most ``max_users`` of them.
 
     Accepts a :class:`~repro.datasets.schema.Dataset` (degrees come from
-    its filtered graph) or any source with its own ``users_with_degree``
-    — in particular :class:`~repro.datasets.sharding.ShardedDataset`,
-    whose surviving-candidate counts equal the filtered-graph degrees.
-    Both return the matching users sorted ascending, so the subsample
-    (and hence every downstream sweep) is identical across sources.
+    its filtered graph) or a
+    :class:`~repro.datasets.sharding.ShardedDataset` (surviving-candidate
+    counts, equal to the filtered-graph degrees).  Both list the matching
+    users sorted ascending, so the subsample (and hence every downstream
+    sweep) is identical across sources.
     """
-    if hasattr(dataset, "users_with_degree"):
-        users = dataset.users_with_degree(degree)
-    else:
-        users = dataset.graph.users_with_degree(degree)
+    users = dataset.users_with_degree(degree)
     if max_users is not None and len(users) > max_users:
         rng = random.Random(seed)
         users = sorted(rng.sample(users, max_users))
@@ -355,11 +311,6 @@ def placement_sequences(
         for user, seq in zip(users, sequences)
         if not is_quarantined(seq)
     }
-
-
-def placement_rng(seed: int, policy_name: str, user: UserId) -> random.Random:
-    """The per-user placement RNG (shared with :mod:`repro.parallel`)."""
-    return derive_rng(seed, policy_name, user)
 
 
 def evaluate_placements(
@@ -469,14 +420,24 @@ def evaluate_single(
     return cell[policy.name][0]
 
 
-def sweep_replication_degree(
-    dataset: Dataset,
-    model: OnlineTimeModel,
+class SweepPoint(NamedTuple):
+    """One grid point: ``model`` swept over ``degrees`` for ``users``.
+
+    An empty ``users`` cohort is allowed and yields ``None`` (Fig. 9's
+    user-degree bins may be empty).
+    """
+
+    model: OnlineTimeModel
+    degrees: Sequence[int]
+    users: Sequence[UserId]
+
+
+def sweep_grid(
+    source,
+    points: Sequence[SweepPoint],
     policies: Sequence[PlacementPolicy],
     *,
     mode: str = CONREP,
-    degrees: Sequence[int],
-    users: Sequence[UserId],
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
@@ -484,48 +445,120 @@ def sweep_replication_degree(
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
-) -> Dict[str, List[AggregateMetrics]]:
-    """Metric means per policy per allowed replication degree.
+) -> List[Optional[Dict[str, List[AggregateMetrics]]]]:
+    """The one sweep driver: per point, metric means per policy per degree.
 
     ``repeats`` re-runs everything with seeds ``seed .. seed+repeats-1``
     and averages — the paper's protocol for randomised components.
 
-    The per-user work (sequence selection at the maximum degree, then
-    prefix evaluation at every swept degree) runs through ``executor``;
-    with ``jobs > 1`` it spreads over worker processes and returns
-    results bit-identical to the serial run.  ``engine`` selects the
-    prefix-evaluation path: ``"incremental"`` (default — one forward pass
-    per user covers every swept degree) or ``"naive"`` (the reference
-    per-degree oracle; float-identical, only slower).  ``backend``
-    selects the timeline kernels: ``"python"`` (default) or ``"numpy"``
-    (vectorised batch kernels over schedules packed once per repeat;
-    results bit-identical to python — see :mod:`repro.timeline.packed`).
+    ``source`` is a :class:`~repro.datasets.schema.Dataset` or a
+    :class:`~repro.datasets.sharding.ShardedDataset`:
 
-    ``cache`` (a :class:`repro.cache.SweepCache`) short-circuits the
-    whole sweep by content address.  Per-policy series are independent —
-    each user's RNG derives from ``(seed, policy.name, user)`` — so a
-    partial hit computes only the policies still missing and merges them
-    with the cached ones; the returned floats are identical either way.
-    Execution knobs (``executor``/``engine``/``backend``) are *not* part
-    of the address: every combination produces bit-identical results.
+    * **eager** — the points are swept one after another over the whole
+      dataset.  Within a point the per-user cells of every fan-out slice
+      are concatenated, aggregated per repeat, then averaged across
+      repeats, so the series is bit-identical for every ``shards``.
+    * **sharded** — the dataset is never materialised whole.  For each
+      shard one view is built (:meth:`ShardedDataset.shard` with
+      ``users=``) covering the union of that shard's slices of every
+      point's cohort, and each slice is swept one repeat at a time
+      (``seed + r``, ``repeats=1``).  Per-shard aggregates are merged
+      within each repeat (:meth:`AggregateMetrics.merge`) and averaged
+      across repeats last — equal to the eager series field for field up
+      to float-summation order.  With a ``cache`` each (view, repeat)
+      sweep is content-addressed by the view's fingerprint.
 
-    ``shards`` splits the cohort into that many contiguous slices and
-    fans each slice out separately — per-shard aggregates are computed
-    from per-user cells that are then concatenated before the rollup,
-    so the returned series is bit-identical to ``shards=1`` (which is
-    why ``shards`` is an execution knob, excluded from cache keys).
-    Sharding bounds the fan-out working set per ``map_shared`` call;
-    at million-user scale it is what keeps one sweep's in-flight chunk
-    results from dominating memory.
+    The execution knobs never change a bit of the result: ``executor``
+    fans the per-user work over worker processes; ``engine`` picks the
+    prefix evaluator (``"incremental"`` — one forward pass covers every
+    swept degree — or the per-degree ``"naive"`` oracle); ``backend``
+    picks the timeline kernels (``"python"`` or ``"numpy"``, see
+    :mod:`repro.timeline.packed`); ``shards`` splits each cohort's
+    fan-out into that many contiguous ``map_shared`` slices, bounding
+    how many per-user results are in flight at once; and ``cache`` (a
+    :class:`repro.cache.SweepCache`) short-circuits a point by content
+    address.  None of them is part of a cache key.
     """
-    if not users:
-        raise ValueError("empty user cohort")
     if shards < 1:
         raise ValueError("shards must be >= 1")
     check_engine(engine)
     check_backend(backend)
-    users = list(users)
-    degrees = list(degrees)
+    sharded = hasattr(source, "shard")
+    if sharded:
+        views = _shard_views(source, points)
+        runs = [(seed + r, 1) for r in range(repeats)]
+    else:
+        views = [(source, [list(p.users) for p in points])]
+        runs = [(seed, repeats)]
+    # parts[point][run] -> one per-policy series per view covering it
+    parts: List[List[List[Dict[str, List[AggregateMetrics]]]]] = [
+        [[] for _ in runs] for _ in points
+    ]
+    for dataset, cohorts in views:
+        for point, cohort, cells in zip(points, cohorts, parts):
+            if not cohort:
+                continue
+            for (run_seed, run_repeats), run_cells in zip(runs, cells):
+                run_cells.append(
+                    _sweep_point(
+                        dataset,
+                        point.model,
+                        policies,
+                        mode=mode,
+                        degrees=list(point.degrees),
+                        users=cohort,
+                        seed=run_seed,
+                        repeats=run_repeats,
+                        executor=executor,
+                        engine=engine,
+                        backend=backend,
+                        cache=cache,
+                        shards=shards,
+                    )
+                )
+    results: List[Optional[Dict[str, List[AggregateMetrics]]]] = []
+    for point, cells in zip(points, parts):
+        if not point.users:
+            results.append(None)
+        elif not cells[0]:
+            raise ValueError("no cohort user is owned by any shard")
+        elif not sharded:
+            results.append(cells[0][0])
+        else:
+            results.append(
+                {
+                    p.name: [
+                        _rollup([[v[p.name][i] for v in run] for run in cells])
+                        for i in range(len(point.degrees))
+                    ]
+                    for p in policies
+                }
+            )
+    return results
+
+
+def _sweep_point(
+    dataset: Dataset,
+    model: OnlineTimeModel,
+    policies: Sequence[PlacementPolicy],
+    *,
+    mode: str,
+    degrees: List[int],
+    users: List[UserId],
+    seed: int,
+    repeats: int,
+    executor: Optional[ParallelExecutor],
+    engine: str,
+    backend: str,
+    cache: Optional["SweepCache"],
+    shards: int,
+) -> Dict[str, List[AggregateMetrics]]:
+    """One point of :func:`sweep_grid` over one materialised dataset.
+
+    Per-policy series are independent — each user's RNG derives from
+    ``(seed, policy.name, user)`` — so a partial cache hit computes only
+    the policies still missing and merges them with the cached ones.
+    """
     max_degree = max(degrees)
     key_kwargs = dict(
         mode=mode, degrees=degrees, users=users, seed=seed, repeats=repeats
@@ -548,14 +581,7 @@ def sweep_replication_degree(
         ck_key = None
         if checkpoint is not None:
             ck_key = checkpoint.key_for(
-                dataset,
-                model,
-                compute_policies,
-                mode=mode,
-                degrees=degrees,
-                users=users,
-                seed=seed,
-                repeats=repeats,
+                dataset, model, compute_policies, **key_kwargs
             )
         runs: Dict[str, List[List[AggregateMetrics]]] = {
             p.name: [[] for _ in degrees] for p in compute_policies
@@ -644,115 +670,18 @@ def sweep_replication_degree(
     return {p.name: list(results[p.name]) for p in policies}
 
 
-def sweep_session_length(
-    dataset: Dataset,
-    session_lengths: Sequence[float],
-    policies: Sequence[PlacementPolicy],
-    *,
-    mode: str = CONREP,
-    k: int,
-    users: Sequence[UserId],
-    seed: int = 0,
-    repeats: int = 1,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-) -> Dict[str, List[AggregateMetrics]]:
-    """Fig. 8: fixed replication degree, Sporadic session length swept."""
-    results: Dict[str, List[AggregateMetrics]] = {p.name: [] for p in policies}
-    for length in session_lengths:
-        model = SporadicModel(session_seconds=length)
-        point = sweep_replication_degree(
-            dataset,
-            model,
-            policies,
-            mode=mode,
-            degrees=[k],
-            users=users,
-            seed=seed,
-            repeats=repeats,
-            executor=executor,
-            engine=engine,
-            backend=backend,
-            cache=cache,
-            shards=shards,
-        )
-        for name, series in point.items():
-            results[name].append(series[0])
-    return results
-
-
-def sweep_user_degree(
-    dataset: Dataset,
-    model: OnlineTimeModel,
-    policies: Sequence[PlacementPolicy],
-    *,
-    mode: str = CONREP,
-    user_degrees: Sequence[int],
-    max_users_per_degree: Optional[int] = None,
-    seed: int = 0,
-    repeats: int = 1,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-) -> Dict[str, List[Optional[AggregateMetrics]]]:
-    """Fig. 9: cohorts of user degree 1..10, replication degree maximal.
-
-    Degrees with no users in the dataset yield ``None`` entries.
-    """
-    results: Dict[str, List[Optional[AggregateMetrics]]] = {
-        p.name: [] for p in policies
-    }
-    for degree in user_degrees:
-        users = select_cohort(
-            dataset, degree, max_users=max_users_per_degree, seed=seed
-        )
-        if not users:
-            for p in policies:
-                results[p.name].append(None)
-            continue
-        point = sweep_replication_degree(
-            dataset,
-            model,
-            policies,
-            mode=mode,
-            degrees=[degree],  # allow every candidate to host
-            users=users,
-            seed=seed,
-            repeats=repeats,
-            executor=executor,
-            engine=engine,
-            backend=backend,
-            cache=cache,
-            shards=shards,
-        )
-        for name, series in point.items():
-            results[name].append(series[0])
-    return results
-
-
-# -- dataset-per-shard sweeps ---------------------------------------------
-#
-# The ``shards=`` knob above splits the *fan-out* of one materialised
-# dataset; the ``*_datasets`` drivers below shard the dataset itself.
-# They iterate ``ShardedDataset.shard(k, users=cohort)`` — a view of
-# shard ``k`` that covers only its cohort slice and those users' replica
-# candidates, one at a time in memory — and roll the per-shard
-# aggregates up with :meth:`AggregateMetrics.merge`.  Because a view
-# reproduces its cohort's candidates, activities and schedules bit for
-# bit, per-user metrics equal the whole-dataset run's (and the full
-# ``shard(k)``'s); the rollup differs from a single pass only by
-# float-summation order.
-#
-# Rollup shape: the inner sweeps run one repeat at a time (``seed + r``,
-# ``repeats=1``), shards are merged *within* each repeat first (exact
-# integer finite-delay weights), and :meth:`AggregateMetrics.mean`
-# averages across repeats last — the same weighting the whole-dataset
-# sweep applies, so the two paths agree field for field.
+def _shard_views(
+    sharded: "ShardedDataset", points: Sequence[SweepPoint]
+) -> Iterator[Tuple[Dataset, List[List[UserId]]]]:
+    """Per shard: one cohort view over the union of that shard's slices
+    of every point's cohort, and those slices (built lazily, so one view
+    is in memory at a time)."""
+    per_point = [_shard_cohorts(sharded, p.users) for p in points]
+    for shard in range(sharded.num_shards):
+        cohorts = [slices[shard] for slices in per_point]
+        union = {u for cohort in cohorts for u in cohort}
+        if union:
+            yield sharded.shard(shard, users=union), cohorts
 
 
 def _shard_cohorts(
@@ -775,202 +704,83 @@ def _rollup(
     )
 
 
-def sweep_replication_degree_datasets(
-    sharded: "ShardedDataset",
+def _by_policy(
+    grid: List[Optional[Dict[str, List[AggregateMetrics]]]],
+    policies: Sequence[PlacementPolicy],
+) -> Dict[str, List[Optional[AggregateMetrics]]]:
+    """Single-degree grid points as one series per policy."""
+    return {
+        p.name: [None if point is None else point[p.name][0] for point in grid]
+        for p in policies
+    }
+
+
+def sweep_replication_degree(
+    source,
     model: OnlineTimeModel,
     policies: Sequence[PlacementPolicy],
     *,
-    mode: str = CONREP,
     degrees: Sequence[int],
     users: Sequence[UserId],
-    seed: int = 0,
-    repeats: int = 1,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
+    **knobs,
 ) -> Dict[str, List[AggregateMetrics]]:
-    """:func:`sweep_replication_degree` over a :class:`ShardedDataset`.
-
-    Streams shard datasets one at a time instead of materialising the
-    whole dataset — each is the view of its shard that covers that
-    shard's cohort slice and their candidates, so the peak working set
-    is one cohort slice's graph, trace and schedules.  ``shards`` still
-    controls the fan-out granularity of each inner sweep.  With a
-    ``cache``, each (shard, repeat) sweep is content-addressed by the
-    view's fingerprint, so reruns reuse per-shard entries.
-    """
+    """Figs. 3-7, 10, 11: metric means per policy per allowed replication
+    degree — a one-point :func:`sweep_grid` (which takes ``knobs``)."""
     if not users:
         raise ValueError("empty user cohort")
-    degrees = list(degrees)
-    cohorts = _shard_cohorts(sharded, users)
-    if not any(cohorts):
-        raise ValueError("no cohort user is owned by any shard")
-    # parts[name][degree_index][repeat] -> per-shard aggregates
-    parts: Dict[str, List[List[List[AggregateMetrics]]]] = {
-        p.name: [[[] for _ in range(repeats)] for _ in degrees]
-        for p in policies
-    }
-    for shard, cohort in enumerate(cohorts):
-        if not cohort:
-            continue
-        dataset = sharded.shard(shard, users=cohort)
-        for r in range(repeats):
-            point = sweep_replication_degree(
-                dataset,
-                model,
-                policies,
-                mode=mode,
-                degrees=degrees,
-                users=cohort,
-                seed=seed + r,
-                repeats=1,
-                executor=executor,
-                engine=engine,
-                backend=backend,
-                cache=cache,
-                shards=shards,
-            )
-            for name, series in point.items():
-                for i, aggregate in enumerate(series):
-                    parts[name][i][r].append(aggregate)
-    return {
-        p.name: [_rollup(cell) for cell in parts[p.name]] for p in policies
-    }
+    return sweep_grid(
+        source, [SweepPoint(model, degrees, users)], policies, **knobs
+    )[0]
 
 
-def sweep_session_length_datasets(
-    sharded: "ShardedDataset",
+def sweep_session_length(
+    source,
     session_lengths: Sequence[float],
     policies: Sequence[PlacementPolicy],
     *,
-    mode: str = CONREP,
     k: int,
     users: Sequence[UserId],
-    seed: int = 0,
-    repeats: int = 1,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
+    **knobs,
 ) -> Dict[str, List[AggregateMetrics]]:
-    """:func:`sweep_session_length` over a :class:`ShardedDataset`.
-
-    Each shard's cohort view is materialised once and swept across
-    *every* session length before the next shard is touched, so the peak
-    working set stays one cohort slice wide regardless of how many
-    lengths the figure plots.
-    """
+    """Fig. 8: fixed replication degree, Sporadic session length swept."""
     if not users:
         raise ValueError("empty user cohort")
-    cohorts = _shard_cohorts(sharded, users)
-    if not any(cohorts):
-        raise ValueError("no cohort user is owned by any shard")
-    parts: Dict[str, List[List[List[AggregateMetrics]]]] = {
-        p.name: [[[] for _ in range(repeats)] for _ in session_lengths]
-        for p in policies
-    }
-    for shard, cohort in enumerate(cohorts):
-        if not cohort:
-            continue
-        dataset = sharded.shard(shard, users=cohort)
-        for i, length in enumerate(session_lengths):
-            model = SporadicModel(session_seconds=length)
-            for r in range(repeats):
-                point = sweep_replication_degree(
-                    dataset,
-                    model,
-                    policies,
-                    mode=mode,
-                    degrees=[k],
-                    users=cohort,
-                    seed=seed + r,
-                    repeats=1,
-                    executor=executor,
-                    engine=engine,
-                    backend=backend,
-                    cache=cache,
-                    shards=shards,
-                )
-                for name, series in point.items():
-                    parts[name][i][r].append(series[0])
-    return {
-        p.name: [_rollup(cell) for cell in parts[p.name]] for p in policies
-    }
+    points = [
+        SweepPoint(SporadicModel(session_seconds=length), [k], users)
+        for length in session_lengths
+    ]
+    return _by_policy(sweep_grid(source, points, policies, **knobs), policies)
 
 
-def sweep_user_degree_datasets(
-    sharded: "ShardedDataset",
+def sweep_user_degree(
+    source,
     model: OnlineTimeModel,
     policies: Sequence[PlacementPolicy],
     *,
-    mode: str = CONREP,
     user_degrees: Sequence[int],
     max_users_per_degree: Optional[int] = None,
     seed: int = 0,
-    repeats: int = 1,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
+    **knobs,
 ) -> Dict[str, List[Optional[AggregateMetrics]]]:
-    """:func:`sweep_user_degree` over a :class:`ShardedDataset`.
-
-    Cohorts are selected from the sharded survivor survey (identical to
-    the filtered graph's degree bins, including the subsample order);
-    every degree's slice of a shard is swept while one view of that
-    shard, covering the union of those slices, is materialised.
-    Degrees with no users anywhere yield ``None``.
-    """
-    user_degrees = list(user_degrees)
-    full_cohorts = [
-        select_cohort(
-            sharded, degree, max_users=max_users_per_degree, seed=seed
+    """Fig. 9: cohorts of user degree 1..10, replication degree maximal
+    (every candidate may host).  Degrees with no users yield ``None``."""
+    points = [
+        SweepPoint(
+            model,
+            [degree],
+            select_cohort(
+                source, degree, max_users=max_users_per_degree, seed=seed
+            ),
         )
         for degree in user_degrees
     ]
-    per_shard = [_shard_cohorts(sharded, cohort) for cohort in full_cohorts]
-    parts: Dict[str, List[List[List[AggregateMetrics]]]] = {
-        p.name: [[[] for _ in range(repeats)] for _ in user_degrees]
-        for p in policies
-    }
-    for shard in range(sharded.num_shards):
-        union = {u for cohorts in per_shard for u in cohorts[shard]}
-        if not union:
-            continue
-        dataset = sharded.shard(shard, users=union)
-        for i, degree in enumerate(user_degrees):
-            cohort = per_shard[i][shard]
-            if not cohort:
-                continue
-            for r in range(repeats):
-                point = sweep_replication_degree(
-                    dataset,
-                    model,
-                    policies,
-                    mode=mode,
-                    degrees=[degree],  # allow every candidate to host
-                    users=cohort,
-                    seed=seed + r,
-                    repeats=1,
-                    executor=executor,
-                    engine=engine,
-                    backend=backend,
-                    cache=cache,
-                    shards=shards,
-                )
-                for name, series in point.items():
-                    parts[name][i][r].append(series[0])
-    results: Dict[str, List[Optional[AggregateMetrics]]] = {
-        p.name: [] for p in policies
-    }
-    for i in range(len(user_degrees)):
-        for p in policies:
-            if not full_cohorts[i]:
-                results[p.name].append(None)
-            else:
-                results[p.name].append(_rollup(parts[p.name][i]))
-    return results
+    return _by_policy(
+        sweep_grid(source, points, policies, seed=seed, **knobs), policies
+    )
+
+
+# The dataset-per-shard names predate the single driver; every sweep
+# now accepts either source.
+sweep_replication_degree_datasets = sweep_replication_degree
+sweep_session_length_datasets = sweep_session_length
+sweep_user_degree_datasets = sweep_user_degree

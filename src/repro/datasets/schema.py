@@ -189,3 +189,9 @@ class Dataset:
 
     def degree(self, user: UserId) -> int:
         return self.graph.degree(user)
+
+    def users_with_degree(
+        self, degree: int, *, max_degree: Optional[int] = None
+    ) -> List[UserId]:
+        """The graph's degree bin (same call as on a ``ShardedDataset``)."""
+        return self.graph.users_with_degree(degree, max_degree=max_degree)

@@ -1,25 +1,24 @@
 """One registered experiment per table/figure of the paper's evaluation.
 
-Each experiment is a function ``(scale) -> ExperimentResult`` producing the
-same rows/series the paper plots, plus raw data for programmatic shape
-checks.  The registry at the bottom maps experiment ids (``table1``,
-``fig2`` … ``fig11``, ``x1``) to their functions; the benchmark harness has
-one bench per entry.
+Each experiment is a function ``(scale, ex) -> ExperimentResult`` — an
+:class:`~repro.experiments.config.ExperimentScale` and an
+:class:`~repro.experiments.execution.Execution` — producing the same
+rows/series the paper plots, plus raw data for programmatic shape
+checks.  The degree-sweep panel figures (Figs. 3-7, 10, 11) are rows of
+the :data:`PANELS` table rendered by :func:`run_panel`; the rest are
+bespoke.  The registry at the bottom maps experiment ids (``table1``,
+``fig2`` … ``fig11``, ``x1`` … ``x6``) to their functions; the benchmark
+harness has one bench per entry.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+from dataclasses import dataclass
 from time import perf_counter
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import (
     CONREP,
@@ -27,15 +26,13 @@ from repro.core import (
     NUMPY,
     PYTHON,
     UNCONREP,
+    SweepPoint,
     evaluate_user,
     make_policy,
     placement_sequences,
-    sweep_replication_degree,
-    sweep_replication_degree_datasets,
+    sweep_grid,
     sweep_session_length,
-    sweep_session_length_datasets,
     sweep_user_degree,
-    sweep_user_degree_datasets,
 )
 from repro.datasets import (
     PAPER_FACEBOOK_AVG_ACTIVITIES,
@@ -54,6 +51,7 @@ from repro.experiments.config import (
     twitter_dataset,
     twitter_sharded,
 )
+from repro.experiments.execution import COHORT_MODE, DATASET_MODE, Execution
 from repro.experiments.report import ExperimentResult
 from repro.onlinetime import (
     FixedLengthModel,
@@ -72,44 +70,19 @@ if TYPE_CHECKING:  # imported lazily: repro.cache imports repro.core
 #: Policy display order used throughout the paper's figures.
 POLICY_ORDER: Tuple[str, ...] = ("maxav", "mostactive", "random")
 
-#: Shard modes for the sweep experiments.  ``"cohort"`` (default)
-#: materialises the whole dataset and uses ``shards`` to slice each
-#: sweep's cohort fan-out (results bit-identical for every value).
-#: ``"dataset"`` never materialises the whole dataset: ``shards`` becomes
-#: the :class:`~repro.datasets.ShardedDataset` shard count and the sweeps
-#: stream one shard dataset at a time, merging per-shard aggregates —
-#: equal to cohort mode field for field up to float-summation order.
-COHORT_MODE = "cohort"
-DATASET_MODE = "dataset"
-SHARD_MODES: Tuple[str, ...] = (COHORT_MODE, DATASET_MODE)
+#: The online-time models of the multi-panel figures, by panel name.
+_MODELS: Dict[str, Callable[[], OnlineTimeModel]] = {
+    "Sporadic": SporadicModel,
+    "RandomLength": RandomLengthModel,
+    "FixedLength-2h": lambda: FixedLengthModel(2),
+    "FixedLength-8h": lambda: FixedLengthModel(8),
+}
 
 
-def check_shard_mode(shard_mode: str) -> str:
-    """Validate a shard-mode name."""
-    if shard_mode not in SHARD_MODES:
-        raise ValueError(
-            f"unknown shard mode {shard_mode!r}; choose from {SHARD_MODES}"
-        )
-    return shard_mode
-
-
-def _source(kind: str, scale: ExperimentScale, shard_mode: str, shards: int):
-    """The sweep input for a dataset kind: the eager dataset in cohort
-    mode, the :class:`ShardedDataset` view in dataset mode."""
-    check_shard_mode(shard_mode)
-    if shard_mode == DATASET_MODE:
-        sharded = facebook_sharded if kind == "facebook" else twitter_sharded
-        return sharded(scale, max(1, shards))
-    return facebook_dataset(scale) if kind == "facebook" else twitter_dataset(scale)
-
-#: The four online-time models shown in the multi-panel figures.
-def _panel_models() -> List[Tuple[str, OnlineTimeModel]]:
-    return [
-        ("Sporadic", SporadicModel()),
-        ("RandomLength", RandomLengthModel()),
-        ("FixedLength-2h", FixedLengthModel(2)),
-        ("FixedLength-8h", FixedLengthModel(8)),
-    ]
+def _panel_models(
+    names: Tuple[str, ...] = tuple(_MODELS),
+) -> List[Tuple[str, OnlineTimeModel]]:
+    return [(name, _MODELS[name]()) for name in names]
 
 
 #: Replication degrees swept in Figs. 3-7 and 10-11.
@@ -130,21 +103,16 @@ def _policies():
     return [make_policy(name) for name in POLICY_ORDER]
 
 
-def _cohort(dataset, scale: ExperimentScale) -> List[int]:
+def _cohort(source, scale: ExperimentScale) -> List[int]:
     """The paper's degree-10 cohort, widening the degree window only if the
     (small, synthetic) dataset has no exact-degree users.
 
-    ``dataset`` is a :class:`Dataset` (degrees from its filtered graph)
-    or a :class:`ShardedDataset` (its own ``users_with_degree``); both
-    list matching users sorted ascending, so the selected cohort is
+    ``source`` is a :class:`Dataset` or a :class:`ShardedDataset`; both
+    list a degree bin's users sorted ascending, so the selected cohort is
     identical across sources.
     """
-    if hasattr(dataset, "users_with_degree"):
-        by_degree = dataset.users_with_degree
-    else:
-        by_degree = dataset.graph.users_with_degree
     for widen in range(4):
-        users = by_degree(
+        users = source.users_with_degree(
             max(1, scale.cohort_degree - widen),
             max_degree=scale.cohort_degree + widen,
         )
@@ -152,95 +120,220 @@ def _cohort(dataset, scale: ExperimentScale) -> List[int]:
             if scale.max_cohort_users and len(users) > scale.max_cohort_users:
                 users = users[: scale.max_cohort_users]
             return users
-    name = getattr(dataset, "name", None) or (
-        f"sharded {dataset.spec.kind} dataset"
-        if hasattr(dataset, "spec")
-        else "dataset"
+    name = getattr(source, "name", None) or (
+        f"sharded {source.spec.kind} dataset"
     )
     raise RuntimeError(
         f"no users anywhere near degree {scale.cohort_degree} in {name}"
     )
 
 
-def _panel_sweep(
-    result: ExperimentResult,
-    dataset,
-    scale: ExperimentScale,
-    *,
-    mode: str,
-    metric: str,
-    models: Optional[Sequence[Tuple[str, OnlineTimeModel]]] = None,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-) -> None:
-    """Run the degree sweep for each panel model and add one table each.
+def _source(kind: str, scale: ExperimentScale, ex: Execution):
+    """The sweep input for a dataset kind: the eager dataset in cohort
+    mode, its :class:`ShardedDataset` in dataset mode."""
+    facebook = kind == "facebook"
+    if ex.shard_mode == DATASET_MODE:
+        sharded = facebook_sharded if facebook else twitter_sharded
+        return sharded(scale, ex.shards)
+    return facebook_dataset(scale) if facebook else twitter_dataset(scale)
 
-    With a ``cache``, sibling figures over the same (dataset, mode)
-    share their panel sweeps by content address — fig3/5/6/7 (and
-    fig10/11 on Twitter) compute each model's sweep once per batch and
-    the rest slice their metric columns from the cached series.
 
-    ``dataset`` may be a :class:`ShardedDataset` (dataset shard mode):
-    the sweep then streams one shard dataset at a time and ``shards``
-    already named the dataset shard count, so the inner fan-out is not
-    sharded again.
-    """
-    is_sharded = hasattr(dataset, "shard")
-    sweep_fn = (
-        sweep_replication_degree_datasets
-        if is_sharded
-        else sweep_replication_degree
+def _knobs(scale: ExperimentScale, ex: Execution) -> Dict[str, Any]:
+    """Keyword arguments for the sweeps: the scale's seed and repeat
+    count plus the execution knobs.  In dataset mode ``shards`` already
+    counted the dataset shards, so each view's fan-out is not sliced
+    again."""
+    return dict(
+        seed=scale.seed,
+        repeats=scale.repeats,
+        executor=ex.executor,
+        engine=ex.engine,
+        backend=ex.backend,
+        cache=ex.cache,
+        shards=ex.shards if ex.shard_mode == COHORT_MODE else 1,
     )
-    users = _cohort(dataset, scale)
-    label = _METRIC_LABELS[metric]
-    for panel_name, model in models or _panel_models():
-        sweep = sweep_fn(
-            dataset,
-            model,
-            _policies(),
-            mode=mode,
-            degrees=list(DEGREES),
-            users=users,
-            seed=scale.seed,
-            repeats=scale.repeats,
-            executor=executor,
-            engine=engine,
-            backend=backend,
-            cache=cache,
-            shards=1 if is_sharded else shards,
+
+
+def _rows(xs, sweep, metric: str) -> List[tuple]:
+    """One table row per swept ``x``: ``x``, then each policy's
+    ``metric`` (``None`` where the sweep has no aggregate)."""
+    return [
+        (x,)
+        + tuple(
+            None if agg is None else getattr(agg, metric)
+            for agg in (sweep[name][i] for name in POLICY_ORDER)
         )
-        rows = []
-        for i, k in enumerate(DEGREES):
-            rows.append(
-                (k,)
-                + tuple(
-                    getattr(sweep[name][i], metric) for name in POLICY_ORDER
-                )
-            )
+        for i, x in enumerate(xs)
+    ]
+
+
+def _series(sweep, fields) -> Dict[str, Dict[str, list]]:
+    """Per policy, the raw series of each of ``fields``."""
+    return {
+        name: {f: [getattr(a, f) for a in sweep[name]] for f in fields}
+        for name in POLICY_ORDER
+    }
+
+
+def _place(
+    dataset, schedules, users, policy_name: str, scale, ex: Execution
+) -> Dict[int, Tuple[int, ...]]:
+    """Each user's k=3 ConRep selection — the x-series' placement."""
+    return placement_sequences(
+        dataset,
+        schedules,
+        users,
+        make_policy(policy_name),
+        mode=CONREP,
+        max_degree=3,
+        seed=scale.seed,
+        executor=ex.executor,
+        backend=ex.backend,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Figures 3-7 (Facebook) and 10-11 (Twitter): degree-sweep panels
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Panel:
+    """One degree-sweep figure: a metric vs replication degree, one
+    table per online-time model, one column per policy."""
+
+    experiment_id: str
+    title: str
+    description: str
+    expectation: str
+    kind: str
+    mode: str
+    metric: str
+    models: Tuple[str, ...] = tuple(_MODELS)
+
+
+#: Series kept in each panel's ``data`` (the plotted metrics + replicas).
+_PANEL_FIELDS: Tuple[str, ...] = (*_METRIC_LABELS, "mean_replicas_used")
+
+PANELS: Tuple[Panel, ...] = (
+    Panel(
+        "fig3",
+        "Facebook-ConRep: Availability (Fig. 3)",
+        "Availability vs replication degree for the degree-10 cohort "
+        "under all four online-time models, connected replicas.",
+        "Availability rises and saturates; MaxAv dominates, MostActive "
+        "beats Random; FixedLength-2h availability stays low.",
+        "facebook",
+        CONREP,
+        "availability",
+    ),
+    Panel(
+        "fig4",
+        "Facebook-UnconRep: Availability (Fig. 4)",
+        "Availability vs replication degree with unconnected replicas "
+        "(third-party sync), FixedLength 2h and 8h panels.",
+        "Higher achievable availability than the ConRep counterparts, "
+        "since replica choice ignores time-connectivity.",
+        "facebook",
+        UNCONREP,
+        "availability",
+        models=("FixedLength-2h", "FixedLength-8h"),
+    ),
+    Panel(
+        "fig5",
+        "Facebook-ConRep: Availability-on-Demand-Time (Fig. 5)",
+        "Fraction of the friends' combined online time the profile is "
+        "reachable, vs replication degree.",
+        "Reaches ~1 with few replicas under MaxAv; MostActive needs "
+        "more, Random the most.",
+        "facebook",
+        CONREP,
+        "aod_time",
+    ),
+    Panel(
+        "fig6",
+        "Facebook-ConRep: Availability-on-Demand-Activity (Fig. 6)",
+        "Fraction of profile activities that found the profile "
+        "reachable, vs replication degree.",
+        "Higher than availability-on-demand-time at the same degree; "
+        "MostActive performs notably well.",
+        "facebook",
+        CONREP,
+        "aod_activity",
+    ),
+    Panel(
+        "fig7",
+        "Facebook-ConRep: Update Propagation Delay (Fig. 7)",
+        "Worst-case update propagation delay (hours) vs replication "
+        "degree — non-intuitively increasing with degree.",
+        "Delay grows with replication degree; MaxAv incurs the highest "
+        "delay; Sporadic delays are the lowest of the models.",
+        "facebook",
+        CONREP,
+        "delay_hours_actual",
+    ),
+    Panel(
+        "fig10",
+        "Twitter-ConRep: Availability (Fig. 10)",
+        "Availability vs replication degree on the Twitter dataset "
+        "(replication on followers).",
+        "Same trends as Facebook (Fig. 3).",
+        "twitter",
+        CONREP,
+        "availability",
+    ),
+    Panel(
+        "fig11",
+        "Twitter-ConRep: Availability-on-Demand-Time (Fig. 11)",
+        "Availability-on-demand-time on Twitter; unlike Facebook, the "
+        "FixedLength-8h panel does not reach 1 because some followers "
+        "are never time-connected to any replica.",
+        "Same trends as Fig. 5, except FixedLength-8h saturates below "
+        "1 due to disconnected followers.",
+        "twitter",
+        CONREP,
+        "aod_time",
+    ),
+)
+
+
+def run_panel(
+    panel: Panel, scale: ExperimentScale, ex: Execution
+) -> ExperimentResult:
+    """Sweep every panel model over :data:`DEGREES` and add one table each.
+
+    With a cache, sibling panels over the same (dataset, mode) share
+    their sweeps by content address — fig3/5/6/7 (and fig10/11 on
+    Twitter) compute each model's sweep once per batch and the rest slice
+    their metric column from the cached series.
+    """
+    result = ExperimentResult(
+        experiment_id=panel.experiment_id,
+        title=panel.title,
+        description=panel.description,
+        paper_expectation=panel.expectation,
+    )
+    source = _source(panel.kind, scale, ex)
+    users = _cohort(source, scale)
+    models = _panel_models(panel.models)
+    grid = sweep_grid(
+        source,
+        [SweepPoint(model, DEGREES, users) for _, model in models],
+        _policies(),
+        mode=panel.mode,
+        **_knobs(scale, ex),
+    )
+    label = _METRIC_LABELS[panel.metric]
+    for (panel_name, _), sweep in zip(models, grid):
         result.add_table(
             f"{panel_name}: {label} vs replication degree "
-            f"({mode}, {len(users)} cohort users)",
+            f"({panel.mode}, {len(users)} cohort users)",
             ("degree",) + POLICY_ORDER,
-            rows,
+            _rows(DEGREES, sweep, panel.metric),
         )
-        result.data[panel_name] = {
-            name: {
-                "availability": [a.availability for a in sweep[name]],
-                "aod_time": [a.aod_time for a in sweep[name]],
-                "aod_activity": [a.aod_activity for a in sweep[name]],
-                "delay_hours_actual": [
-                    a.delay_hours_actual for a in sweep[name]
-                ],
-                "mean_replicas_used": [
-                    a.mean_replicas_used for a in sweep[name]
-                ],
-            }
-            for name in POLICY_ORDER
-        }
+        result.data[panel_name] = _series(sweep, _PANEL_FIELDS)
     result.data["degrees"] = list(DEGREES)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +342,7 @@ def _panel_sweep(
 
 
 def table1_dataset_stats(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     """§IV-A in-text dataset statistics, measured vs paper."""
     result = ExperimentResult(
@@ -309,14 +395,7 @@ def table1_dataset_stats(
 
 
 def fig2_degree_distribution(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     """Fig. 2: user degree distribution of both datasets."""
     result = ExperimentResult(
@@ -345,209 +424,12 @@ def fig2_degree_distribution(
 
 
 # ---------------------------------------------------------------------------
-# Figures 3-7: Facebook
+# Figures 8-9: Facebook session length and user degree
 # ---------------------------------------------------------------------------
 
 
-def fig3_fb_conrep_availability(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig3",
-        title="Facebook-ConRep: Availability (Fig. 3)",
-        description=(
-            "Availability vs replication degree for the degree-10 cohort "
-            "under all four online-time models, connected replicas."
-        ),
-        paper_expectation=(
-            "Availability rises and saturates; MaxAv dominates, MostActive "
-            "beats Random; FixedLength-2h availability stays low."
-        ),
-    )
-    _panel_sweep(
-        result,
-        _source("facebook", scale, shard_mode, shards),
-        scale,
-        mode=CONREP,
-        metric="availability",
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=shards,
-    )
-    return result
-
-
-def fig4_fb_unconrep_availability(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig4",
-        title="Facebook-UnconRep: Availability (Fig. 4)",
-        description=(
-            "Availability vs replication degree with unconnected replicas "
-            "(third-party sync), FixedLength 2h and 8h panels."
-        ),
-        paper_expectation=(
-            "Higher achievable availability than the ConRep counterparts, "
-            "since replica choice ignores time-connectivity."
-        ),
-    )
-    models = [
-        ("FixedLength-2h", FixedLengthModel(2)),
-        ("FixedLength-8h", FixedLengthModel(8)),
-    ]
-    _panel_sweep(
-        result,
-        _source("facebook", scale, shard_mode, shards),
-        scale,
-        mode=UNCONREP,
-        metric="availability",
-        models=models,
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=shards,
-    )
-    return result
-
-
-def fig5_fb_conrep_aod_time(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig5",
-        title="Facebook-ConRep: Availability-on-Demand-Time (Fig. 5)",
-        description=(
-            "Fraction of the friends' combined online time the profile is "
-            "reachable, vs replication degree."
-        ),
-        paper_expectation=(
-            "Reaches ~1 with few replicas under MaxAv; MostActive needs "
-            "more, Random the most."
-        ),
-    )
-    _panel_sweep(
-        result,
-        _source("facebook", scale, shard_mode, shards),
-        scale,
-        mode=CONREP,
-        metric="aod_time",
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=shards,
-    )
-    return result
-
-
-def fig6_fb_conrep_aod_activity(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig6",
-        title="Facebook-ConRep: Availability-on-Demand-Activity (Fig. 6)",
-        description=(
-            "Fraction of profile activities that found the profile "
-            "reachable, vs replication degree."
-        ),
-        paper_expectation=(
-            "Higher than availability-on-demand-time at the same degree; "
-            "MostActive performs notably well."
-        ),
-    )
-    _panel_sweep(
-        result,
-        _source("facebook", scale, shard_mode, shards),
-        scale,
-        mode=CONREP,
-        metric="aod_activity",
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=shards,
-    )
-    return result
-
-
-def fig7_fb_conrep_delay(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig7",
-        title="Facebook-ConRep: Update Propagation Delay (Fig. 7)",
-        description=(
-            "Worst-case update propagation delay (hours) vs replication "
-            "degree — non-intuitively increasing with degree."
-        ),
-        paper_expectation=(
-            "Delay grows with replication degree; MaxAv incurs the highest "
-            "delay; Sporadic delays are the lowest of the models."
-        ),
-    )
-    _panel_sweep(
-        result,
-        _source("facebook", scale, shard_mode, shards),
-        scale,
-        mode=CONREP,
-        metric="delay_hours_actual",
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=shards,
-    )
-    return result
-
-
 def fig8_session_length(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig8",
@@ -561,61 +443,29 @@ def fig8_session_length(
             "on-demand metrics, and sharply cut the propagation delay."
         ),
     )
-    dataset = _source("facebook", scale, shard_mode, shards)
-    is_sharded = hasattr(dataset, "shard")
-    sweep_fn = (
-        sweep_session_length_datasets if is_sharded else sweep_session_length
-    )
-    users = _cohort(dataset, scale)
-    sweep = sweep_fn(
-        dataset,
+    source = _source("facebook", scale, ex)
+    sweep = sweep_session_length(
+        source,
         SESSION_LENGTHS,
         _policies(),
         mode=CONREP,
         k=3,
-        users=users,
-        seed=scale.seed,
-        repeats=scale.repeats,
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=1 if is_sharded else shards,
+        users=_cohort(source, scale),
+        **_knobs(scale, ex),
     )
     for metric, label in _METRIC_LABELS.items():
-        rows = []
-        for i, length in enumerate(SESSION_LENGTHS):
-            rows.append(
-                (length,)
-                + tuple(
-                    getattr(sweep[name][i], metric) for name in POLICY_ORDER
-                )
-            )
         result.add_table(
             f"{label} vs session length (replication degree 3)",
             ("session (s)",) + POLICY_ORDER,
-            rows,
+            _rows(SESSION_LENGTHS, sweep, metric),
         )
     result.data["session_lengths"] = list(SESSION_LENGTHS)
-    result.data["sweep"] = {
-        name: {
-            metric: [getattr(a, metric) for a in sweep[name]]
-            for metric in _METRIC_LABELS
-        }
-        for name in POLICY_ORDER
-    }
+    result.data["sweep"] = _series(sweep, _METRIC_LABELS)
     return result
 
 
 def fig9_user_degree(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig9",
@@ -631,142 +481,38 @@ def fig9_user_degree(
             "thus sees lower delay."
         ),
     )
-    dataset = _source("facebook", scale, shard_mode, shards)
-    is_sharded = hasattr(dataset, "shard")
-    sweep_fn = sweep_user_degree_datasets if is_sharded else sweep_user_degree
     user_degrees = list(range(1, 11))
-    sweep = sweep_fn(
-        dataset,
+    sweep = sweep_user_degree(
+        _source("facebook", scale, ex),
         SporadicModel(),
         _policies(),
         mode=CONREP,
         user_degrees=user_degrees,
         max_users_per_degree=scale.max_cohort_users,
-        seed=scale.seed,
-        repeats=scale.repeats,
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=1 if is_sharded else shards,
+        **_knobs(scale, ex),
     )
-
-    def row_of(metric):
-        rows = []
-        for i, d in enumerate(user_degrees):
-            cells = []
-            for name in POLICY_ORDER:
-                agg = sweep[name][i]
-                cells.append(None if agg is None else getattr(agg, metric))
-            rows.append((d,) + tuple(cells))
-        return rows
-
-    result.add_table(
-        "availability vs user degree (Sporadic, max replication)",
-        ("user degree",) + POLICY_ORDER,
-        row_of("availability"),
-    )
-    result.add_table(
-        "update propagation delay (hours) vs user degree",
-        ("user degree",) + POLICY_ORDER,
-        row_of("delay_hours_actual"),
-    )
-    result.add_table(
-        "replicas actually used vs user degree",
-        ("user degree",) + POLICY_ORDER,
-        row_of("mean_replicas_used"),
-    )
+    fields = ("availability", "delay_hours_actual", "mean_replicas_used")
+    for field, caption in zip(
+        fields,
+        (
+            "availability vs user degree (Sporadic, max replication)",
+            "update propagation delay (hours) vs user degree",
+            "replicas actually used vs user degree",
+        ),
+    ):
+        result.add_table(
+            caption,
+            ("user degree",) + POLICY_ORDER,
+            _rows(user_degrees, sweep, field),
+        )
     result.data["user_degrees"] = user_degrees
     result.data["sweep"] = {
         name: [
-            None
-            if agg is None
-            else {
-                "availability": agg.availability,
-                "delay_hours_actual": agg.delay_hours_actual,
-                "mean_replicas_used": agg.mean_replicas_used,
-            }
+            None if agg is None else {f: getattr(agg, f) for f in fields}
             for agg in sweep[name]
         ]
         for name in POLICY_ORDER
     }
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figures 10-11: Twitter
-# ---------------------------------------------------------------------------
-
-
-def fig10_tw_conrep_availability(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig10",
-        title="Twitter-ConRep: Availability (Fig. 10)",
-        description=(
-            "Availability vs replication degree on the Twitter dataset "
-            "(replication on followers)."
-        ),
-        paper_expectation="Same trends as Facebook (Fig. 3).",
-    )
-    _panel_sweep(
-        result,
-        _source("twitter", scale, shard_mode, shards),
-        scale,
-        mode=CONREP,
-        metric="availability",
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=shards,
-    )
-    return result
-
-
-def fig11_tw_conrep_aod_time(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig11",
-        title="Twitter-ConRep: Availability-on-Demand-Time (Fig. 11)",
-        description=(
-            "Availability-on-demand-time on Twitter; unlike Facebook, the "
-            "FixedLength-8h panel does not reach 1 because some followers "
-            "are never time-connected to any replica."
-        ),
-        paper_expectation=(
-            "Same trends as Fig. 5, except FixedLength-8h saturates below "
-            "1 due to disconnected followers."
-        ),
-    )
-    _panel_sweep(
-        result,
-        _source("twitter", scale, shard_mode, shards),
-        scale,
-        mode=CONREP,
-        metric="aod_time",
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-        shards=shards,
-    )
     return result
 
 
@@ -776,14 +522,7 @@ def fig11_tw_conrep_aod_time(
 
 
 def x1_des_validation(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     """Replay a placed cohort in the discrete-event simulator and compare
     the empirical measurements against the closed-form metrics."""
@@ -806,16 +545,7 @@ def x1_des_validation(
     model = FixedLengthModel(8)
     schedules = compute_schedules(dataset, model, seed=scale.seed)
     users = _cohort(dataset, scale)
-    sequences = placement_sequences(
-        dataset,
-        schedules,
-        users,
-        make_policy("maxav"),
-        mode=CONREP,
-        max_degree=3,
-        seed=scale.seed,
-        executor=executor,
-    )
+    sequences = _place(dataset, schedules, users, "maxav", scale, ex)
     osn = DecentralizedOSN(
         dataset,
         schedules,
@@ -882,14 +612,7 @@ def x1_des_validation(
 
 
 def x2_expected_unexpected(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     """§IV-B: the expected/unexpected split of profile activity.
 
@@ -916,21 +639,10 @@ def x2_expected_unexpected(
     )
     dataset = facebook_dataset(scale)
     users = _cohort(dataset, scale)
-    policy = make_policy("maxav")
     rows = []
     for panel_name, model in _panel_models():
         schedules = compute_schedules(dataset, model, seed=scale.seed)
-        sequences = placement_sequences(
-            dataset,
-            schedules,
-            users,
-            policy,
-            mode=CONREP,
-            max_degree=3,
-            seed=scale.seed,
-            executor=executor,
-            backend=backend,
-        )
+        sequences = _place(dataset, schedules, users, "maxav", scale, ex)
         per_user = [
             evaluate_user(dataset, schedules, u, sequences[u])
             for u in users
@@ -972,14 +684,7 @@ def x2_expected_unexpected(
 
 
 def x3_observed_vs_actual_delay(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     """§II-C3: the observed propagation delay vs the actual one.
 
@@ -1000,28 +705,18 @@ def x3_observed_vs_actual_delay(
             "session-based schedules."
         ),
     )
-    dataset = _source("facebook", scale, shard_mode, shards)
-    is_sharded = hasattr(dataset, "shard")
-    sweep_fn = (
-        sweep_replication_degree_datasets
-        if is_sharded
-        else sweep_replication_degree
+    source = _source("facebook", scale, ex)
+    users = _cohort(source, scale)
+    models = _panel_models()
+    grid = sweep_grid(
+        source,
+        [SweepPoint(model, DEGREES, users) for _, model in models],
+        [make_policy("maxav")],
+        mode=CONREP,
+        **_knobs(scale, ex),
     )
-    users = _cohort(dataset, scale)
-    for panel_name, model in _panel_models():
-        sweep = sweep_fn(
-            dataset,
-            model,
-            [make_policy("maxav")],
-            mode=CONREP,
-            degrees=list(DEGREES),
-            users=users,
-            seed=scale.seed,
-            repeats=scale.repeats,
-            executor=executor,
-            backend=backend,
-            cache=cache,
-        )["maxav"]
+    for (panel_name, _), point in zip(models, grid):
+        sweep = point["maxav"]
         rows = []
         for i, k in enumerate(DEGREES):
             actual = sweep[i].delay_hours_actual
@@ -1043,14 +738,7 @@ def x3_observed_vs_actual_delay(
 
 
 def x4_hosting_fairness(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     """§II-B1: fairness of the hosting load across the whole network.
 
@@ -1084,16 +772,8 @@ def x4_hosting_fairness(
     everyone = sorted(dataset.graph.users())
     rows = []
     for policy_name in POLICY_ORDER:
-        sequences = placement_sequences(
-            dataset,
-            schedules,
-            everyone,
-            make_policy(policy_name),
-            mode=CONREP,
-            max_degree=3,
-            seed=scale.seed,
-            executor=executor,
-            backend=backend,
+        sequences = _place(
+            dataset, schedules, everyone, policy_name, scale, ex
         )
         report = fairness_report(sequences, all_hosts=everyone)
         rows.append(
@@ -1125,14 +805,7 @@ def x4_hosting_fairness(
 
 
 def x5_owner_notification(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     """§II requirement: the owner should receive updates on his profile
     even when they arrive while he is offline.
@@ -1162,17 +835,7 @@ def x5_owner_notification(
     users = _cohort(dataset, scale)
     rows = []
     for policy_name in POLICY_ORDER:
-        sequences = placement_sequences(
-            dataset,
-            schedules,
-            users,
-            make_policy(policy_name),
-            mode=CONREP,
-            max_degree=3,
-            seed=scale.seed,
-            executor=executor,
-            backend=backend,
-        )
+        sequences = _place(dataset, schedules, users, policy_name, scale, ex)
         stats = DecentralizedOSN(
             dataset,
             schedules,
@@ -1217,14 +880,7 @@ def x5_owner_notification(
 
 
 def x6_scaled_replay(
-    scale: ExperimentScale,
-    *,
-    executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
-    backend: str = PYTHON,
-    cache: Optional["SweepCache"] = None,
-    shards: int = 1,
-    shard_mode: str = COHORT_MODE,
+    scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
     """Full-feature DES replay through the sharded/vectorized pipeline.
 
@@ -1255,20 +911,10 @@ def x6_scaled_replay(
     model = FixedLengthModel(8)
     schedules = compute_schedules(dataset, model, seed=scale.seed)
     users = _cohort(dataset, scale)
-    sequences = placement_sequences(
-        dataset,
-        schedules,
-        users,
-        make_policy("maxav"),
-        mode=CONREP,
-        max_degree=3,
-        seed=scale.seed,
-        executor=executor,
-        backend=backend,
-    )
+    sequences = _place(dataset, schedules, users, "maxav", scale, ex)
     config = ReplayConfig(days=3, sample_every=900, replay_reads=True)
     cache_key = None
-    if cache is not None:
+    if ex.cache is not None:
         from repro.cache import replay_cache_key
 
         cache_key = replay_cache_key(
@@ -1285,15 +931,15 @@ def x6_scaled_replay(
         sequences,
         config=config,
         tracked_profiles=users,
-        backend=backend,
-        shards=shards,
-        executor=executor,
+        backend=ex.backend,
+        shards=ex.shards,
+        executor=ex.executor,
         packed=(
             packed_schedules(dataset, model, seed=scale.seed)
-            if backend == NUMPY
+            if ex.backend == NUMPY
             else None
         ),
-        cache=cache,
+        cache=ex.cache,
         cache_key=cache_key,
     )
     stats = outcome.stats
@@ -1356,18 +1002,14 @@ def x6_scaled_replay(
 # Registry
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
+#: An experiment: ``(scale, ex) -> ExperimentResult``.
+Experiment = Callable[[ExperimentScale, Execution], ExperimentResult]
+
+_BESPOKE: Dict[str, Experiment] = {
     "table1": table1_dataset_stats,
     "fig2": fig2_degree_distribution,
-    "fig3": fig3_fb_conrep_availability,
-    "fig4": fig4_fb_unconrep_availability,
-    "fig5": fig5_fb_conrep_aod_time,
-    "fig6": fig6_fb_conrep_aod_activity,
-    "fig7": fig7_fb_conrep_delay,
     "fig8": fig8_session_length,
     "fig9": fig9_user_degree,
-    "fig10": fig10_tw_conrep_availability,
-    "fig11": fig11_tw_conrep_aod_time,
     "x1": x1_des_validation,
     "x2": x2_expected_unexpected,
     "x3": x3_observed_vs_actual_delay,
@@ -1375,6 +1017,20 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "x5": x5_owner_notification,
     "x6": x6_scaled_replay,
 }
+
+_PAPER_ORDER: Tuple[str, ...] = (
+    "table1",
+    *(f"fig{i}" for i in range(2, 12)),
+    *(f"x{i}" for i in range(1, 7)),
+)
+
+_BY_ID: Dict[str, Experiment] = {
+    **_BESPOKE,
+    **{p.experiment_id: functools.partial(run_panel, p) for p in PANELS},
+}
+
+#: Experiment id -> experiment, in paper order.
+EXPERIMENTS: Dict[str, Experiment] = {eid: _BY_ID[eid] for eid in _PAPER_ORDER}
 
 
 def experiment_ids() -> List[str]:
@@ -1396,35 +1052,30 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id at the given scale.
 
-    ``jobs`` (or a pre-built ``executor``) parallelises the per-user sweep
-    work over worker processes; results are bit-identical to ``jobs=1``.
-    ``engine`` selects the prefix-evaluation path for the degree sweeps
-    (``"incremental"`` by default; ``"naive"`` forces the per-degree
-    reference oracle — float-identical output, only slower).  Experiments
-    that run no degree sweep (table1, fig2, and the x-series diagnostics,
-    which deliberately exercise the oracle path) accept and ignore it.
-    ``backend`` selects the timeline kernels (``"python"`` by default;
-    ``"numpy"`` batches the overlap/set-cover/activity scans — results
-    bit-identical either way).  ``cache`` (a
-    :class:`repro.cache.SweepCache`) lets experiments share their degree
-    sweeps by content address; cached results are bit-identical to
-    recomputed ones.  ``shards`` splits each sweep's cohort into that
-    many contiguous slices dispatched one slice at a time, bounding how
-    much per-user state is in flight at once — an execution knob like
-    ``jobs``/``engine``/``backend``, so results (and sweep-cache keys)
-    are bit-identical for every value.  ``shard_mode`` selects how the
-    sweep experiments consume their dataset: ``"cohort"`` (default)
-    materialises the whole dataset; ``"dataset"`` streams it shard by
-    shard (``shards`` then names the dataset shard count) — one shard's
-    graph, trace and schedules in memory at a time, per-shard aggregates
-    merged, equal to cohort mode field for field up to float-summation
-    order.  Experiments that run no degree sweep (table1, fig2, and the
-    x-series diagnostics other than x3) accept and ignore it, as they
-    materialise their dataset eagerly either way.  Phase wall-clock/throughput timings — plus cache
-    hit/miss and pool start/reuse counters when a shared ``cache`` /
-    ``executor`` is threaded through — land in ``result.timings`` as
-    *this experiment's* deltas and are serialised into the experiment's
-    JSON by ``run_batch``.
+    The keyword arguments are the six :class:`Execution` knobs (invalid
+    values raise :class:`ValueError` before any work); every combination
+    gives bit-identical output.  Without an ``executor`` one with
+    ``jobs`` workers is built for this call and closed after it.
+    """
+    ex = Execution(executor, engine, backend, cache, shards, shard_mode)
+    if executor is not None:
+        return execute(experiment_id, scale, ex)
+    with ParallelExecutor(jobs=jobs) as owned:
+        return execute(
+            experiment_id, scale, dataclasses.replace(ex, executor=owned)
+        )
+
+
+def execute(
+    experiment_id: str, scale: ExperimentScale, ex: Execution
+) -> ExperimentResult:
+    """Run one experiment under ``ex`` and stamp ``result.timings``.
+
+    The timings hold this experiment's own deltas: wall time, the knobs,
+    per-phase throughput and pool counters of ``ex.executor`` (a serial
+    one is built if it is ``None``), plus cache hits/misses and failure
+    reports when there are any.  ``run_batch`` serialises them into the
+    experiment's JSON.
     """
     try:
         fn = EXPERIMENTS[experiment_id]
@@ -1433,39 +1084,29 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; choose from "
             f"{experiment_ids()}"
         ) from None
-    check_shard_mode(shard_mode)
-    owns_executor = executor is None
-    if owns_executor:
-        executor = ParallelExecutor(jobs=jobs)
+    if ex.executor is None:
+        with ParallelExecutor() as owned:
+            return execute(
+                experiment_id, scale, dataclasses.replace(ex, executor=owned)
+            )
+    executor, cache = ex.executor, ex.cache
     timing_mark = executor.snapshot_timings()
     pool_mark = executor.pool_stats.snapshot()
     failure_mark = executor.failures.snapshot()
     cache_mark = cache.stats.snapshot() if cache is not None else None
     start = perf_counter()
-    try:
-        result = fn(
-            scale,
-            executor=executor,
-            engine=engine,
-            backend=backend,
-            cache=cache,
-            shards=shards,
-            shard_mode=shard_mode,
-        )
-    finally:
-        if owns_executor:
-            executor.close()
+    result = fn(scale, ex)
     result.timings = {
         "total_seconds": round(perf_counter() - start, 6),
         "jobs": executor.effective_jobs,
-        "engine": engine,
-        "backend": backend,
-        "shards": shards,
-        "shard_mode": shard_mode,
+        "engine": ex.engine,
+        "backend": ex.backend,
+        "shards": ex.shards,
+        "shard_mode": ex.shard_mode,
         "phases": executor.timings_since(timing_mark),
         "pool": executor.pool_stats.since(pool_mark),
     }
-    if cache is not None and cache_mark is not None:
+    if cache is not None:
         result.timings["cache"] = cache.stats.since(cache_mark)
     failure_delta = executor.failures.since(failure_mark)
     if failure_delta:

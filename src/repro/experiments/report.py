@@ -132,29 +132,6 @@ class ExperimentResult:
                     else ""
                 )
             )
-        plane = self.timings.get("query_plane")
-        if plane is not None:
-            line = (
-                f"query plane: {plane['queries']} queries, "
-                f"{plane['result_hits']} result hits, "
-                f"{plane['store_hits']} store hits, "
-                f"{plane['batched']} batched"
-            )
-            for counter in ("stale_served", "fallback_served", "failed"):
-                if plane.get(counter):
-                    line += (
-                        f", {plane[counter]} "
-                        f"{counter.replace('_', ' ')}"
-                    )
-            for lru in ("evaluators", "sequences", "results"):
-                stats = plane.get(lru)
-                if stats:
-                    line += (
-                        f"; {lru} {stats['entries']}/{stats['max_entries']}"
-                        f" ({stats['hits']} hits, "
-                        f"{stats['evictions']} evicted)"
-                    )
-            bits.append(line)
         pool = self.timings.get("pool")
         if pool and (pool.get("starts") or pool.get("reuses")):
             line = f"pool: {pool['starts']} starts, {pool['reuses']} reuses"

@@ -42,7 +42,8 @@ from repro.parallel import FaultInjector, ParallelExecutor, RetryPolicy
 from repro.timeline.packed import PYTHON
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.config import BENCH, ExperimentScale
-from repro.experiments.figures import experiment_ids, run_experiment
+from repro.experiments.execution import COHORT_MODE, Execution
+from repro.experiments.figures import execute, experiment_ids
 from repro.experiments.report import ExperimentResult
 
 
@@ -264,20 +265,17 @@ def summarize_batch(
     results: List[ExperimentResult],
     *,
     scale: ExperimentScale,
+    ex: Execution,
     jobs: int,
-    engine: str,
-    backend: str,
-    shards: int = 1,
-    shard_mode: str = "cohort",
-    cache: Optional[SweepCache] = None,
-    executor: Optional[ParallelExecutor] = None,
     skipped: Optional[List[str]] = None,
 ) -> Dict[str, Any]:
     """The batch observability rollup written to ``batch_summary.json``.
 
-    Per-experiment phase timings (each experiment's own deltas, as filled
-    in by ``run_experiment``), phase totals aggregated across the batch,
-    the batch-wide cache hit/miss and pool counters (including retries,
+    The knobs of ``ex`` (``jobs`` as the caller reports it),
+    per-experiment phase timings (each experiment's own deltas, as filled
+    in by :func:`~repro.experiments.figures.execute`), phase totals
+    aggregated across the batch, the batch-wide cache hit/miss and pool
+    counters of ``ex.cache`` and ``ex.executor`` (including retries,
     rebuilds, timeouts, and quarantines from the supervised executor),
     the executor's structured failure report, and — on resume — the list
     of experiments skipped because the journal already marked them done.
@@ -300,10 +298,10 @@ def summarize_batch(
     summary: Dict[str, Any] = {
         "scale": scale.name,
         "jobs": jobs,
-        "engine": engine,
-        "backend": backend,
-        "shards": shards,
-        "shard_mode": shard_mode,
+        "engine": ex.engine,
+        "backend": ex.backend,
+        "shards": ex.shards,
+        "shard_mode": ex.shard_mode,
         "num_experiments": len(results),
         "total_seconds": round(
             sum(r.timings.get("total_seconds", 0.0) for r in results), 6
@@ -317,6 +315,7 @@ def summarize_batch(
         "failures": None,
         "skipped": sorted(skipped) if skipped else [],
     }
+    cache, executor = ex.cache, ex.executor
     if cache is not None:
         summary["cache"] = dict(
             cache.stats.as_dict(),
@@ -413,7 +412,7 @@ def run_batch(
     engine: str = INCREMENTAL,
     backend: str = PYTHON,
     shards: int = 1,
-    shard_mode: str = "cohort",
+    shard_mode: str = COHORT_MODE,
     cache: Optional[SweepCache] = None,
     cache_dir: Optional[Union[str, os.PathLike]] = None,
     use_cache: bool = True,
@@ -426,17 +425,11 @@ def run_batch(
 ) -> List[Path]:
     """Run experiments and write ``<id>.txt`` + ``<id>.json`` per entry.
 
-    ``jobs`` parallelises each experiment's per-user work over worker
-    processes (results are bit-identical to ``jobs=1``); ``engine``
-    selects the sweep evaluation path (``"incremental"`` default,
-    ``"naive"`` reference — same output either way); ``backend`` selects
-    the timeline kernels (``"python"`` default, ``"numpy"`` vectorised —
-    same output either way); ``shards`` splits each sweep cohort into
-    contiguous slices dispatched one at a time (again bit-identical —
-    a memory knob, not a semantic one).  ``shard_mode="dataset"`` makes
-    the sweep experiments stream the dataset shard by shard instead of
-    materialising it whole (``shards`` then names the dataset shard
-    count); results agree with cohort mode up to float-summation order.
+    ``jobs``, ``engine``, ``backend``, ``shards`` and ``shard_mode`` are
+    the :class:`~repro.experiments.execution.Execution` knobs (see
+    :func:`~repro.experiments.figures.run_experiment`): every combination
+    writes identical results, and invalid values raise ``ValueError``
+    before the batch starts.
 
     One :class:`~repro.cache.SweepCache` spans the whole batch (pass
     ``cache`` to share one across batches, ``cache_dir`` for the
@@ -462,8 +455,6 @@ def run_batch(
     atomic.  Returns the paths written.  The directory is created if
     missing.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if cache is None and use_cache:
         cache = SweepCache(cache_dir)
     owns_executor = executor is None
@@ -476,6 +467,9 @@ def run_batch(
         if fault_injector is not None:
             kwargs["fault_injector"] = fault_injector
         executor = ParallelExecutor(**kwargs)
+    ex = Execution(executor, engine, backend, cache, shards, shard_mode)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     all_ids = list(ids) if ids is not None else list(experiment_ids())
     journal = BatchJournal.open(
         out / "journal.json", scale=scale.name, ids=all_ids, resume=resume
@@ -504,17 +498,7 @@ def run_batch(
                 continue
             journal.mark(eid, RUNNING)
             try:
-                result = run_experiment(
-                    eid,
-                    scale,
-                    jobs=jobs,
-                    executor=executor,
-                    engine=engine,
-                    backend=backend,
-                    cache=cache,
-                    shards=shards,
-                    shard_mode=shard_mode,
-                )
+                result = execute(eid, scale, ex)
             except BaseException:
                 journal.mark(eid, FAILED)
                 raise
@@ -532,16 +516,7 @@ def run_batch(
         if owns_executor:
             executor.close()
         summary = summarize_batch(
-            results,
-            scale=scale,
-            jobs=jobs,
-            engine=engine,
-            backend=backend,
-            shards=shards,
-            shard_mode=shard_mode,
-            cache=cache,
-            executor=executor,
-            skipped=skipped,
+            results, scale=scale, ex=ex, jobs=jobs, skipped=skipped
         )
         summary_path = out / "batch_summary.json"
         _atomic_write_text(

@@ -32,8 +32,10 @@ import repro
 from repro.core import (
     CONREP,
     AggregateMetrics,
+    SweepPoint,
     make_policy,
     select_cohort,
+    sweep_grid,
     sweep_replication_degree,
     sweep_replication_degree_datasets,
     sweep_session_length,
@@ -43,7 +45,7 @@ from repro.core import (
 )
 from repro.core.evaluation import _rollup, _shard_cohorts
 from repro.datasets import ShardedDataset, SyntheticSpec
-from repro.onlinetime import SporadicModel
+from repro.onlinetime import FixedLengthModel, SporadicModel
 from repro.parallel import ParallelExecutor, fork_available
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -351,6 +353,41 @@ def test_cohort_views_match_full_shards_exactly(driver, backend, jobs):
     assert _canonical(got) == _canonical(want)
 
 
+
+def test_grid_builds_one_view_per_shard_for_all_points(monkeypatch):
+    """A multi-point grid over a ShardedDataset materialises each shard's
+    view once (covering every point's slice), and each point's series
+    equals its own single-point sweep byte for byte."""
+    _, sharded = _sweep_fixture("facebook")
+    users = select_cohort(sharded, 10, max_users=8, seed=0)
+    points = [
+        SweepPoint(SporadicModel(), [0, 2], users),
+        SweepPoint(FixedLengthModel(8), [1], users[1::2]),
+    ]
+    built = []
+    original = ShardedDataset.shard
+
+    def counting_shard(self, shard, users=None):
+        built.append(shard)
+        return original(self, shard, users=users)
+
+    monkeypatch.setattr(ShardedDataset, "shard", counting_shard)
+    grid = sweep_grid(sharded, points, _policies(), seed=0, repeats=2)
+    owners = {k for k, c in enumerate(_shard_cohorts(sharded, users)) if c}
+    assert len(owners) > 1
+    assert sorted(built) == sorted(owners)
+    for point, got in zip(points, grid):
+        want = sweep_replication_degree(
+            sharded,
+            point.model,
+            _policies(),
+            degrees=point.degrees,
+            users=point.users,
+            seed=0,
+            repeats=2,
+        )
+        assert _canonical(got) == _canonical(want)
+
 _SUBPROCESS_SCRIPT = """
 import dataclasses, json, sys
 from repro.core import (
@@ -360,7 +397,7 @@ from repro.core import (
 )
 from repro.core.evaluation import _rollup, _shard_cohorts
 from repro.datasets import ShardedDataset, SyntheticSpec
-from repro.onlinetime import SporadicModel
+from repro.onlinetime import FixedLengthModel, SporadicModel
 
 kind = sys.argv[1]
 spec = SyntheticSpec(

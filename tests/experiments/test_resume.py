@@ -103,7 +103,7 @@ class TestRunBatchJournal:
         calls = []
         original = EXPERIMENTS["x1"]
 
-        def _interrupted(scale, **kwargs):
+        def _interrupted(scale, ex):
             calls.append(scale)
             raise KeyboardInterrupt
 
@@ -123,7 +123,7 @@ class TestRunBatchJournal:
         clean = tmp_path / "clean"
         original = EXPERIMENTS["fig5"]
 
-        def _dies(scale, **kwargs):
+        def _dies(scale, ex):
             raise KeyboardInterrupt
 
         EXPERIMENTS["fig5"] = _dies
