@@ -140,7 +140,11 @@ class OverlapCache:
         return len(self._cache)
 
     def schedule_of(self, user: UserId) -> IntervalSet:
-        return self._schedules.get(user, _EMPTY)
+        # ``[]``, not ``get``: a ScheduleMemo computes on a miss.
+        try:
+            return self._schedules[user]
+        except KeyError:
+            return _EMPTY
 
     def _touch(self, key: Tuple[UserId, UserId]) -> None:
         if self._max_rows is not None:

@@ -13,6 +13,10 @@ points walked by one driver, :func:`sweep_grid`, over either a whole
 shard.  The figure-shaped sweeps (replication degree, session length,
 user degree) are thin grids over it.
 
+A sweep point reads schedules through the dataset's demand-driven memo
+(:func:`repro.onlinetime.base.schedule_memo`), so it computes only the
+schedules of its cohort and their replica candidates.
+
 All policies select replicas *incrementally*, so the selection
 sequence for the maximum degree is computed once per user and every
 smaller allowed degree is evaluated on its prefix — an exact, order-
@@ -55,8 +59,8 @@ from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
 from repro.onlinetime.base import (
     OnlineTimeModel,
-    compute_schedules,
     packed_schedules,
+    schedule_memo,
 )
 from repro.onlinetime.sporadic import SporadicModel
 from repro.parallel import (
@@ -588,7 +592,10 @@ def _sweep_point(
         }
         for r in range(repeats):
             run_seed = seed + r
-            schedules = compute_schedules(dataset, model, seed=run_seed)
+            # Demand-driven: only the schedules the cohort's placements
+            # and metrics read get computed (each forked worker fills
+            # its own copy of the memo).
+            schedules = schedule_memo(dataset, model, seed=run_seed)
             payload = SweepPayload(
                 dataset=dataset,
                 schedules=schedules,

@@ -54,7 +54,7 @@ from repro.core.metrics import UserMetrics
 from repro.core.placement.base import CONREP, UNCONREP
 from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
-from repro.onlinetime.base import Schedules
+from repro.onlinetime.base import Schedules, schedule_of
 from repro.timeline.day import DAY_SECONDS, seconds_to_hours
 from repro.timeline.intervals import IntervalSet
 from repro.timeline.packed import PackedSchedules, creator_online_flags
@@ -100,11 +100,10 @@ class IncrementalGroupEvaluator:
         self._packed = packed
         self._cache = overlap_cache or OverlapCache(schedules, packed)
 
-        empty = IntervalSet.empty()
-        self._own = schedules.get(user, empty)
+        self._own = schedule_of(schedules, user)
         candidates = dataset.replica_candidates(user)
         self._friends_union = IntervalSet.union_all(
-            schedules.get(f, empty) for f in candidates
+            schedule_of(schedules, f) for f in candidates
         )
         self._max_achievable = (
             self._friends_union.union(self._own).measure / DAY_SECONDS
@@ -132,7 +131,7 @@ class IncrementalGroupEvaluator:
             self._instants_array = None
             self._expected_array = None
             self._expected_flags = tuple(
-                schedules.get(act.creator, empty).contains(act.second_of_day)
+                schedule_of(schedules, act.creator).contains(act.second_of_day)
                 for act in received
             )
         self._total = len(received)

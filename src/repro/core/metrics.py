@@ -37,7 +37,7 @@ from repro.core.connectivity import (
 from repro.core.placement.base import CONREP, UNCONREP
 from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
-from repro.onlinetime.base import Schedules
+from repro.onlinetime.base import Schedules, schedule_of
 from repro.timeline.day import DAY_SECONDS
 from repro.timeline.intervals import IntervalSet
 from repro.timeline.packed import (
@@ -74,8 +74,8 @@ def profile_schedule(
     user: UserId, replicas: Sequence[UserId], schedules: Schedules
 ) -> IntervalSet:
     """When the profile is reachable: owner or any replica online."""
-    parts = [schedules.get(user, IntervalSet.empty())]
-    parts.extend(schedules.get(r, IntervalSet.empty()) for r in replicas)
+    parts = [schedule_of(schedules, user)]
+    parts.extend(schedule_of(schedules, r) for r in replicas)
     return IntervalSet.union_all(parts)
 
 
@@ -102,16 +102,15 @@ def evaluate_user(
     if allowed_degree is None:
         allowed_degree = len(replicas)
 
-    empty = IntervalSet.empty()
     group_sched = profile_schedule(user, replicas, schedules)
     availability = group_sched.measure / DAY_SECONDS
 
     candidates = dataset.replica_candidates(user)
     friends_union = IntervalSet.union_all(
-        schedules.get(f, empty) for f in candidates
+        schedule_of(schedules, f) for f in candidates
     )
     max_achievable = (
-        friends_union.union(schedules.get(user, empty)).measure / DAY_SECONDS
+        friends_union.union(schedule_of(schedules, user)).measure / DAY_SECONDS
     )
     if friends_union.measure > 0:
         aod_time = group_sched.overlap(friends_union) / friends_union.measure
@@ -139,7 +138,7 @@ def evaluate_user(
         for act in received:
             instant = act.second_of_day
             is_served = group_sched.contains(instant)
-            creator_online = schedules.get(act.creator, empty).contains(
+            creator_online = schedule_of(schedules, act.creator).contains(
                 instant
             )
             if is_served:
@@ -164,7 +163,7 @@ def evaluate_user(
         owner=user,
         replicas=replicas,
         schedules={
-            m: schedules.get(m, empty) for m in (user,) + replicas
+            m: schedule_of(schedules, m) for m in (user,) + replicas
         },
     )
     if mode == CONREP:

@@ -30,6 +30,8 @@ from repro.onlinetime.base import Schedules
 from repro.timeline.intervals import IntervalSet
 from repro.timeline.packed import PackedSchedules
 
+_EMPTY = IntervalSet.empty()
+
 #: Regime names.
 CONREP = "conrep"
 UNCONREP = "unconrep"
@@ -65,7 +67,11 @@ class PlacementContext:
         return tuple(sorted(self.dataset.replica_candidates(self.user)))
 
     def schedule_of(self, user: UserId) -> IntervalSet:
-        return self.schedules.get(user, IntervalSet.empty())
+        # ``[]``, not ``get``: a ScheduleMemo computes on a miss.
+        try:
+            return self.schedules[user]
+        except KeyError:
+            return _EMPTY
 
 
 class ConnectivityTracker:

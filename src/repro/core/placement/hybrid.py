@@ -29,7 +29,6 @@ from repro.core.placement.base import (
 from repro.core.placement.most_active import MostActivePlacement
 from repro.core.setcover import IntervalUniverse
 from repro.graph.social_graph import UserId
-from repro.timeline.intervals import IntervalSet
 
 
 class HybridPlacement(PlacementPolicy):
@@ -50,10 +49,8 @@ class HybridPlacement(PlacementPolicy):
             return ()
         ranked = self._ranker.ranking(ctx)
         own = ctx.schedule_of(ctx.user)
-        universe = IntervalUniverse(
-            IntervalSet.union_all(
-                [ctx.schedule_of(c) for c in ctx.candidates] + [own]
-            ),
+        universe = IntervalUniverse.over(
+            [ctx.schedule_of(c) for c in ctx.candidates] + [own],
             covered=own,
             packed=ctx.packed,
         )

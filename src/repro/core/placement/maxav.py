@@ -51,10 +51,11 @@ class MaxAvPlacement(PlacementPolicy):
         """
         own = ctx.schedule_of(ctx.user)
         if self.objective == "time":
-            total = IntervalSet.union_all(
-                [ctx.schedule_of(c) for c in ctx.candidates] + [own]
+            return IntervalUniverse.over(
+                [ctx.schedule_of(c) for c in ctx.candidates] + [own],
+                covered=own,
+                packed=ctx.packed,
             )
-            return IntervalUniverse(total, covered=own, packed=ctx.packed)
         instants = [
             act.second_of_day for act in ctx.dataset.trace.received_by(ctx.user)
         ]

@@ -16,6 +16,11 @@ Both expose ``gain(candidate_schedule)`` and ``commit(candidate_schedule)``
 so a selection loop can interleave cover bookkeeping with its own
 constraints (ConRep's connectivity filter).
 
+The MaxAv time objective's universe is, by construction, the union of
+the candidates' schedules: :meth:`IntervalUniverse.over` builds it from
+those member schedules, and its ``gain``/``commit`` then take each
+member as it is instead of first intersecting it with the universe.
+
 Both also expose ``batch_gain(users)``: the gains of many candidates
 identified by *packed* user id in one vectorised kernel call, when a
 :class:`~repro.timeline.packed.PackedSchedules` was supplied and the
@@ -45,6 +50,13 @@ class IntervalUniverse:
     whole round of gains from two vectorised overlap kernels; it is exact
     (and therefore oracle-identical) only when every endpoint involved is
     integral, so the packed path is dropped otherwise.
+
+    A universe built by :meth:`over` skips the ``s ∩ universe`` step of
+    ``gain`` and ``commit``.  For a member ``s`` that intersection is the
+    identity, bit for bit: each of ``s``'s intervals lies inside one
+    merged universe interval, so the merge scan emits exactly ``s``'s
+    pairs, and the intersection's measure sums the same differences in
+    the same order as ``s``'s own.
     """
 
     def __init__(
@@ -55,6 +67,9 @@ class IntervalUniverse:
         packed: Optional[PackedSchedules] = None,
     ):
         self._universe = universe
+        #: Whether gain/commit intersect a schedule with the universe
+        #: first (``False`` only for :meth:`over` universes).
+        self._clip = True
         self._covered = (
             covered.intersection(universe)
             if covered is not None
@@ -72,6 +87,21 @@ class IntervalUniverse:
             else None
         )
 
+    @classmethod
+    def over(
+        cls,
+        members: Iterable[IntervalSet],
+        covered: IntervalSet = None,
+        *,
+        packed: Optional[PackedSchedules] = None,
+    ) -> "IntervalUniverse":
+        """The universe ``union_all(members)``, whose ``gain`` and
+        ``commit`` accept only schedules inside it — any member, or a
+        union of members — and take them without the intersection."""
+        universe = cls(IntervalSet.union_all(members), covered, packed=packed)
+        universe._clip = False
+        return universe
+
     @property
     def covered_measure(self) -> float:
         return self._covered.measure
@@ -86,7 +116,9 @@ class IntervalUniverse:
 
     def gain(self, schedule: IntervalSet) -> float:
         """Uncovered universe mass that ``schedule`` would add."""
-        return schedule.intersection(self._universe).coverage_added(self._covered)
+        if self._clip:
+            schedule = schedule.intersection(self._universe)
+        return schedule.coverage_added(self._covered)
 
     def batch_gain(self, users: Sequence) -> Optional[np.ndarray]:
         """Gains of many packed candidates at once, or ``None`` when the
@@ -101,7 +133,7 @@ class IntervalUniverse:
 
     def commit(self, schedule: IntervalSet) -> None:
         """Mark ``schedule``'s portion of the universe as covered."""
-        add = schedule.intersection(self._universe)
+        add = schedule.intersection(self._universe) if self._clip else schedule
         self._covered = self._covered.union(add)
         if self._packed is not None and not endpoints_integral(add):
             self._packed = None  # covered no longer integral: go scalar

@@ -14,10 +14,13 @@ from typing import Callable, Dict
 
 from repro.onlinetime.base import (
     OnlineTimeModel,
+    ScheduleMemo,
     Schedules,
     clear_schedule_cache,
     compute_schedules,
     packed_schedules,
+    schedule_memo,
+    schedule_of,
     user_rng,
 )
 from repro.onlinetime.explicit import (
@@ -67,6 +70,7 @@ __all__ = [
     "OnlineTimeModel",
     "RANDOM_LENGTH_RANGE_HOURS",
     "RandomLengthModel",
+    "ScheduleMemo",
     "Schedules",
     "SporadicModel",
     "best_window_start",
@@ -76,6 +80,8 @@ __all__ = [
     "make_model",
     "model_names",
     "packed_schedules",
+    "schedule_memo",
+    "schedule_of",
     "sessions_to_schedule",
     "user_rng",
 ]

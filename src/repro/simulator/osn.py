@@ -41,7 +41,7 @@ from typing import (
 
 from repro.datasets.schema import Activity, Dataset
 from repro.graph.social_graph import UserId
-from repro.onlinetime.base import Schedules
+from repro.onlinetime.base import Schedules, schedule_of
 from repro.seeding import derive_rng
 from repro.simulator.kernel import Simulator
 from repro.simulator.network import LatencyModel, NoLatency
@@ -179,9 +179,8 @@ class DecentralizedOSN:
             else set(placements)
         )
 
-        empty = IntervalSet.empty()
         self.nodes: Dict[UserId, PeerNode] = {
-            user: PeerNode(user, schedules.get(user, empty))
+            user: PeerNode(user, schedule_of(schedules, user))
             for user in dataset.graph.users()
         }
 

@@ -135,7 +135,11 @@ class VectorizedReplay:
     # -- schedule plane ----------------------------------------------------
 
     def _schedule_of(self, user: UserId) -> IntervalSet:
-        return self.schedules.get(user, self._empty)
+        # ``[]``, not ``get``: a ScheduleMemo computes on a miss.
+        try:
+            return self.schedules[user]
+        except KeyError:
+            return self._empty
 
     def _row(self, user: UserId) -> Tuple[np.ndarray, np.ndarray]:
         """One user's daily interval endpoints as float64 arrays."""
