@@ -3,9 +3,10 @@
 Two contracts on the fixed BENCH synthetic Facebook cohort, degree sweep
 0..10, single process:
 
-1. Bit-identity — always asserted: ``engine="incremental"`` produces
+1. Bit-identity — always asserted: the production sweep produces
    exactly the same ``AggregateMetrics`` (float-for-float) as the naive
-   per-degree reference path.
+   per-degree oracle (``tests/oracle.py``) swept through the same
+   harness.
 2. Speedup — the one-pass engine must cut wall-clock by >= 3x over the
    per-degree rebuild loop.
 
@@ -20,15 +21,11 @@ import platform
 from pathlib import Path
 from time import perf_counter
 
-from repro.core import (
-    INCREMENTAL,
-    NAIVE,
-    make_policy,
-    sweep_replication_degree,
-)
+from repro.core import make_policy, sweep_replication_degree
 from repro.experiments import BENCH, facebook_dataset
 from repro.experiments.figures import DEGREES, _cohort
 from repro.onlinetime import SporadicModel
+from tests.oracle import oracle_sweeps
 
 MIN_SPEEDUP = 3.0
 
@@ -40,7 +37,7 @@ _JSON_PATH = Path(
 )
 
 
-def _sweep(engine):
+def _sweep():
     dataset = facebook_dataset(BENCH)
     users = _cohort(dataset, BENCH)
     return sweep_replication_degree(
@@ -51,21 +48,19 @@ def _sweep(engine):
         users=users,
         seed=BENCH.seed,
         repeats=BENCH.repeats,
-        engine=engine,
     )
 
 
 def test_incremental_engine_speedup_and_identity(benchmark):
-    _sweep(INCREMENTAL)  # warm the dataset + schedule caches
+    _sweep()  # warm the dataset + schedule caches
 
     start = perf_counter()
-    naive = _sweep(NAIVE)
+    with oracle_sweeps():
+        naive = _sweep()
     naive_seconds = perf_counter() - start
 
     start = perf_counter()
-    incremental = benchmark.pedantic(
-        _sweep, args=(INCREMENTAL,), rounds=1, iterations=1
-    )
+    incremental = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     incremental_seconds = perf_counter() - start
 
     assert incremental == naive  # exact dataclass equality, all floats

@@ -106,8 +106,7 @@ def test_perf_schedule_generation(benchmark):
 
 def test_perf_single_overlap_row(benchmark):
     # One point query's cold overlap work: a single OverlapCache row
-    # (owner vs all candidates) — the unit the query plane's micro-batch
-    # prewarm amortises across requests.
+    # (owner vs all candidates).
     from repro.core.connectivity import OverlapCache
     from repro.onlinetime import packed_schedules
 

@@ -1,4 +1,4 @@
-"""Query-plane latency/throughput benchmark: cold, warm, batched, cached.
+"""Query-plane latency/throughput benchmark: cold, warm, cached.
 
 A closed-loop client drives point queries against the warm plane on the
 fixed BENCH synthetic Facebook dataset and measures per-tier latency
@@ -16,8 +16,6 @@ percentiles and throughput:
 * ``resilient`` — the warm tier through ``evaluate_resilient`` with a
   per-request deadline: the degraded-serving machinery's happy path,
   held to the same p99 ceiling as ``warm``.
-* ``batched`` — a multi-threaded closed loop through
-  :class:`~repro.query.MicroBatcher`; reports throughput (qps).
 * ``cached`` — a fresh plane over a pre-populated shared
   :class:`~repro.cache.SweepCache`: content-address hits only.
 
@@ -33,7 +31,6 @@ ceiling; unset (the default) no ceiling is enforced.
 import json
 import os
 import platform
-import threading
 from pathlib import Path
 from time import perf_counter
 
@@ -42,16 +39,14 @@ from repro.core import CONREP, make_policy
 from repro.experiments import BENCH, facebook_dataset
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel import SweepPayload, evaluate_users_chunk
-from repro.query import MicroBatcher, QueryPlane
+from repro.query import QueryPlane
 from repro.resilience import Deadline
-from repro.timeline.packed import NUMPY
 
 MIN_WARM_SPEEDUP = 10.0
 SEED = BENCH.seed
 POLICY = "maxav"
 K = 3
 N_USERS = 24
-CLIENT_THREADS = 4
 
 _JSON_PATH = Path(
     os.environ.get(
@@ -153,37 +148,6 @@ def test_query_latency_tiers(benchmark, tmp_path):
         assert outcome.ok and not outcome.degraded
         assert outcome.value == expected[user]
 
-    # -- batched: closed-loop multi-threaded clients ----------------------
-    batch_plane = QueryPlane(dataset, model, backend=NUMPY, seed=SEED).warm()
-    batcher = MicroBatcher(batch_plane, window=0.002)
-    batched_ms = []
-    batched_lock = threading.Lock()
-    errors = []
-
-    def client(chunk):
-        try:
-            for user in chunk:
-                start = perf_counter()
-                metrics = batcher.evaluate(user, make_policy(POLICY), K)
-                elapsed = (perf_counter() - start) * 1e3
-                assert metrics == expected[user]
-                with batched_lock:
-                    batched_ms.append(elapsed)
-        except BaseException as exc:  # surface in the main thread
-            errors.append(exc)
-
-    batched_start = perf_counter()
-    threads = [
-        threading.Thread(target=client, args=(users[i::CLIENT_THREADS],))
-        for i in range(CLIENT_THREADS)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    batched_wall_s = perf_counter() - batched_start
-    assert not errors, errors
-
     # -- cached: fresh plane over a shared content-address store ----------
     store = SweepCache(cache_dir=str(tmp_path))
     writer = QueryPlane(dataset, model, seed=SEED, cache=store)
@@ -203,10 +167,8 @@ def test_query_latency_tiers(benchmark, tmp_path):
         "warm_state": _tier(warm_state_ms),
         "warm": _tier(warm_ms),
         "resilient": _tier(resilient_ms),
-        "batched": _tier(batched_ms),
         "cached": _tier(cached_ms),
     }
-    tiers["batched"]["wall_qps"] = round(len(users) / batched_wall_s, 1)
     speedup = tiers["cold"]["p50_ms"] / max(tiers["warm"]["p50_ms"], 1e-9)
 
     record = {
@@ -214,7 +176,6 @@ def test_query_latency_tiers(benchmark, tmp_path):
         "policy": POLICY,
         "k": K,
         "users": len(users),
-        "client_threads": CLIENT_THREADS,
         "machine": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -223,7 +184,6 @@ def test_query_latency_tiers(benchmark, tmp_path):
         "tiers": tiers,
         "warm_speedup": round(speedup, 2),
         "min_warm_speedup": MIN_WARM_SPEEDUP,
-        "microbatcher": batcher.stats(),
         "identical_results": True,
     }
     _JSON_PATH.write_text(
@@ -232,8 +192,7 @@ def test_query_latency_tiers(benchmark, tmp_path):
     print()
     print(
         f"cold p50 {tiers['cold']['p50_ms']:.2f}ms, warm p50 "
-        f"{tiers['warm']['p50_ms']:.4f}ms ({speedup:.0f}x), batched "
-        f"{tiers['batched']['wall_qps']:.0f} qps wall, cached p50 "
+        f"{tiers['warm']['p50_ms']:.4f}ms ({speedup:.0f}x), cached p50 "
         f"{tiers['cached']['p50_ms']:.4f}ms -> {_JSON_PATH}"
     )
     assert speedup >= MIN_WARM_SPEEDUP

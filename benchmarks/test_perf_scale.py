@@ -21,8 +21,9 @@ Three contracts, one record (``BENCH_scale.json``):
    ``users_per_second``.
 
 3. Identity — sharded sweeps on a subsampled cohort are bit-identical
-   to the unsharded path across (jobs, engine, backend), the same
-   contract those knobs already obey individually.
+   to the unsharded path across (jobs, backend) and with the per-degree
+   oracle (``tests/oracle.py``) swept in place of the production engine,
+   the same contract those knobs already obey individually.
 
 The record also accounts for the shared-memory packing win: the bytes
 a worker receives for a ``SharedPackedSchedules`` payload (a block name
@@ -47,6 +48,7 @@ from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel import ParallelExecutor, fork_available
 from repro.timeline import PackedSchedules, SharedPackedSchedules
+from tests.oracle import oracle_sweeps
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -218,37 +220,37 @@ def _identity_grid():
     users = select_cohort(ds, 10, max_users=8)
     policies = [make_policy("maxav"), make_policy("random")]
 
-    def sweep(*, shards, jobs=1, engine="incremental", backend="python"):
+    def sweep(*, shards, jobs=1, oracle=False, backend="python"):
         executor = ParallelExecutor(jobs=jobs) if jobs > 1 else None
         try:
-            return sweep_replication_degree(
-                ds,
-                SporadicModel(),
-                policies,
-                degrees=list(range(4)),
-                users=users,
-                seed=0,
-                repeats=2,
-                shards=shards,
-                executor=executor,
-                engine=engine,
-                backend=backend,
-            )
+            with oracle_sweeps(oracle):
+                return sweep_replication_degree(
+                    ds,
+                    SporadicModel(),
+                    policies,
+                    degrees=list(range(4)),
+                    users=users,
+                    seed=0,
+                    repeats=2,
+                    shards=shards,
+                    executor=executor,
+                    backend=backend,
+                )
         finally:
             if executor is not None:
                 executor.close()
 
     baseline = sweep(shards=1)
     combos = [
-        {"jobs": 1, "engine": "incremental", "backend": "python"},
-        {"jobs": 1, "engine": "naive", "backend": "python"},
-        {"jobs": 1, "engine": "incremental", "backend": "numpy"},
-        {"jobs": 1, "engine": "naive", "backend": "numpy"},
+        {"jobs": 1, "oracle": False, "backend": "python"},
+        {"jobs": 1, "oracle": True, "backend": "python"},
+        {"jobs": 1, "oracle": False, "backend": "numpy"},
+        {"jobs": 1, "oracle": True, "backend": "numpy"},
     ]
     if fork_available():
         combos += [
-            {"jobs": 2, "engine": "incremental", "backend": "python"},
-            {"jobs": 2, "engine": "naive", "backend": "numpy"},
+            {"jobs": 2, "oracle": False, "backend": "python"},
+            {"jobs": 2, "oracle": True, "backend": "numpy"},
         ]
     checked = []
     for combo in combos:

@@ -115,7 +115,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ) as executor:
             ex = Execution(
                 executor,
-                args.engine,
                 args.backend,
                 cache,
                 args.shards,
@@ -168,7 +167,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             scale=scale,
             ids=ids,
             jobs=args.jobs,
-            engine=args.engine,
             backend=args.backend,
             shards=args.shards,
             shard_mode=args.shard_mode,
@@ -331,15 +329,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted non-empty list."""
-    rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values))))
-    return sorted_values[rank]
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     from time import perf_counter
 
+    from repro.analysis import percentile
     from repro.cache import SweepCache
     from repro.query import QueryPlane
     from repro.resilience import Deadline, DegradationPolicy
@@ -362,7 +355,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         dataset,
         model,
         mode=args.mode,
-        engine=args.engine,
         backend=args.backend,
         seed=args.seed,
         cache=cache,
@@ -427,13 +419,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     warm_ms.sort()
     stats = plane.stats()
     print(
-        f"[query] {args.policy}/{args.mode} engine={args.engine} "
-        f"backend={args.backend}: {len(cohort)} queries, warmup "
-        f"{warm_seconds:.2f}s; first-pass p50 "
-        f"{_percentile(latencies_ms, 0.5):.2f}ms p99 "
-        f"{_percentile(latencies_ms, 0.99):.2f}ms; repeat p50 "
-        f"{_percentile(warm_ms, 0.5):.3f}ms p99 "
-        f"{_percentile(warm_ms, 0.99):.3f}ms"
+        f"[query] {args.policy}/{args.mode} backend={args.backend}: "
+        f"{len(cohort)} queries, warmup {warm_seconds:.2f}s; first-pass p50 "
+        f"{percentile(latencies_ms, 50):.2f}ms p99 "
+        f"{percentile(latencies_ms, 99):.2f}ms; repeat p50 "
+        f"{percentile(warm_ms, 50):.3f}ms p99 "
+        f"{percentile(warm_ms, 99):.3f}ms"
     )
     evaluators = stats["evaluators"]
     results = stats["results"]
@@ -530,16 +521,6 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         help=(
             "worker processes for the per-user sweep work "
             "(1 = serial, 0 = all CPUs; results are identical for any value)"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        default="incremental",
-        choices=("incremental", "naive"),
-        help=(
-            "prefix-evaluation engine for degree sweeps: 'incremental' "
-            "evaluates all degrees in one pass per user, 'naive' is the "
-            "per-degree reference (identical results, slower)"
         ),
     )
     parser.add_argument(
@@ -765,16 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument("--k", type=int, default=3, help="replication degree")
     p_query.add_argument(
-        "--engine", default="incremental", choices=("incremental", "naive")
-    )
-    p_query.add_argument(
         "--backend",
         default="python",
         choices=("python", "numpy"),
-        help=(
-            "timeline kernel backend (identical results; numpy also "
-            "vectorises micro-batch prewarms)"
-        ),
+        help="timeline kernel backend (identical results)",
     )
     p_query.add_argument(
         "--cache-dir",

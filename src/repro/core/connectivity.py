@@ -174,19 +174,6 @@ class OverlapCache:
         """Whether the two users are connected in time."""
         return self.overlap(a, b) > 0
 
-    def seed(self, a: UserId, b: UserId, value: float) -> None:
-        """Install an externally computed overlap (micro-batch prefill).
-
-        The caller guarantees ``value`` equals
-        ``schedule_of(a).overlap(schedule_of(b))`` bit for bit — e.g. a
-        :meth:`PackedSchedules.overlap_pairs` result under the
-        integral-endpoint gate — so seeding never changes what a lookup
-        returns, only when it is computed.  Existing entries win.
-        """
-        key = (a, b) if a <= b else (b, a)
-        if key not in self._cache:
-            self._store(key, float(value))
-
     def overlap_row(
         self, a: UserId, others: Iterable[UserId]
     ) -> List[float]:

@@ -45,12 +45,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.incremental import (
-    INCREMENTAL,
-    IncrementalGroupEvaluator,
-    check_engine,
-)
-from repro.core.metrics import UserMetrics, evaluate_user
+from repro.core.incremental import IncrementalGroupEvaluator
+from repro.core.metrics import UserMetrics
 from repro.core.placement.base import (
     CONREP,
     PlacementPolicy,
@@ -324,32 +320,18 @@ def evaluate_placements(
     k: int,
     *,
     mode: str = CONREP,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
 ) -> AggregateMetrics:
     """Evaluate the degree-``k`` prefix of each user's selection sequence."""
     packed = _pack_for_backend(schedules, backend)
-    if check_engine(engine) == INCREMENTAL:
-        per_user = [
+    return AggregateMetrics.from_users(
+        [
             IncrementalGroupEvaluator(
                 dataset, schedules, user, mode=mode, packed=packed
             ).evaluate(seq, k)
             for user, seq in sequences.items()
         ]
-    else:
-        per_user = [
-            evaluate_user(
-                dataset,
-                schedules,
-                user,
-                seq[:k],
-                allowed_degree=k,
-                mode=mode,
-                packed=packed,
-            )
-            for user, seq in sequences.items()
-        ]
-    return AggregateMetrics.from_users(per_user)
+    )
 
 
 def evaluate_single(
@@ -360,7 +342,6 @@ def evaluate_single(
     k: int,
     *,
     mode: str = CONREP,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     seed: int = 0,
     model: Optional[OnlineTimeModel] = None,
@@ -377,8 +358,8 @@ def evaluate_single(
     It routes through the very same per-user kernel the sweeps fan out
     (:func:`repro.parallel.evaluate_user_cell`), so the returned metrics
     are bit-identical to the degree-``k`` entry of a batch sweep that
-    includes this user — for every engine/backend combination, under any
-    ``PYTHONHASHSEED`` (property-tested in ``tests/query``).
+    includes this user — for either backend, under any ``PYTHONHASHSEED``
+    (property-tested in ``tests/query``).
 
     The user's RNG derives from ``(seed, policy.name, user)`` exactly as
     in the sweeps, and the incremental-selection property makes the
@@ -392,7 +373,6 @@ def evaluate_single(
     pre-computed selection (may be longer than ``k`` — only the prefix
     is used).  All three change *when* work happens, never the floats.
     """
-    check_engine(engine)
     if packed is None:
         packed = _pack_for_backend(
             schedules,
@@ -411,7 +391,6 @@ def evaluate_single(
         degrees=(int(k),),
         max_degree=int(k),
         seed=seed,
-        engine=engine,
         backend=backend,
         packed=packed,
     )
@@ -445,7 +424,6 @@ def sweep_grid(
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -473,10 +451,8 @@ def sweep_grid(
       sweep is content-addressed by the view's fingerprint.
 
     The execution knobs never change a bit of the result: ``executor``
-    fans the per-user work over worker processes; ``engine`` picks the
-    prefix evaluator (``"incremental"`` — one forward pass covers every
-    swept degree — or the per-degree ``"naive"`` oracle); ``backend``
-    picks the timeline kernels (``"python"`` or ``"numpy"``, see
+    fans the per-user work over worker processes; ``backend`` picks the
+    timeline kernels (``"python"`` or ``"numpy"``, see
     :mod:`repro.timeline.packed`); ``shards`` splits each cohort's
     fan-out into that many contiguous ``map_shared`` slices, bounding
     how many per-user results are in flight at once; and ``cache`` (a
@@ -485,7 +461,6 @@ def sweep_grid(
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    check_engine(engine)
     check_backend(backend)
     sharded = hasattr(source, "shard")
     if sharded:
@@ -514,7 +489,6 @@ def sweep_grid(
                         seed=run_seed,
                         repeats=run_repeats,
                         executor=executor,
-                        engine=engine,
                         backend=backend,
                         cache=cache,
                         shards=shards,
@@ -552,7 +526,6 @@ def _sweep_point(
     seed: int,
     repeats: int,
     executor: Optional[ParallelExecutor],
-    engine: str,
     backend: str,
     cache: Optional["SweepCache"],
     shards: int,
@@ -604,7 +577,6 @@ def _sweep_point(
                 degrees=tuple(degrees),
                 max_degree=max_degree,
                 seed=run_seed,
-                engine=engine,
                 backend=backend,
                 packed=_pack_for_backend(
                     schedules,

@@ -28,12 +28,12 @@ sequence, maintaining across one member-at-a-time extension:
   UnconRep delays per degree.
 
 **Bit-identity contract:** every metric is produced by the same float
-operations, in the same order, as the naive per-degree
-:func:`repro.core.metrics.evaluate_user` path (which stays as the
-reference oracle): interval unions normalise to one canonical form no
-matter how they are built, the overlap matrix feeds the same edge weights
-to the same insertion-order APSP the naive delay functions now use, and
-the activity counts are integers.  The equivalence is property-tested
+operations, in the same order, as the per-degree
+:func:`repro.core.metrics.evaluate_user` path (the reference oracle the
+tests sweep through, ``tests/oracle.py``): interval unions normalise to
+one canonical form no matter how they are built, the overlap matrix
+feeds the same edge weights to the same insertion-order APSP the naive
+delay functions now use, and the activity counts are integers.  The equivalence is property-tested
 field-for-field in ``tests/core/test_incremental_properties.py``.
 """
 
@@ -58,18 +58,6 @@ from repro.onlinetime.base import Schedules, schedule_of
 from repro.timeline.day import DAY_SECONDS, seconds_to_hours
 from repro.timeline.intervals import IntervalSet
 from repro.timeline.packed import PackedSchedules, creator_online_flags
-
-#: Engine selector values accepted by the sweep harness.
-NAIVE = "naive"
-INCREMENTAL = "incremental"
-ENGINES = (NAIVE, INCREMENTAL)
-
-
-def check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    return engine
-
 
 class IncrementalGroupEvaluator:
     """Evaluates every prefix degree of one user's selection sequence.

@@ -1,11 +1,11 @@
 """The execution context every experiment runs under.
 
 An :class:`Execution` bundles the knobs that change *how* an experiment
-runs — worker pool, evaluation engine, timeline backend, sweep cache,
-shard count and shard mode — and never *what* it computes.  It is built
-once per run (by :func:`repro.experiments.run_experiment`, the batch
-runner or the CLI), validated once, and handed to every experiment as
-its second argument.
+runs — worker pool, timeline backend, sweep cache, shard count and
+shard mode — and never *what* it computes.  It is built once per run
+(by :func:`repro.experiments.run_experiment`, the batch runner or the
+CLI), validated once, and handed to every experiment as its second
+argument.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.core.incremental import INCREMENTAL, check_engine
 from repro.parallel import ParallelExecutor
 from repro.timeline.packed import PYTHON, check_backend
 
@@ -46,25 +45,22 @@ class Execution:
     """How an experiment runs; every combination gives identical output.
 
     ``executor`` fans per-user work over worker processes (``None``: each
-    call runs serially in-process); ``engine`` picks the sweep's prefix
-    evaluator (``"incremental"`` or the ``"naive"`` oracle); ``backend``
-    picks the timeline kernels (``"python"`` or ``"numpy"``); ``cache``
-    (a :class:`repro.cache.SweepCache`) shares sweeps and replays by
-    content address; ``shards`` slices each sweep's cohort fan-out in
-    cohort mode, counts dataset shards in dataset mode, and splits the
-    x6 replay; ``shard_mode`` is ``"cohort"`` or ``"dataset"``.
+    call runs serially in-process); ``backend`` picks the timeline
+    kernels (``"python"`` or ``"numpy"``); ``cache`` (a
+    :class:`repro.cache.SweepCache`) shares sweeps and replays by content
+    address; ``shards`` slices each sweep's cohort fan-out in cohort
+    mode, counts dataset shards in dataset mode, and splits the x6
+    replay; ``shard_mode`` is ``"cohort"`` or ``"dataset"``.
     Invalid values raise :class:`ValueError` here, before any work.
     """
 
     executor: Optional[ParallelExecutor] = None
-    engine: str = INCREMENTAL
     backend: str = PYTHON
     cache: Optional["SweepCache"] = None
     shards: int = 1
     shard_mode: str = COHORT_MODE
 
     def __post_init__(self) -> None:
-        check_engine(self.engine)
         check_backend(self.backend)
         check_shard_mode(self.shard_mode)
         if self.shards < 1:

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import (
     CONREP,
-    INCREMENTAL,
     NUMPY,
     PYTHON,
     UNCONREP,
@@ -147,7 +146,6 @@ def _knobs(scale: ExperimentScale, ex: Execution) -> Dict[str, Any]:
         seed=scale.seed,
         repeats=scale.repeats,
         executor=ex.executor,
-        engine=ex.engine,
         backend=ex.backend,
         cache=ex.cache,
         shards=ex.shards if ex.shard_mode == COHORT_MODE else 1,
@@ -1044,7 +1042,6 @@ def run_experiment(
     *,
     jobs: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -1052,12 +1049,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id at the given scale.
 
-    The keyword arguments are the six :class:`Execution` knobs (invalid
+    The keyword arguments are the five :class:`Execution` knobs (invalid
     values raise :class:`ValueError` before any work); every combination
     gives bit-identical output.  Without an ``executor`` one with
     ``jobs`` workers is built for this call and closed after it.
     """
-    ex = Execution(executor, engine, backend, cache, shards, shard_mode)
+    ex = Execution(executor, backend, cache, shards, shard_mode)
     if executor is not None:
         return execute(experiment_id, scale, ex)
     with ParallelExecutor(jobs=jobs) as owned:
@@ -1099,7 +1096,6 @@ def execute(
     result.timings = {
         "total_seconds": round(perf_counter() - start, 6),
         "jobs": executor.effective_jobs,
-        "engine": ex.engine,
         "backend": ex.backend,
         "shards": ex.shards,
         "shard_mode": ex.shard_mode,

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.cache import SweepCache
-from repro.core.incremental import INCREMENTAL
 from repro.parallel import FaultInjector, ParallelExecutor, RetryPolicy
 from repro.timeline.packed import PYTHON
 from repro.experiments.checkpoint import SweepCheckpoint
@@ -298,7 +297,6 @@ def summarize_batch(
     summary: Dict[str, Any] = {
         "scale": scale.name,
         "jobs": jobs,
-        "engine": ex.engine,
         "backend": ex.backend,
         "shards": ex.shards,
         "shard_mode": ex.shard_mode,
@@ -337,7 +335,7 @@ def render_batch_summary(summary: Dict[str, Any]) -> str:
     lines = [
         f"[batch] {summary['num_experiments']} experiments in "
         f"{summary['total_seconds']:.2f}s (jobs={summary['jobs']}, "
-        f"engine={summary['engine']}, backend={summary['backend']})"
+        f"backend={summary['backend']})"
     ]
     cache = summary.get("cache")
     if cache is not None:
@@ -409,7 +407,6 @@ def run_batch(
     scale: ExperimentScale = BENCH,
     ids: Optional[Iterable[str]] = None,
     jobs: int = 1,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     shards: int = 1,
     shard_mode: str = COHORT_MODE,
@@ -425,8 +422,8 @@ def run_batch(
 ) -> List[Path]:
     """Run experiments and write ``<id>.txt`` + ``<id>.json`` per entry.
 
-    ``jobs``, ``engine``, ``backend``, ``shards`` and ``shard_mode`` are
-    the :class:`~repro.experiments.execution.Execution` knobs (see
+    ``jobs``, ``backend``, ``shards`` and ``shard_mode`` are the
+    :class:`~repro.experiments.execution.Execution` knobs (see
     :func:`~repro.experiments.figures.run_experiment`): every combination
     writes identical results, and invalid values raise ``ValueError``
     before the batch starts.
@@ -467,7 +464,7 @@ def run_batch(
         if fault_injector is not None:
             kwargs["fault_injector"] = fault_injector
         executor = ParallelExecutor(**kwargs)
-    ex = Execution(executor, engine, backend, cache, shards, shard_mode)
+    ex = Execution(executor, backend, cache, shards, shard_mode)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_ids = list(ids) if ids is not None else list(experiment_ids())

@@ -6,12 +6,12 @@ same payload, which is what makes ``jobs=N`` results bit-identical to
 ``jobs=1`` by construction.
 
 Per-user degree sweeps run through the incremental prefix-evaluation
-engine (:mod:`repro.core.incremental`) by default: one forward pass over
-the selection sequence yields the metrics of every swept degree, sharing
-one pairwise-overlap matrix between the ConRep placement filter and the
-evaluation.  ``SweepPayload.engine = "naive"`` selects the reference
-per-degree :func:`evaluate_user` path instead (same results, float for
-float — that equivalence is property-tested and benchmarked).
+engine (:mod:`repro.core.incremental`): one forward pass over the
+selection sequence yields the metrics of every swept degree, sharing one
+pairwise-overlap matrix between the ConRep placement filter and the
+evaluation.  The results equal the per-degree
+:func:`~repro.core.metrics.evaluate_user` oracle float for float — the
+tests sweep through that oracle (``tests/oracle.py``) and compare.
 
 Both kernels are top-level functions over a frozen payload, so a process
 pool can ship them to workers by reference (the payload itself travels
@@ -24,12 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.connectivity import OverlapCache
-from repro.core.incremental import (
-    INCREMENTAL,
-    IncrementalGroupEvaluator,
-    check_engine,
-)
-from repro.core.metrics import UserMetrics, evaluate_user
+from repro.core.incremental import IncrementalGroupEvaluator
+from repro.core.metrics import UserMetrics
 from repro.core.placement.base import CONREP, PlacementContext, PlacementPolicy
 from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
@@ -68,8 +64,6 @@ class SweepPayload:
     degrees: Tuple[int, ...]
     max_degree: int
     seed: int
-    #: Prefix-evaluation engine: ``"incremental"`` (default) or ``"naive"``.
-    engine: str = INCREMENTAL
     #: Timeline kernel backend: ``"python"`` (default) or ``"numpy"``.
     backend: str = PYTHON
     #: Packed counterpart of ``schedules`` for the numpy backend; ships to
@@ -97,7 +91,6 @@ class SweepPayload:
             self.degrees,
             self.max_degree,
             self.seed,
-            self.engine,
             self.backend,
             packed_token(self.packed),
         )
@@ -149,41 +142,24 @@ def evaluate_user_cell(
     incremental-selection property guarantees that prefix is exactly
     what a fresh selection at that degree would return.
     """
-    incremental = check_engine(payload.engine) == INCREMENTAL
+    if evaluator is None:
+        evaluator = IncrementalGroupEvaluator(
+            payload.dataset,
+            payload.schedules,
+            user,
+            mode=payload.mode,
+            packed=payload.packed,
+        )
     cell: UserCell = {}
-    if incremental:
-        if evaluator is None:
-            evaluator = IncrementalGroupEvaluator(
-                payload.dataset,
-                payload.schedules,
-                user,
-                mode=payload.mode,
-                packed=payload.packed,
-            )
-        cache = evaluator.overlap_cache
-    else:
-        evaluator = cache = None
     for policy in payload.policies:
         sequence = None if sequences is None else sequences.get(policy.name)
         if sequence is None:
-            sequence = _sequence_for(payload, policy, user, cache)
-        if evaluator is not None:
-            cell[policy.name] = evaluator.evaluate_prefixes(
-                sequence, payload.degrees
+            sequence = _sequence_for(
+                payload, policy, user, evaluator.overlap_cache
             )
-        else:
-            cell[policy.name] = tuple(
-                evaluate_user(
-                    payload.dataset,
-                    payload.schedules,
-                    user,
-                    sequence[:k],
-                    allowed_degree=k,
-                    mode=payload.mode,
-                    packed=payload.packed,
-                )
-                for k in payload.degrees
-            )
+        cell[policy.name] = evaluator.evaluate_prefixes(
+            sequence, payload.degrees
+        )
     return cell
 
 
@@ -195,9 +171,9 @@ def evaluate_users_chunk(
     Each policy's selection sequence is computed once per user at the
     maximum swept degree; every smaller degree is evaluated on its prefix
     (the incremental-selection property the sweep harness relies on).
-    With the incremental engine, all prefix degrees of a sequence are
-    evaluated in one forward pass, and the per-user overlap matrix is
-    shared between placement filtering and evaluation across all policies.
+    All prefix degrees of a sequence are evaluated in one forward pass,
+    and the per-user overlap matrix is shared between placement
+    filtering and evaluation across all policies.
     """
     return [evaluate_user_cell(payload, user) for user in users]
 

@@ -9,32 +9,24 @@ availability/AOD does X get under policy P" — at interactive latency:
   incremental evaluators and selection sequences resident between
   queries, with bounded LRUs and an optional shared
   :class:`~repro.cache.SweepCache` content-address store;
-* :class:`MicroBatcher` coalesces concurrent requests into one
-  vectorised :meth:`QueryPlane.evaluate_many` call, isolating failures
-  per request;
-* the resilient entry points (``evaluate_resilient`` /
-  ``evaluate_many_resilient``) add per-request
+* its resilient entry point (``evaluate_resilient``) adds per-request
   :class:`~repro.resilience.Deadline` budgets, circuit-broken fallback
   to the scalar reference path, and stale-if-error serving — every
   degraded answer flagged via
   :class:`~repro.resilience.DegradedResult`.
 
-Both are bit-identical to the batch path by construction: every query
-routes through the same per-user kernel the sweeps fan out.
+Answers are bit-identical to the batch path by construction: every
+query routes through the same per-user kernel the sweeps fan out.
 """
 
-from repro.query.microbatch import MicroBatcher
 from repro.query.plane import (
     QueryPlane,
-    QueryRequest,
     metrics_from_payload,
     metrics_to_payload,
 )
 
 __all__ = [
-    "MicroBatcher",
     "QueryPlane",
-    "QueryRequest",
     "metrics_from_payload",
     "metrics_to_payload",
 ]

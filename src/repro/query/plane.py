@@ -26,22 +26,15 @@ Everything here changes *when* work happens, never the floats: every
 query routes through :func:`~repro.core.evaluation.evaluate_single`,
 which calls the same per-user kernel the batch sweeps fan out, so a
 point query is bit-identical to the matching cell of a batch sweep for
-every engine/backend combination (property-tested in ``tests/query``).
+either backend (property-tested in ``tests/query``).
 
-Micro-batching lives in :mod:`repro.query.microbatch`:
-:meth:`QueryPlane.evaluate_many` coalesces a batch's cold overlap work
-into single vectorised kernel calls
-(:meth:`~repro.timeline.packed.PackedSchedules.overlap_pairs`) before
-finishing each query on the shared scalar path.
-
-Degraded serving (:meth:`QueryPlane.evaluate_resilient` /
-:meth:`QueryPlane.evaluate_many_resilient`) layers the resilience
-primitives on top: per-request :class:`~repro.resilience.Deadline`
-budgets checked between pipeline stages, a
-:class:`~repro.resilience.CircuitBreaker`-guarded fallback from the
-numpy kernels to the python scalar reference path (bit-identical by the
-backend-identity contract, so a fallback answer differs only in
-latency), and stale-if-error serving of previously stored payload
+Degraded serving (:meth:`QueryPlane.evaluate_resilient`) layers the
+resilience primitives on top: per-request
+:class:`~repro.resilience.Deadline` budgets checked between pipeline
+stages, a :class:`~repro.resilience.CircuitBreaker`-guarded fallback
+from the numpy kernels to the python scalar reference path
+(bit-identical by the backend-identity contract, so a fallback answer
+differs only in latency), and stale-if-error serving of previously stored payload
 blobs under the :class:`~repro.resilience.DegradationPolicy` the plane
 was built with.  Every degraded answer comes back as a
 :class:`~repro.resilience.DegradedResult` with an explicit flag and
@@ -52,17 +45,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cache.keys import point_query_key
 from repro.core.connectivity import OverlapCache
 from repro.core.evaluation import evaluate_single
-from repro.core.incremental import (
-    INCREMENTAL,
-    IncrementalGroupEvaluator,
-    check_engine,
-)
+from repro.core.incremental import IncrementalGroupEvaluator
 from repro.core.metrics import UserMetrics
 from repro.core.placement.base import CONREP, PlacementContext, PlacementPolicy
 from repro.datasets.schema import Dataset
@@ -125,20 +113,6 @@ def metrics_from_payload(payload: dict) -> UserMetrics:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class QueryRequest:
-    """One point query: place-and-evaluate ``user`` at degree ``k``.
-
-    ``deadline`` is the request's optional time budget, honoured by the
-    resilient entry points (each batched request carries its own).
-    """
-
-    user: UserId
-    policy: PlacementPolicy
-    k: int
-    deadline: Optional[Deadline] = None
-
-
 class _LRU:
     """A tiny bounded mapping with hit/miss/eviction counters."""
 
@@ -194,8 +168,7 @@ class QueryPlane:
     Thread-safe: a single re-entrant lock serialises queries (the warm
     state is mutable LRU structure, and the underlying kernels are
     CPython-level compute anyway), so a plane can sit directly behind a
-    multi-threaded server loop or a
-    :class:`~repro.query.microbatch.MicroBatcher`.
+    multi-threaded server loop.
 
     ``cache`` optionally plugs a shared
     :class:`~repro.cache.SweepCache`: finished metrics persist under
@@ -216,7 +189,6 @@ class QueryPlane:
         model: OnlineTimeModel,
         *,
         mode: str = CONREP,
-        engine: str = INCREMENTAL,
         backend: str = PYTHON,
         seed: int = 0,
         cache=None,
@@ -231,7 +203,6 @@ class QueryPlane:
         self.dataset = dataset
         self.model = model
         self.mode = mode
-        self.engine = check_engine(engine)
         self.backend = check_backend(backend)
         self.seed = int(seed)
         self._store = cache
@@ -245,7 +216,6 @@ class QueryPlane:
         self._queries = 0
         self._result_hits = 0
         self._store_hits = 0
-        self._batched = 0
         self.degradation = degradation or DegradationPolicy()
         #: Guards the fast-path compute under the resilient entry points;
         #: opening it short-circuits straight to the scalar fallback.
@@ -286,12 +256,8 @@ class QueryPlane:
         self.warm()
         return self._packed
 
-    def _evaluator_for(
-        self, user: UserId
-    ) -> Optional[IncrementalGroupEvaluator]:
-        """The user's resident evaluator (incremental engine only)."""
-        if self.engine != INCREMENTAL:
-            return None
+    def _evaluator_for(self, user: UserId) -> IncrementalGroupEvaluator:
+        """The user's resident evaluator."""
         evaluator = self._evaluators.get(user)
         if evaluator is None:
             evaluator = IncrementalGroupEvaluator(
@@ -314,7 +280,7 @@ class QueryPlane:
         user: UserId,
         policy: PlacementPolicy,
         k: int,
-        evaluator: Optional[IncrementalGroupEvaluator],
+        evaluator: IncrementalGroupEvaluator,
     ) -> Tuple[UserId, ...]:
         """The user's selection sequence, at least ``k`` deep.
 
@@ -337,9 +303,7 @@ class QueryPlane:
             user=user,
             mode=self.mode,
             rng=derive_rng(self.seed, policy.name, user),
-            overlap_cache=(
-                evaluator.overlap_cache if evaluator is not None else None
-            ),
+            overlap_cache=evaluator.overlap_cache,
             packed=self._packed,
         )
         sequence = tuple(policy.select(ctx, depth))
@@ -399,7 +363,6 @@ class QueryPlane:
             policy,
             k,
             mode=self.mode,
-            engine=self.engine,
             backend=self.backend,
             seed=self.seed,
             packed=self._packed,
@@ -429,7 +392,6 @@ class QueryPlane:
             policy,
             k,
             mode=self.mode,
-            engine=self.engine,
             backend=PYTHON,
             seed=self.seed,
             packed=None,
@@ -481,47 +443,6 @@ class QueryPlane:
         """The degree-``k`` replica placement only (metrics discarded)."""
         return self.evaluate(user, policy, k).replicas
 
-    def evaluate_many(
-        self, requests: Sequence[QueryRequest]
-    ) -> List[UserMetrics]:
-        """Answer a micro-batch of queries, coalescing the cold work.
-
-        Cache hits resolve immediately.  For the remaining cold users,
-        the owner-candidate overlap durations every placement filter
-        and evaluation walk would compute one pair at a time are
-        instead computed by a *single*
-        :meth:`~repro.timeline.packed.PackedSchedules.overlap_pairs`
-        kernel call over the whole batch and seeded into each user's
-        resident :class:`~repro.core.connectivity.OverlapCache` (only
-        under the packing's exactness gate — fractional schedules skip
-        the prewarm and stay on the scalar path).  Then each query
-        finishes on the identical shared kernel as :meth:`evaluate`:
-        the batch path changes *when* overlaps are computed, never
-        their values, so results are bit-identical query for query.
-        """
-        with self._lock:
-            self.warm()
-            out: List[Optional[UserMetrics]] = [None] * len(requests)
-            misses: List[Tuple[int, object]] = []
-            for i, request in enumerate(requests):
-                self._queries += 1
-                self._batched += 1
-                lru_key, metrics = self._lookup(
-                    request.user, request.policy, int(request.k)
-                )
-                if metrics is not None:
-                    out[i] = metrics
-                else:
-                    misses.append((i, lru_key))
-            if misses:
-                self._try_prewarm({requests[i].user for i, _ in misses})
-            for i, lru_key in misses:
-                request = requests[i]
-                out[i] = self._compute(
-                    request.user, request.policy, int(request.k), lru_key
-                )
-            return out
-
     # -- degraded serving ---------------------------------------------------
 
     def evaluate_resilient(
@@ -546,43 +467,6 @@ class QueryPlane:
             self.warm()
             self._queries += 1
             return self._resolve(user, policy, int(k), deadline)
-
-    def evaluate_many_resilient(
-        self, requests: Sequence[QueryRequest]
-    ) -> List[DegradedResult]:
-        """The resilient counterpart of :meth:`evaluate_many`.
-
-        Failures are isolated per request: each outcome is its own
-        :class:`~repro.resilience.DegradedResult`, so one poisoned
-        request never poisons its batch neighbours.  Each request's own
-        ``deadline`` is honoured.
-        """
-        with self._lock:
-            self.warm()
-            out: List[Optional[DegradedResult]] = [None] * len(requests)
-            misses: List[Tuple[int, object]] = []
-            for i, request in enumerate(requests):
-                self._queries += 1
-                self._batched += 1
-                lru_key, metrics = self._lookup(
-                    request.user, request.policy, int(request.k)
-                )
-                if metrics is not None:
-                    out[i] = DegradedResult.fresh(metrics)
-                else:
-                    misses.append((i, lru_key))
-            if misses:
-                self._try_prewarm({requests[i].user for i, _ in misses})
-            for i, lru_key in misses:
-                request = requests[i]
-                out[i] = self._degrade(
-                    request.user,
-                    request.policy,
-                    int(request.k),
-                    lru_key,
-                    request.deadline,
-                )
-            return out
 
     def _resolve(
         self,
@@ -708,40 +592,6 @@ class QueryPlane:
                 return served_k, metrics
         return None
 
-    def _try_prewarm(self, users) -> None:
-        """Prewarm, tolerating fast-path failure (it is an optimization:
-        skipping it only moves overlap work to the lazy scalar path)."""
-        try:
-            self._prewarm_overlaps(users)
-        except Exception:
-            if self.backend == NUMPY:
-                self.breaker.record_failure()
-
-    def _prewarm_overlaps(self, users) -> None:
-        """Seed owner-candidate overlaps for ``users`` in one kernel call."""
-        packed = self._packed
-        if (
-            self.engine != INCREMENTAL
-            or packed is None
-            or not packed.exact
-        ):
-            return
-        owners: List[UserId] = []
-        partners: List[UserId] = []
-        pending: List[Tuple[UserId, UserId]] = []
-        for user in sorted(users):
-            for candidate in sorted(self.dataset.replica_candidates(user)):
-                owners.append(user)
-                partners.append(candidate)
-                pending.append((user, candidate))
-        if not pending:
-            return
-        values = packed.overlap_pairs(owners, partners)
-        for (user, candidate), value in zip(pending, values):
-            evaluator = self._evaluator_for(user)
-            if evaluator is not None:
-                evaluator.overlap_cache.seed(user, candidate, float(value))
-
     # -- stats --------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
@@ -751,7 +601,6 @@ class QueryPlane:
                 "queries": self._queries,
                 "result_hits": self._result_hits,
                 "store_hits": self._store_hits,
-                "batched": self._batched,
                 "stale_served": self._stale_served,
                 "fallback_served": self._fallback_served,
                 "failed": self._failed,

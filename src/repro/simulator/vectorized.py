@@ -30,7 +30,8 @@ Store dynamics reuse the *real* :class:`ProfileReplication` /
 (:func:`~repro.simulator.osn.finalize_replication_stats`), so every
 measured field — and every latency draw — is identical to the oracle by
 construction.  The equivalence is property-tested field-for-field, the
-same pattern as ``engine=incremental`` vs ``naive``.
+same pattern as the incremental sweep engine against its per-degree
+oracle.
 """
 
 from __future__ import annotations

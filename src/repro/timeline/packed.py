@@ -25,13 +25,11 @@ sweep payload.  On top of it this module implements the batch kernels the
   activity-objective set-cover gain);
 * :func:`batch_contains` / :func:`batch_wait_until` — all of a user's
   activity instants against one schedule at once;
-* :meth:`PackedSchedules.contains_pairs` /
-  :meth:`PackedSchedules.overlap_pairs` — *pair-aligned* row-set
-  variants sized for query micro-batches: one call answers an arbitrary
-  list of ``(user, instant)`` containment queries or ``(a, b)`` overlap
-  queries spanning many different rows, instead of one kernel dispatch
-  per distinct user.  Both run a vectorised per-row binary search, so a
-  whole micro-batch of point queries pays a single NumPy dispatch.
+* :meth:`PackedSchedules.contains_pairs` — a *pair-aligned* row-set
+  variant: one call answers an arbitrary list of ``(user, instant)``
+  containment queries spanning many different rows (every creator-online
+  flag of an activity scan) with a vectorised per-row binary search,
+  instead of one kernel dispatch per distinct user.
 
 **Oracle-equivalence contract.**  The numpy backend must produce results
 identical to the pure-Python reference path.  Containment, wait and
@@ -149,7 +147,6 @@ class PackedSchedules:
         "measures",
         "exact",
         "_index",
-        "_cumlen",
     )
 
     def __init__(
@@ -176,9 +173,6 @@ class PackedSchedules:
         # runs whole-row kernels (or attaches to a shared block) never
         # pays for the dict.
         self._index: Optional[Dict[UserId, int]] = None
-        # Global cumulative interval lengths, built on first pair-kernel
-        # call (only the micro-batch overlap path needs it).
-        self._cumlen: Optional[np.ndarray] = None
 
     def _index_map(self) -> Dict[UserId, int]:
         if self._index is None:
@@ -193,12 +187,6 @@ class PackedSchedules:
             dtype=np.int64,
             count=len(users),
         )
-
-    def _cumlen_array(self) -> np.ndarray:
-        """``_cumlen[j]`` = total length of the first ``j`` intervals."""
-        if self._cumlen is None:
-            self._cumlen = np.concatenate(([0.0], np.cumsum(self.lengths)))
-        return self._cumlen
 
     @classmethod
     def from_schedules(
@@ -362,7 +350,7 @@ class PackedSchedules:
         starts, ends = self.row_slice(user)
         return _contains_arrays(starts, ends, instants)
 
-    # -- pair-aligned micro-batch kernels ----------------------------------
+    # -- pair-aligned kernels ----------------------------------------------
 
     def _row_bisect_right(
         self, rows: np.ndarray, values: np.ndarray
@@ -406,13 +394,13 @@ class PackedSchedules:
     ) -> np.ndarray:
         """Aligned containment: was ``users[i]`` online at ``instants[i]``?
 
-        The micro-batch row-set variant of :meth:`contains_row`: one
-        vectorised per-row bisection answers every ``(user, instant)``
-        pair in a single call — e.g. all the creator-online flags of an
-        activity scan, or one plane micro-batch's point probes — instead
-        of one kernel dispatch per distinct user.  Comparison-only,
-        hence identical to the scalar ``IntervalSet.contains`` bisection
-        for any float endpoints; unknown users read as never online.
+        The row-set variant of :meth:`contains_row`: one vectorised
+        per-row bisection answers every ``(user, instant)`` pair in a
+        single call — e.g. all the creator-online flags of an activity
+        scan — instead of one kernel dispatch per distinct user.
+        Comparison-only, hence identical to the scalar
+        ``IntervalSet.contains`` bisection for any float endpoints;
+        unknown users read as never online.
         """
         instants = np.asarray(instants, dtype=np.float64)
         n = len(instants)
@@ -423,50 +411,6 @@ class PackedSchedules:
         idx, base = self._row_bisect_right(rows, t)
         safe = np.maximum(idx, 0)
         return (idx >= base) & (t < self.ends[safe])
-
-    def _coverage_in_rows(
-        self, rows: np.ndarray, x: np.ndarray
-    ) -> np.ndarray:
-        """Per-row :func:`_coverage_below`: measure of ``rows[i]``'s
-        intervals lying below ``x[i]``."""
-        idx, base = self._row_bisect_right(rows, x)
-        safe = np.maximum(idx, 0)
-        cumlen = self._cumlen_array()
-        inside = np.clip(x - self.starts[safe], 0.0, self.lengths[safe])
-        return np.where(
-            idx >= base, cumlen[safe] - cumlen[base] + inside, 0.0
-        )
-
-    def overlap_pairs(
-        self, a_users: Sequence[UserId], b_users: Sequence[UserId]
-    ) -> np.ndarray:
-        """Aligned pairwise overlap durations ``overlap(a[i], b[i])``.
-
-        The micro-batch row-set variant of :meth:`overlap_row`: one call
-        computes the overlap of arbitrarily many ``(a, b)`` pairs
-        spanning different a-rows — e.g. every owner×candidate edge of
-        one query-plane micro-batch — where the row kernel would pay one
-        dispatch per distinct owner.  Subject to the same exactness gate
-        as the other duration-sum kernels: callers must check
-        :attr:`exact` (integral endpoints) before substituting this for
-        the scalar merge scan.
-        """
-        n = len(a_users)
-        if n != len(b_users):
-            raise ValueError("a_users and b_users must be aligned")
-        if not n:
-            return np.empty(0, dtype=np.float64)
-        if not len(self.users):
-            return np.zeros(n, dtype=np.float64)
-        b_starts, b_ends, counts = self._gather(b_users)
-        if not b_starts.size:
-            return np.zeros(n, dtype=np.float64)
-        a_rows = self._rows_of(a_users)
-        rows = np.repeat(a_rows, counts)
-        contrib = self._coverage_in_rows(rows, b_ends) - (
-            self._coverage_in_rows(rows, b_starts)
-        )
-        return _segment_sums(contrib, counts)
 
 
 def _contains_arrays(

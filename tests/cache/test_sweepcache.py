@@ -9,7 +9,8 @@ Three contracts:
   the floats changes the key.
 * **Value fidelity** — series served from the cache (memory or disk)
   are field-for-field identical to freshly computed ones, for every
-  policy, mode, and (jobs, engine, backend) combination; the on-disk
+  policy, mode, and (jobs, backend) combination, and equal to the
+  per-degree oracle's (``tests/oracle.py``); the on-disk
   layer tolerates corruption by missing cleanly.
 * **Sweep integration** — ``sweep_replication_degree`` with a cache
   returns exactly what it returns without one, computes only the
@@ -43,6 +44,7 @@ from repro.onlinetime import (
     SporadicModel,
 )
 from repro.parallel import ParallelExecutor, fork_available
+from tests.oracle import oracle_sweeps
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -176,23 +178,24 @@ class TestHashSeedIndependence:
         assert a == b
 
 
-def _sweep(cache=None, executor=None, engine="incremental",
+def _sweep(cache=None, executor=None, oracle=False,
            backend="python", policies=None, mode=CONREP):
     ds = _dataset()
-    return sweep_replication_degree(
-        ds,
-        SporadicModel(),
-        policies or [make_policy(n) for n in ("maxav", "mostactive", "random")],
-        mode=mode,
-        degrees=list(range(5)),
-        users=_cohort(ds),
-        seed=1,
-        repeats=2,
-        executor=executor,
-        engine=engine,
-        backend=backend,
-        cache=cache,
-    )
+    with oracle_sweeps(oracle):
+        return sweep_replication_degree(
+            ds,
+            SporadicModel(),
+            policies
+            or [make_policy(n) for n in ("maxav", "mostactive", "random")],
+            mode=mode,
+            degrees=list(range(5)),
+            users=_cohort(ds),
+            seed=1,
+            repeats=2,
+            executor=executor,
+            backend=backend,
+            cache=cache,
+        )
 
 
 class TestCachedSweepIdentity:
@@ -207,17 +210,22 @@ class TestCachedSweepIdentity:
         assert cache.stats.hits == 3
 
     @pytest.mark.parametrize(
-        "engine,backend", [("naive", "python"), ("incremental", "numpy")]
+        "oracle,backend",
+        [
+            pytest.param(True, "python", id="naive-python"),
+            pytest.param(False, "numpy", id="incremental-numpy"),
+        ],
     )
-    def test_entry_serves_every_engine_and_backend(self, engine, backend):
+    def test_entry_serves_every_engine_and_backend(self, oracle, backend):
         # Execution knobs are excluded from the key: an entry computed
-        # by the default path must equal what any other path computes.
+        # by the default path must equal what any other path — or the
+        # per-degree oracle — computes.
         cache = SweepCache()
         default = _sweep(cache=cache)
-        other = _sweep(cache=cache, engine=engine, backend=backend)
+        other = _sweep(cache=cache, oracle=oracle, backend=backend)
         assert other == default
         assert cache.stats.misses == 3  # second sweep fully cache-served
-        fresh = _sweep(engine=engine, backend=backend)
+        fresh = _sweep(oracle=oracle, backend=backend)
         assert default == fresh
 
     @pytest.mark.skipif(

@@ -341,16 +341,6 @@ class TestOverlapCacheEviction:
         with pytest.raises(ValueError):
             OverlapCache(self._schedules(2), max_rows=0)
 
-    def test_seed_prefills_and_existing_entries_win(self):
-        schedules = self._schedules(4)
-        cache = OverlapCache(schedules, max_rows=4)
-        true_value = schedules[0].overlap(schedules[1])
-        cache.seed(0, 1, true_value)
-        assert cache.overlap(0, 1) == true_value
-        computed = cache.overlap(2, 3)
-        cache.seed(2, 3, -1.0)  # ignored: the entry already exists
-        assert cache.overlap(2, 3) == computed
-
 
 class TestUnconRepDelay:
     def test_sum_of_waits(self):

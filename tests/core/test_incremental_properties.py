@@ -2,7 +2,7 @@
 
 The engine promises that one forward pass over a selection sequence
 produces, for every prefix degree, *float-identical* metrics to the naive
-per-degree :func:`evaluate_user` oracle.  These tests exercise that
+per-degree :func:`evaluate_user` oracle (``tests/oracle.py``).  These tests exercise that
 promise on randomized datasets (schedules with non-representable float
 endpoints, empty schedules, both regimes, every policy, degrees past the
 end of the sequence, infinite delays) with exact — not approximate —
@@ -18,13 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CONREP,
-    INCREMENTAL,
-    NAIVE,
     IncrementalGroupEvaluator,
     PlacementContext,
     UNCONREP,
     UserMetrics,
-    check_engine,
     evaluate_user,
     make_policy,
     select_cohort,
@@ -35,6 +32,7 @@ from repro.graph import SocialGraph
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel.worker import SweepPayload, evaluate_users_chunk
 from repro.timeline import DAY_SECONDS, IntervalSet
+from tests.oracle import naive_user_cell, oracle_sweeps
 
 _NUM_FRIENDS = 8
 _POLICIES = ["maxav", "mostactive", "random", "hybrid"]
@@ -259,17 +257,11 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             IncrementalGroupEvaluator(ds, schedules, 0, mode="bogus")
 
-    def test_check_engine(self):
-        assert check_engine(NAIVE) == NAIVE
-        assert check_engine(INCREMENTAL) == INCREMENTAL
-        with pytest.raises(ValueError):
-            check_engine("turbo")
-
 
 class TestEngineIntegration:
-    """Engine selection through the worker kernel and the sweep harness."""
+    """The production worker kernel and sweep harness against the oracle."""
 
-    def _payload(self, engine):
+    def _payload(self):
         ds = synthetic_facebook(400, seed=11)
         schedules = compute_schedules(ds, SporadicModel(), seed=11)
         return (
@@ -281,23 +273,21 @@ class TestEngineIntegration:
                 degrees=tuple(range(5)),
                 max_degree=4,
                 seed=11,
-                engine=engine,
             ),
             select_cohort(ds, 10, max_users=6),
         )
 
     def test_worker_chunk_engines_identical(self):
-        naive_payload, users = self._payload(NAIVE)
-        incr_payload, _ = self._payload(INCREMENTAL)
-        assert evaluate_users_chunk(
-            incr_payload, users
-        ) == evaluate_users_chunk(naive_payload, users)
+        payload, users = self._payload()
+        assert evaluate_users_chunk(payload, users) == [
+            naive_user_cell(payload, user) for user in users
+        ]
 
     def test_sweep_engines_identical(self):
         ds = synthetic_facebook(400, seed=3)
-        results = {}
-        for engine in (NAIVE, INCREMENTAL):
-            results[engine] = sweep_replication_degree(
+
+        def sweep():
+            return sweep_replication_degree(
                 ds,
                 SporadicModel(),
                 [make_policy("maxav"), make_policy("random")],
@@ -305,13 +295,9 @@ class TestEngineIntegration:
                 users=select_cohort(ds, 10, max_users=5),
                 seed=7,
                 repeats=2,
-                engine=engine,
             )
-        assert results[NAIVE] == results[INCREMENTAL]  # exact, all floats
 
-    def test_unknown_engine_rejected(self):
-        payload, users = self._payload(NAIVE)
-        with pytest.raises(ValueError):
-            evaluate_users_chunk(
-                dataclasses.replace(payload, engine="bogus"), users
-            )
+        production = sweep()
+        with oracle_sweeps():
+            oracle = sweep()
+        assert oracle == production  # exact, all floats

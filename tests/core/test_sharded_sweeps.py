@@ -4,9 +4,10 @@ Splitting a sweep cohort into contiguous slices changes how much work
 is in flight at once — never what is computed.  The per-user cells of
 all slices are concatenated before the rollup, so the sharded series
 must equal the unsharded one on exact float equality, the same
-contract ``jobs``/``engine``/``backend`` obey.  ``AggregateMetrics.merge``
-(the cross-shard-*dataset* rollup, which is weighted rather than
-cell-concatenated) is exercised separately, approximately.
+contract ``jobs``/``backend`` and the per-degree oracle obey.
+``AggregateMetrics.merge`` (the cross-shard-*dataset* rollup, which is
+weighted rather than cell-concatenated) is exercised separately,
+approximately.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from repro.core import (
 from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel import ParallelExecutor, fork_available
+from tests.oracle import oracle_sweeps
 
 
 @functools.lru_cache(maxsize=1)
@@ -35,7 +37,7 @@ def _dataset():
     return synthetic_facebook(600, seed=5)
 
 
-def _sweep(*, shards, executor=None, engine="incremental", backend="python"):
+def _sweep(*, shards, executor=None, backend="python"):
     ds = _dataset()
     users = select_cohort(ds, 10, max_users=9)
     return sweep_replication_degree(
@@ -48,7 +50,6 @@ def _sweep(*, shards, executor=None, engine="incremental", backend="python"):
         repeats=2,
         shards=shards,
         executor=executor,
-        engine=engine,
         backend=backend,
     )
 
@@ -63,7 +64,8 @@ class TestShardedSweepBitIdentity:
 
     def test_sharded_equals_unsharded_numpy_naive(self):
         baseline = _sweep(shards=1)
-        assert _sweep(shards=3, engine="naive", backend="numpy") == baseline
+        with oracle_sweeps():
+            assert _sweep(shards=3, backend="numpy") == baseline
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork pools")
     def test_sharded_equals_unsharded_across_jobs(self):

@@ -8,7 +8,8 @@ dataset-per-shard mode can replace it at scale:
 2. the streaming receiver-survey fixpoint == ``filter_dataset``'s
    fixpoint (via the eager builders, which run the latter);
 3. the ``*_datasets`` sweep drivers == the whole-dataset sweeps,
-   field for field, across the (jobs, engine, backend, shards) grid —
+   field for field, across the (jobs, backend, shards) grid and with the
+   per-shard side swept through the per-degree oracle —
    integer fields exactly, float fields to ~1e-9 (the only divergence
    is float-summation order in the cross-shard merge);
 4. the ``*_datasets`` drivers, which build only each shard's cohort
@@ -47,6 +48,7 @@ from repro.core.evaluation import _rollup, _shard_cohorts
 from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import FixedLengthModel, SporadicModel
 from repro.parallel import ParallelExecutor, fork_available
+from tests.oracle import oracle_sweeps
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -151,10 +153,10 @@ def _policies():
 class TestDatasetModeSweepIdentity:
     @pytest.mark.parametrize("kind", ["facebook", "twitter"])
     @pytest.mark.parametrize(
-        "engine,backend", [("incremental", "python"), ("naive", "numpy")]
+        "reference,backend", [("incremental", "python"), ("naive", "numpy")]
     )
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_replication_degree(self, kind, engine, backend, shards):
+    def test_replication_degree(self, kind, reference, backend, shards):
         eager, sharded = _sweep_fixture(kind)
         users = select_cohort(eager, 10, max_users=8, seed=0)
         assert users == select_cohort(sharded, 10, max_users=8, seed=0)
@@ -163,15 +165,15 @@ class TestDatasetModeSweepIdentity:
             users=users,
             seed=0,
             repeats=2,
-            engine=engine,
             backend=backend,
         )
         whole = sweep_replication_degree(
             eager, SporadicModel(), _policies(), shards=shards, **kwargs
         )
-        per_shard = sweep_replication_degree_datasets(
-            sharded, SporadicModel(), _policies(), shards=shards, **kwargs
-        )
+        with oracle_sweeps(reference == "naive"):
+            per_shard = sweep_replication_degree_datasets(
+                sharded, SporadicModel(), _policies(), shards=shards, **kwargs
+            )
         _assert_series_match(per_shard, whole)
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork pools")

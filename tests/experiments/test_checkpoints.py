@@ -17,6 +17,7 @@ from repro.experiments import BatchJournal, JOURNAL_FORMAT_VERSION, run_batch
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.onlinetime import SporadicModel
 from tests.experiments.test_config_and_registry import TINY
+from tests.oracle import oracle_sweeps
 
 
 def _dataset():
@@ -255,11 +256,13 @@ class TestMidSweepResume:
     def test_checkpoints_are_execution_knob_independent(self, tmp_path):
         # Checkpoints written by a 4-shard run serve... only a 4-shard
         # run of the same sweep (the shard slice is part of the
-        # identity), but engine/backend don't fragment them.
+        # identity), but the backend doesn't fragment them, and neither
+        # does sweeping through the per-degree oracle.
         first_cache = _checkpointed_cache(tmp_path)
         first = _sweep(first_cache, shards=4)
         other_cache = _checkpointed_cache(tmp_path)
-        other = _sweep(other_cache, shards=4, engine="naive")
+        with oracle_sweeps():
+            other = _sweep(other_cache, shards=4, backend="numpy")
         assert other == first
         assert other_cache.checkpoint.stats()["loads"] == 8
 

@@ -6,6 +6,9 @@ The committed ``golden_outputs.json`` pins, at a tiny scale:
   rendered text (timing foot excluded) in cohort shard mode;
 * the same two digests for the ten sweep experiments in dataset shard
   mode with two dataset shards;
+* no further pins for the ten sweep experiments swept through the
+  per-degree oracle (``tests/oracle.py``): they must reproduce the
+  cohort-mode digests of the production engine;
 * the sorted file names the on-disk :class:`~repro.cache.SweepCache`
   holds after each run, so refactors of the sweep plumbing provably keep
   hitting caches written before them.
@@ -30,6 +33,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.parallel import ParallelExecutor
+from tests.oracle import oracle_sweeps
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
 
@@ -94,6 +98,13 @@ def test_outputs_and_cache_layout_match_golden(tmp_path):
         assert (
             got["cache_entries"][mode] == expected["cache_entries"][mode]
         ), f"{mode}-mode sweep-cache entry names changed"
+
+
+def test_oracle_reproduces_cohort_digests(tmp_path):
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    with oracle_sweeps():
+        got, _ = _run(tmp_path / "oracle", SWEEP_IDS)
+    assert got == {eid: expected["cohort"][eid] for eid in SWEEP_IDS}
 
 
 if __name__ == "__main__":

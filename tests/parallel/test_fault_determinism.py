@@ -1,8 +1,9 @@
 """Determinism under failure (satellite of the fault-tolerance PR).
 
 A sweep whose workers crash/hang/error once and are retried must return
-floats identical to an uninterrupted run — across jobs counts, both
-prefix-evaluation engines, and both timeline backends.  Quarantining a
+floats identical to an uninterrupted run — across jobs counts and both
+timeline backends, with the clean run computed by the production engine
+or by the per-degree oracle (``tests/oracle.py``).  Quarantining a
 poison user must equal running the sweep over the cohort without them.
 """
 
@@ -20,6 +21,7 @@ from repro.parallel import (
     fork_available,
 )
 from repro.parallel.faults import CRASH, ERROR, HANG
+from tests.oracle import oracle_sweeps
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="needs the fork start method"
@@ -34,15 +36,18 @@ def _dataset():
 
 
 @functools.lru_cache(maxsize=8)
-def _baseline(engine="incremental", backend="python", drop_user=None):
+def _baseline(reference="incremental", backend="python", drop_user=None):
+    """The clean serial run, computed by the production engine
+    (``"incremental"``) or by the per-degree oracle (``"naive"``)."""
     ds = _dataset()
     users = select_cohort(ds, 6, max_users=10)
     if drop_user is not None:
         users = [u for u in users if u != drop_user]
-    return _sweep(None, users=users, engine=engine, backend=backend)
+    with oracle_sweeps(reference == "naive"):
+        return _sweep(None, users=users, backend=backend)
 
 
-def _sweep(executor, *, users=None, engine="incremental", backend="python"):
+def _sweep(executor, *, users=None, backend="python"):
     ds = _dataset()
     if users is None:
         users = select_cohort(ds, 6, max_users=10)
@@ -55,6 +60,7 @@ def _sweep(executor, *, users=None, engine="incremental", backend="python"):
         users=list(users),
         seed=3,
         executor=executor,
+        backend=backend,
     )
 
 
@@ -64,16 +70,16 @@ def _cohort():
 
 @needs_fork
 class TestFaultedSweepsMatchClean:
-    @pytest.mark.parametrize("engine", ["incremental", "naive"])
+    @pytest.mark.parametrize("reference", ["incremental", "naive"])
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_crash_retry_is_float_identical(self, engine, backend):
-        clean = _baseline(engine=engine, backend=backend)
+    def test_crash_retry_is_float_identical(self, reference, backend):
+        clean = _baseline(reference=reference, backend=backend)
         victim = _cohort()[0]
         injector = FaultInjector.once(crash={victim})
         with ParallelExecutor(
             jobs=4, chunk_size=2, retry=FAST, fault_injector=injector
         ) as ex:
-            faulted = _sweep(ex, engine=engine, backend=backend)
+            faulted = _sweep(ex, backend=backend)
             assert ex.pool_stats.rebuilds >= 1
         assert faulted == clean
 

@@ -19,6 +19,7 @@ from repro.core import (
 from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel import ParallelExecutor, fork_available
+from tests.oracle import oracle_sweeps
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the fork start method"
@@ -59,6 +60,14 @@ class TestSweepBitIdentity:
     def test_default_executor_is_serial(self):
         baseline = _sweep(None)
         assert baseline == _sweep(ParallelExecutor(jobs=1))
+
+    def test_jobs2_equals_serial_oracle(self):
+        # The pool runs the production engine; the serial reference is
+        # the per-degree oracle.
+        with oracle_sweeps():
+            oracle = _sweep(ParallelExecutor(jobs=1))
+        with ParallelExecutor(jobs=2) as executor:
+            assert _sweep(executor) == oracle
 
 
 class TestPlacementSequencesParallel:

@@ -1,4 +1,4 @@
-"""Degraded serving: deadlines, fallback, stale-if-error, isolation.
+"""Degraded serving: deadlines, fallback, stale-if-error.
 
 The contract: degradation changes *which path runs* or *which stored
 answer is served*, never any float.  A fallback answer equals the
@@ -8,7 +8,6 @@ flagged — never silently substituted.
 """
 
 import functools
-import threading
 
 import pytest
 
@@ -17,7 +16,7 @@ from repro.core import make_policy
 from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel
 from repro.parallel import FaultInjector, InjectedFault
-from repro.query import MicroBatcher, QueryPlane, QueryRequest
+from repro.query import QueryPlane
 from repro.resilience import (
     CircuitBreaker,
     Deadline,
@@ -246,102 +245,3 @@ class TestCircuitBreaker:
         )
         assert outcome.reason == "fallback"
         assert "circuit open" in outcome.detail
-
-
-class TestBatchIsolation:
-    def test_poisoned_request_spares_its_batch_neighbours(self):
-        # Satellite regression: one bad request in a micro-batch used to
-        # throw for every member; now only its own caller sees it.
-        users = _users(6)
-        poisoned = users[2]
-        plane = _plane(
-            mode="refuse",
-            fault_injector=FaultInjector.poison_queries(
-                [poisoned], times=None
-            ),
-        )
-        requests = [
-            QueryRequest(u, make_policy("random"), 2) for u in users
-        ]
-        outcomes = plane.evaluate_many_resilient(requests)
-        reference = _plane()
-        for user, outcome in zip(users, outcomes):
-            if user == poisoned:
-                assert not outcome.ok
-                with pytest.raises(InjectedFault):
-                    outcome.unwrap()
-            else:
-                assert outcome.ok and not outcome.degraded
-                assert outcome.value == reference.evaluate(
-                    user, make_policy("random"), 2
-                )
-
-    def test_microbatcher_isolates_the_poisoned_caller(self):
-        users = _users(8)
-        poisoned = users[3]
-        plane = _plane(
-            mode="refuse",
-            fault_injector=FaultInjector.poison_queries(
-                [poisoned], times=None
-            ),
-        )
-        batcher = MicroBatcher(plane, window=0.01)
-        results = {}
-        errors = {}
-
-        def ask(user):
-            try:
-                results[user] = batcher.evaluate(
-                    user, make_policy("random"), 2
-                )
-            except BaseException as exc:
-                errors[user] = exc
-
-        threads = [
-            threading.Thread(target=ask, args=(u,)) for u in users
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert set(errors) == {poisoned}
-        assert isinstance(errors[poisoned], InjectedFault)
-        reference = _plane()
-        for user in users:
-            if user == poisoned:
-                continue
-            assert results[user] == reference.evaluate(
-                user, make_policy("random"), 2
-            )
-        stats = batcher.stats()
-        assert stats["failed_requests"] == 1
-
-    def test_batcher_counts_degraded_answers(self):
-        users = _users(4)
-        poisoned = users[0]
-        plane = _plane(
-            mode="fallback",
-            fault_injector=FaultInjector.poison_queries(
-                [poisoned], times=1
-            ),
-        )
-        batcher = MicroBatcher(plane, window=0.0)
-        outcome = batcher.evaluate_resilient(
-            poisoned, make_policy("random"), 2
-        )
-        assert outcome.reason == "fallback"
-        assert batcher.stats()["degraded_answers"] == 1
-
-    def test_per_request_deadlines_in_one_batch(self):
-        users = _users(2)
-        plane = _plane(mode="refuse")
-        requests = [
-            QueryRequest(
-                users[0], make_policy("random"), 2, deadline=Deadline(0.0)
-            ),
-            QueryRequest(users[1], make_policy("random"), 2),
-        ]
-        outcomes = plane.evaluate_many_resilient(requests)
-        assert not outcomes[0].ok
-        assert isinstance(outcomes[0].error, DeadlineExceeded)
-        assert outcomes[1].ok and not outcomes[1].degraded

@@ -1,11 +1,12 @@
 """The warm query plane's bit-identity contract and warm-state caches.
 
 The load-bearing property: a point query answered by any
-:class:`QueryPlane` configuration — engine, backend, warm or cold
-state, cached or recomputed, batched or lone — equals the matching cell
-of a batch sweep bit for bit.  Everything else here (LRU behavior,
-store composition, payload round trips) protects the machinery that
-makes repeated queries cheap without touching the floats.
+:class:`QueryPlane` configuration — backend, warm or cold state, cached
+or recomputed — equals the matching cell of a batch sweep bit for bit,
+and the cell the per-degree oracle (``tests/oracle.py``) computes.
+Everything else here (LRU behavior, store composition, payload round
+trips) protects the machinery that makes repeated queries cheap without
+touching the floats.
 """
 
 import json
@@ -13,7 +14,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -26,16 +26,10 @@ from repro.core.metrics import UserMetrics
 from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.onlinetime.base import packed_schedules
-from repro.onlinetime.explicit import ExplicitScheduleModel
 from repro.parallel import SweepPayload, evaluate_users_chunk
-from repro.query import (
-    MicroBatcher,
-    QueryPlane,
-    QueryRequest,
-    metrics_from_payload,
-    metrics_to_payload,
-)
+from repro.query import QueryPlane, metrics_from_payload, metrics_to_payload
 from repro.timeline.packed import NUMPY, PYTHON
+from tests.oracle import naive_user_cell
 
 SEED = 5
 POLICIES = ("random", "mostactive", "maxav")
@@ -47,19 +41,9 @@ def _dataset():
     return synthetic_facebook(300, seed=9)
 
 
-@functools.lru_cache(maxsize=1)
-def _integral_model():
-    """Integral-endpoint sessions: the packing is exact, so the batched
-    overlap prewarm actually engages."""
-    dataset = _dataset()
-    sessions = {
-        u: [((u * 131) % 18 * 3600.0, ((u * 131) % 18 + 5) * 3600.0)]
-        for u in dataset.graph.users()
-    }
-    return ExplicitScheduleModel(sessions)
-
-
-def _sweep_cells(model, mode, engine, backend, users):
+def _sweep_cells(model, mode, reference, backend, users):
+    """Batch-sweep cells from the production kernel (``"incremental"``)
+    or from the per-degree oracle (``"naive"``)."""
     dataset = _dataset()
     schedules = compute_schedules(dataset, model, seed=SEED)
     packed = (
@@ -75,25 +59,25 @@ def _sweep_cells(model, mode, engine, backend, users):
         degrees=DEGREES,
         max_degree=max(DEGREES),
         seed=SEED,
-        engine=engine,
         backend=backend,
         packed=packed,
     )
+    if reference == "naive":
+        return [naive_user_cell(payload, user) for user in users]
     return evaluate_users_chunk(payload, users)
 
 
 class TestPlaneMatchesSweep:
     @pytest.mark.parametrize("mode", [CONREP, UNCONREP])
-    @pytest.mark.parametrize("engine", ["incremental", "naive"])
+    @pytest.mark.parametrize("reference", ["incremental", "naive"])
     @pytest.mark.parametrize("backend", [PYTHON, NUMPY])
-    def test_point_queries_equal_sweep_cells(self, mode, engine, backend):
+    def test_point_queries_equal_sweep_cells(self, mode, reference, backend):
         dataset = _dataset()
         model = SporadicModel()
         users = sorted(dataset.graph.users())[:5]
-        cells = _sweep_cells(model, mode, engine, backend, users)
+        cells = _sweep_cells(model, mode, reference, backend, users)
         plane = QueryPlane(
-            dataset, model, mode=mode, engine=engine, backend=backend,
-            seed=SEED,
+            dataset, model, mode=mode, backend=backend, seed=SEED
         )
         # Descending degree first: later smaller degrees must reuse the
         # cached deeper sequence's prefix, not re-derive a fresh one.
@@ -130,87 +114,6 @@ class TestPlaneMatchesSweep:
         )
         plane = QueryPlane(dataset, model, seed=SEED)
         assert plane.evaluate(user, make_policy("random"), 2) == direct
-
-
-class TestMicroBatching:
-    def test_evaluate_many_matches_singles_with_prewarm(self):
-        # Integral model => exact packing => the overlap_pairs prewarm
-        # path actually runs; the batch must still be bit-identical.
-        dataset = _dataset()
-        model = _integral_model()
-        users = sorted(dataset.graph.users())[:8]
-        plane = QueryPlane(dataset, model, backend=NUMPY, seed=SEED)
-        plane.warm()
-        assert plane.packed.exact
-        requests = [
-            QueryRequest(u, make_policy(p), k)
-            for u in users
-            for p in ("maxav", "random")
-            for k in (1, 3)
-        ]
-        batch = plane.evaluate_many(requests)
-        reference = QueryPlane(dataset, model, backend=NUMPY, seed=SEED)
-        for request, metrics in zip(requests, batch):
-            assert metrics == reference.evaluate(
-                request.user, request.policy, request.k
-            )
-
-    def test_evaluate_many_fractional_skips_prewarm(self):
-        dataset = _dataset()
-        model = SporadicModel()  # fractional endpoints: inexact packing
-        users = sorted(dataset.graph.users())[:4]
-        plane = QueryPlane(dataset, model, backend=NUMPY, seed=SEED)
-        requests = [QueryRequest(u, make_policy("maxav"), 2) for u in users]
-        batch = plane.evaluate_many(requests)
-        reference = QueryPlane(dataset, model, backend=NUMPY, seed=SEED)
-        for request, metrics in zip(requests, batch):
-            assert metrics == reference.evaluate(
-                request.user, request.policy, request.k
-            )
-
-    def test_concurrent_microbatcher_identical_to_serial(self):
-        dataset = _dataset()
-        model = SporadicModel()
-        users = sorted(dataset.graph.users())[:10]
-        plane = QueryPlane(dataset, model, backend=NUMPY, seed=SEED)
-        batcher = MicroBatcher(plane, window=0.005)
-        results = {}
-
-        def ask(user, k):
-            results[(user, k)] = batcher.evaluate(
-                user, make_policy("random"), k
-            )
-
-        threads = [
-            threading.Thread(target=ask, args=(u, k))
-            for u in users
-            for k in (1, 2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(results) == len(users) * 2
-        reference = QueryPlane(dataset, model, seed=SEED)
-        for (user, k), metrics in results.items():
-            assert metrics == reference.evaluate(
-                user, make_policy("random"), k
-            )
-        stats = batcher.stats()
-        assert stats["batched_requests"] == len(users) * 2
-        assert stats["batches"] >= 1
-
-    def test_batch_errors_propagate_to_every_member(self):
-        dataset = _dataset()
-        plane = QueryPlane(dataset, SporadicModel(), seed=SEED)
-        batcher = MicroBatcher(plane, window=0.0)
-        with pytest.raises(ValueError):
-            batcher.evaluate(0, make_policy("random"), -1)
-
-    def test_negative_window_rejected(self):
-        plane = QueryPlane(_dataset(), SporadicModel(), seed=SEED)
-        with pytest.raises(ValueError):
-            MicroBatcher(plane, window=-0.1)
 
 
 class TestResultStore:
@@ -313,7 +216,6 @@ class TestPlaneState:
             "queries",
             "result_hits",
             "store_hits",
-            "batched",
             "stale_served",
             "fallback_served",
             "failed",

@@ -22,6 +22,16 @@ class TestParser:
         assert args.scale == "bench"
         assert args.output is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig3"], ["batch", "out"], ["query"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_flag_is_gone(self, argv):
+        # One production engine: the per-degree oracle lives in the tests.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--engine", "naive"])
+
     def test_run_rejects_bad_scale(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3", "--scale", "huge"])
@@ -266,7 +276,6 @@ class TestQueryCommand:
         assert args.policy == "maxav"
         assert args.mode == "conrep"
         assert args.k == 3
-        assert args.engine == "incremental"
         assert args.backend == "python"
         assert args.user is None
 
@@ -322,6 +331,39 @@ class TestQueryCommand:
         out = capsys.readouterr().out
         assert f"{expected.availability:.3f}" in out
         assert " ".join(str(r) for r in expected.replicas) in out
+
+    def test_query_p50_is_the_sample_median(self, monkeypatch, capsys):
+        # Stub the clock the query command reads, so each first-pass
+        # query takes 1..10 ms (shuffled) and each repeat 0.1..1.0 ms.
+        import sys
+        import time
+
+        from repro.datasets import synthetic_facebook
+
+        users = sorted(synthetic_facebook(300, seed=2).graph.users())[:10]
+        first = [3, 9, 1, 7, 5, 10, 2, 8, 4, 6]
+        stamps = [0.0, 0.0]  # the warm-up
+        now = 0.0
+        for ms in first + [m / 10 for m in first]:
+            stamps += [now, now + ms / 1e3]
+            now += 1.0
+        real = time.perf_counter
+
+        def fake():
+            if sys._getframe(1).f_code.co_name == "_cmd_query":
+                return stamps.pop(0)
+            return real()
+
+        monkeypatch.setattr(time, "perf_counter", fake)
+        argv = ["query", "--users", "300", "--seed", "2", "--k", "1"]
+        for user in users:
+            argv += ["--user", str(user)]
+        assert main(argv) == 0
+        assert not stamps
+        out = capsys.readouterr().out
+        # Median of 1..10 ms is 5.5 ms; of 0.1..1.0 ms, 0.55 ms.
+        assert "first-pass p50 5.50ms" in out
+        assert "repeat p50 0.550ms" in out
 
     def test_query_unknown_degree_fails_gracefully(self, capsys):
         rc = main(

@@ -20,6 +20,8 @@ PACKAGES = [
     "repro.graph",
     "repro.onlinetime",
     "repro.parallel",
+    "repro.query",
+    "repro.resilience",
     "repro.robustness",
     "repro.seeding",
     "repro.simulator",

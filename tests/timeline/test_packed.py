@@ -233,8 +233,8 @@ def fractional_schedules(draw):
 
 
 class TestPairKernels:
-    """The micro-batch row-set variants: one (user_i, value_i) answer per
-    aligned input pair, oracle-equal to the scalar scans."""
+    """The row-set containment variant: one answer per aligned
+    ``(user_i, instant_i)`` pair, oracle-equal to the scalar scan."""
 
     @given(schedules=fractional_schedules(), data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -260,36 +260,9 @@ class TestPairKernels:
         for (u, t), got in zip(pairs, flags):
             assert bool(got) == schedules.get(u, empty).contains(t)
 
-    @given(schedules=integral_schedules(), data=st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_overlap_pairs_matches_scalar(self, schedules, data):
-        packed = PackedSchedules.from_schedules(schedules)
-        assert packed.exact
-        users = list(schedules) + [404]
-        pairs = data.draw(
-            st.lists(
-                st.tuples(st.sampled_from(users), st.sampled_from(users)),
-                max_size=16,
-            )
-        )
-        values = packed.overlap_pairs(
-            [a for a, _ in pairs], [b for _, b in pairs]
-        )
-        empty = IntervalSet.empty()
-        for (a, b), got in zip(pairs, values):
-            assert got == schedules.get(a, empty).overlap(
-                schedules.get(b, empty)
-            )
-
-    def test_overlap_pairs_rejects_mismatched_lengths(self):
-        packed = PackedSchedules.from_schedules({0: IntervalSet([(0, 10)])})
-        with pytest.raises(ValueError):
-            packed.overlap_pairs([0, 0], [0])
-
     def test_empty_pair_batches(self):
         packed = PackedSchedules.from_schedules({0: IntervalSet([(0, 10)])})
         assert packed.contains_pairs([], np.asarray([])).shape == (0,)
-        assert packed.overlap_pairs([], []).shape == (0,)
 
     def test_all_empty_schedules(self):
         # Users exist but every row is empty: zero stored endpoints.
@@ -298,7 +271,6 @@ class TestPairKernels:
         )
         flags = packed.contains_pairs([0, 1, 9], np.asarray([0.0, 5.0, 9.0]))
         assert list(flags) == [False, False, False]
-        assert list(packed.overlap_pairs([0, 1], [1, 0])) == [0.0, 0.0]
 
     def test_creator_online_flags_routes_through_contains_pairs(self):
         # Same-creator repeats and t > DAY both hit the vectorised path.
