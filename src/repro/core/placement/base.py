@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.connectivity import OverlapCache
 from repro.datasets.schema import Dataset
@@ -77,22 +77,28 @@ class PlacementContext:
 class ConnectivityTracker:
     """Incremental ConRep constraint: which candidates touch the group.
 
-    The group's reachable time is the union of the members' schedules
-    (owner-seeded); a candidate is *connected* iff his schedule overlaps
-    that union — equivalently, overlaps at least one member.  Both
-    formulations are implemented: with a :class:`PlacementContext`
-    ``overlap_cache`` the per-member pairwise check is used, so every
-    overlap scan lands in the cache shared with the incremental
-    evaluation engine; otherwise the candidate is checked against the
-    maintained union.  The two are decision-equivalent (the union has
-    positive-length intersection with a candidate iff some member does).
+    A candidate is *connected* iff his schedule overlaps at least one
+    member's (owner-seeded) — equivalently, overlaps the union of the
+    members' schedules.  With a :class:`PlacementContext`
+    ``overlap_cache`` each pairwise check goes through the cache, so
+    every overlap scan lands in the matrix shared with the incremental
+    evaluation engine; otherwise the two schedules are scanned directly.
+
+    Connectivity only grows as members are admitted, so the tracker
+    remembers which candidates were found connected and, for each one
+    that was not, how many members it has been checked against: a later
+    query scans only the members admitted since.  Each (candidate,
+    member) pair is tested at most once per selection, and every answer
+    equals a full scan over the current members.
     """
 
     def __init__(self, ctx: PlacementContext):
         self._ctx = ctx
         self._cache = ctx.overlap_cache
         self._members: List[UserId] = [ctx.user]
-        self._group_schedule = ctx.schedule_of(ctx.user)
+        self._connected: Set[UserId] = set()
+        #: Unconnected candidate -> members checked so far (a prefix).
+        self._checked: Dict[UserId, int] = {}
         # With a vectorised cache, fill each member's whole row against
         # the candidate set in one kernel call on admission; the lazy
         # per-pair lookups below then always hit.  Cache values — and
@@ -102,21 +108,26 @@ class ConnectivityTracker:
         if self._prefill:
             self._cache.overlap_row(ctx.user, self._candidates)
 
-    @property
-    def group_schedule(self) -> IntervalSet:
-        return self._group_schedule
-
     def is_connected(self, candidate: UserId) -> bool:
+        if candidate in self._connected:
+            return True
+        members = self._members
+        new = members[self._checked.get(candidate, 0):]
         if self._cache is not None:
-            cache = self._cache
-            return any(cache.overlaps(candidate, m) for m in self._members)
-        return self._ctx.schedule_of(candidate).overlaps(self._group_schedule)
+            overlaps = self._cache.overlaps
+            hit = any(overlaps(candidate, m) for m in new)
+        else:
+            schedule_of = self._ctx.schedule_of
+            schedule = schedule_of(candidate)
+            hit = any(schedule.overlaps(schedule_of(m)) for m in new)
+        if hit:
+            self._connected.add(candidate)
+        else:
+            self._checked[candidate] = len(members)
+        return hit
 
     def admit(self, candidate: UserId) -> None:
         self._members.append(candidate)
-        self._group_schedule = self._group_schedule.union(
-            self._ctx.schedule_of(candidate)
-        )
         if self._prefill:
             self._cache.overlap_row(candidate, self._candidates)
 

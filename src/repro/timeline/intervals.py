@@ -14,6 +14,19 @@ wrapping past midnight and split at the boundary.  Durations (``measure``,
 Everything is exact arithmetic on the endpoint values supplied (ints stay
 ints); there is no discretisation grid, which lets the Sporadic
 session-length sweep go down to 100-second sessions without loss.
+
+The scans behind ``overlap``, ``overlaps``, ``intersection`` and
+``union``/``union_all`` are the hot loops of every metric, so they are
+written as tight local-variable loops under one exactness rule, which
+keeps every float and every int/float endpoint type fixed:
+
+* each kernel emits the same pieces, in the same time order, and
+  accumulates an overlap with the same ``+=`` sequence;
+* a conditional expression stands in for ``min``/``max`` and picks the
+  same object on ties — the first argument, as the builtins do;
+* a set's ``measure`` is the builtin ``sum`` over its interval tuple
+  (Python 3.12's float ``sum`` is compensated and 3.11's is not, so a
+  hand-rolled loop would change the floats on one of them).
 """
 
 from __future__ import annotations
@@ -52,18 +65,38 @@ def _normalise(pairs: Iterable[Pair], wrap: bool) -> Tuple[Pair, ...]:
                     f"interval [{start}, {end}) outside [0, {DAY_SECONDS}]"
                 )
             flat.append((start, end))
+    return _coalesce(flat)
+
+
+def _coalesce(flat: List[Pair]) -> Tuple[Pair, ...]:
+    """Sort in-day pairs in place (a stable tuple sort) and merge the
+    overlapping or touching ones."""
     if not flat:
         return ()
     flat.sort()
-    merged: List[Pair] = [flat[0]]
-    for start, end in flat[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:  # overlapping or touching: coalesce
-            if end > last_end:
-                merged[-1] = (last_start, end)
+    merged: List[Pair] = []
+    append = merged.append
+    cur_start, cur_end = flat[0]
+    for start, end in flat:
+        if start <= cur_end:  # overlapping or touching: coalesce
+            if end > cur_end:
+                cur_end = end
         else:
-            merged.append((start, end))
+            append((cur_start, cur_end))
+            cur_start = start
+            cur_end = end
+    append((cur_start, cur_end))
     return tuple(merged)
+
+
+def _from_canonical(intervals: Tuple[Pair, ...]) -> "IntervalSet":
+    """Wrap an already canonical interval tuple, measured by builtin
+    ``sum`` over it as every constructor does."""
+    out = IntervalSet.__new__(IntervalSet)
+    out._intervals = intervals
+    out._measure = sum([end - start for start, end in intervals])
+    out._hash = None
+    return out
 
 
 class IntervalSet:
@@ -108,15 +141,17 @@ class IntervalSet:
 
     @classmethod
     def union_all(cls, sets: Iterable["IntervalSet"]) -> "IntervalSet":
-        """Union of many sets (one pass over all endpoints)."""
-        pairs: List[Pair] = []
+        """Union of many sets (one pass over all endpoints).
+
+        The inputs are canonical, so no pair needs wrapping or checking
+        (:func:`_normalise`'s per-pair branch): one sort of all pairs and
+        one coalescing pass produce the same intervals, endpoint objects
+        included.
+        """
+        flat: List[Pair] = []
         for s in sets:
-            pairs.extend(s._intervals)
-        out = cls.__new__(cls)
-        out._intervals = _normalise(pairs, wrap=False)
-        out._measure = sum(end - start for start, end in out._intervals)
-        out._hash = None
-        return out
+            flat += s._intervals
+        return _from_canonical(_coalesce(flat))
 
     # -- basic introspection ----------------------------------------------
 
@@ -213,23 +248,31 @@ class IntervalSet:
     __or__ = union
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        pairs: List[Pair] = []
         a, b = self._intervals, other._intervals
+        na, nb = len(a), len(b)
+        if not na or not nb:
+            return _EMPTY
+        pairs: List[Pair] = []
+        append = pairs.append
         i = j = 0
-        while i < len(a) and j < len(b):
-            start = max(a[i][0], b[j][0])
-            end = min(a[i][1], b[j][1])
+        a_start, a_end = a[0]
+        b_start, b_end = b[0]
+        while True:
+            start = b_start if b_start > a_start else a_start
+            end = b_end if b_end < a_end else a_end
             if start < end:
-                pairs.append((start, end))
-            if a[i][1] <= b[j][1]:
+                append((start, end))
+            if a_end <= b_end:
                 i += 1
+                if i == na:
+                    break
+                a_start, a_end = a[i]
             else:
                 j += 1
-        out = IntervalSet.__new__(IntervalSet)
-        out._intervals = tuple(pairs)
-        out._measure = sum(end - start for start, end in pairs)
-        out._hash = None
-        return out
+                if j == nb:
+                    break
+                b_start, b_end = b[j]
+        return _from_canonical(tuple(pairs))
 
     __and__ = intersection
 
@@ -263,30 +306,51 @@ class IntervalSet:
         the intersection set (hot path of ConRep candidate filtering)."""
         total = 0.0
         a, b = self._intervals, other._intervals
+        na, nb = len(a), len(b)
+        if not na or not nb:
+            return total
         i = j = 0
-        while i < len(a) and j < len(b):
-            start = max(a[i][0], b[j][0])
-            end = min(a[i][1], b[j][1])
+        a_start, a_end = a[0]
+        b_start, b_end = b[0]
+        while True:
+            start = b_start if b_start > a_start else a_start
+            end = b_end if b_end < a_end else a_end
             if start < end:
                 total += end - start
-            if a[i][1] <= b[j][1]:
+            if a_end <= b_end:
                 i += 1
+                if i == na:
+                    return total
+                a_start, a_end = a[i]
             else:
                 j += 1
-        return total
+                if j == nb:
+                    return total
+                b_start, b_end = b[j]
 
     def overlaps(self, other: "IntervalSet") -> bool:
         """Whether the two sets are *connected in time* (positive overlap)."""
         a, b = self._intervals, other._intervals
+        na, nb = len(a), len(b)
+        if not na or not nb:
+            return False
         i = j = 0
-        while i < len(a) and j < len(b):
-            if max(a[i][0], b[j][0]) < min(a[i][1], b[j][1]):
+        a_start, a_end = a[0]
+        b_start, b_end = b[0]
+        while True:
+            # max(starts) < min(ends), given start < end on both sides.
+            if a_start < b_end and b_start < a_end:
                 return True
-            if a[i][1] <= b[j][1]:
+            if a_end <= b_end:
                 i += 1
+                if i == na:
+                    return False
+                a_start, a_end = a[i]
             else:
                 j += 1
-        return False
+                if j == nb:
+                    return False
+                b_start, b_end = b[j]
 
     def coverage_added(self, covered: "IntervalSet") -> float:
         """How much of this set lies *outside* ``covered`` — the greedy
