@@ -108,17 +108,15 @@ def test_perf_single_overlap_row(benchmark):
     # One point query's cold overlap work: a single OverlapCache row
     # (owner vs all candidates).
     from repro.core.connectivity import OverlapCache
-    from repro.onlinetime import packed_schedules
 
     dataset, schedules = _schedules()
-    packed = packed_schedules(dataset, SporadicModel(), seed=BENCH.seed)
     users = _cohort(dataset, BENCH)
     owner = users[0]
     candidates = sorted(dataset.replica_candidates(owner))
 
     def one_row():
-        cache = OverlapCache(schedules, packed)
-        return cache.overlap_row(owner, candidates)
+        cache = OverlapCache(schedules)
+        return [cache.overlap(owner, c) for c in candidates]
 
     row = benchmark(one_row)
     assert len(row) == len(candidates)

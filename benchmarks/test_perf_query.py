@@ -34,6 +34,7 @@ import platform
 from pathlib import Path
 from time import perf_counter
 
+from repro.analysis import percentile
 from repro.cache import SweepCache
 from repro.core import CONREP, make_policy
 from repro.experiments import BENCH, facebook_dataset
@@ -56,18 +57,13 @@ _JSON_PATH = Path(
 )
 
 
-def _percentile(sorted_values, q):
-    rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values))))
-    return sorted_values[rank]
-
-
 def _tier(latencies_ms):
     ordered = sorted(latencies_ms)
     total_s = sum(ordered) / 1e3
     return {
         "n": len(ordered),
-        "p50_ms": round(_percentile(ordered, 0.5), 4),
-        "p99_ms": round(_percentile(ordered, 0.99), 4),
+        "p50_ms": round(percentile(ordered, 50), 4),
+        "p99_ms": round(percentile(ordered, 99), 4),
         "qps": round(len(ordered) / total_s, 1) if total_s > 0 else None,
     }
 

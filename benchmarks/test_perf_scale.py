@@ -21,7 +21,7 @@ Three contracts, one record (``BENCH_scale.json``):
    ``users_per_second``.
 
 3. Identity — sharded sweeps on a subsampled cohort are bit-identical
-   to the unsharded path across (jobs, backend) and with the per-degree
+   to the unsharded path across jobs and with the per-degree
    oracle (``tests/oracle.py``) swept in place of the production engine,
    the same contract those knobs already obey individually.
 
@@ -220,7 +220,7 @@ def _identity_grid():
     users = select_cohort(ds, 10, max_users=8)
     policies = [make_policy("maxav"), make_policy("random")]
 
-    def sweep(*, shards, jobs=1, oracle=False, backend="python"):
+    def sweep(*, shards, jobs=1, oracle=False):
         executor = ParallelExecutor(jobs=jobs) if jobs > 1 else None
         try:
             with oracle_sweeps(oracle):
@@ -234,7 +234,6 @@ def _identity_grid():
                     repeats=2,
                     shards=shards,
                     executor=executor,
-                    backend=backend,
                 )
         finally:
             if executor is not None:
@@ -242,15 +241,13 @@ def _identity_grid():
 
     baseline = sweep(shards=1)
     combos = [
-        {"jobs": 1, "oracle": False, "backend": "python"},
-        {"jobs": 1, "oracle": True, "backend": "python"},
-        {"jobs": 1, "oracle": False, "backend": "numpy"},
-        {"jobs": 1, "oracle": True, "backend": "numpy"},
+        {"jobs": 1, "oracle": False},
+        {"jobs": 1, "oracle": True},
     ]
     if fork_available():
         combos += [
-            {"jobs": 2, "oracle": False, "backend": "python"},
-            {"jobs": 2, "oracle": True, "backend": "numpy"},
+            {"jobs": 2, "oracle": False},
+            {"jobs": 2, "oracle": True},
         ]
     checked = []
     for combo in combos:

@@ -6,10 +6,10 @@ fingerprint, not name), the online-time model (via
 :meth:`~repro.onlinetime.base.OnlineTimeModel.cache_key`), the placement
 policy (via :meth:`~repro.core.placement.base.PlacementPolicy.cache_key`),
 the regime, the cohort, the swept degrees, and the seed/repeat protocol.
-Deliberately *excluded* are the execution knobs — ``jobs``, ``backend``
-and ``shards`` — because the parallel, vectorised and sliced paths are
-all bit-identical to the serial python reference (the determinism
-contract), so one cache entry serves every combination.
+Deliberately *excluded* are the execution knobs — ``jobs`` and
+``shards`` — because the parallel and sliced paths are bit-identical to
+the serial reference (the determinism contract), so one cache entry
+serves every combination.
 
 Keys are SHA-256 hex digests over the canonical part encoding of
 :func:`repro.seeding.canonical_key_bytes` — the same fixed, versioned
@@ -127,7 +127,7 @@ def point_query_key(
     :func:`~repro.core.evaluation.evaluate_single` result: the dataset
     content, the online-time model, the placement policy, the regime,
     the schedule/placement seed, the user, and the allowed degree.
-    Execution knobs — backend, warm plane state — are deliberately
+    Execution knobs — warm plane state — are deliberately
     excluded: the query plane's determinism contract makes every path
     bit-identical, so one entry serves them all, and a query result
     computed by any plane is valid for every other plane over the same

@@ -42,6 +42,7 @@ from repro.experiments import (
 from repro.graph import write_graph
 from repro.onlinetime import make_model, compute_schedules
 from repro.simulator import ReplayConfig
+from repro.simulator.replay import BACKENDS, PYTHON
 
 
 def _build_dataset(kind: str, users: int, seed: int):
@@ -113,13 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             strict=args.strict,
             fault_injector=_fault_injector_from_args(args),
         ) as executor:
-            ex = Execution(
-                executor,
-                args.backend,
-                cache,
-                args.shards,
-                args.shard_mode,
-            )
+            ex = Execution(executor, cache, args.shards, args.shard_mode)
             for eid in ids:
                 result = execute(eid, scale, ex)
                 results.append(result)
@@ -167,7 +162,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             scale=scale,
             ids=ids,
             jobs=args.jobs,
-            backend=args.backend,
             shards=args.shards,
             shard_mode=args.shard_mode,
             cache_dir=args.cache_dir,
@@ -244,6 +238,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.onlinetime import packed_schedules
     from repro.parallel import ParallelExecutor
     from repro.simulator import replay_trace
+    from repro.simulator.replay import NUMPY
 
     dataset = _build_dataset(args.dataset, args.users, args.seed)
     model = make_model(args.model)
@@ -275,7 +270,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     packed = (
         packed_schedules(dataset, model, seed=args.seed)
-        if args.backend == "numpy"
+        if args.backend == NUMPY
         else None
     )
     start = perf_counter()
@@ -355,7 +350,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         dataset,
         model,
         mode=args.mode,
-        backend=args.backend,
         seed=args.seed,
         cache=cache,
         degradation=DegradationPolicy(mode=args.degraded),
@@ -419,7 +413,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     warm_ms.sort()
     stats = plane.stats()
     print(
-        f"[query] {args.policy}/{args.mode} backend={args.backend}: "
+        f"[query] {args.policy}/{args.mode}: "
         f"{len(cohort)} queries, warmup {warm_seconds:.2f}s; first-pass p50 "
         f"{percentile(latencies_ms, 50):.2f}ms p99 "
         f"{percentile(latencies_ms, 99):.2f}ms; repeat p50 "
@@ -521,16 +515,6 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         help=(
             "worker processes for the per-user sweep work "
             "(1 = serial, 0 = all CPUs; results are identical for any value)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        default="python",
-        choices=("python", "numpy"),
-        help=(
-            "timeline kernel backend: 'python' is the exact reference "
-            "scans, 'numpy' batches the overlap/set-cover/activity "
-            "kernels (identical results, faster on large cohorts)"
         ),
     )
     parser.add_argument(
@@ -697,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--backend",
-        default="python",
-        choices=("python", "numpy"),
+        default=PYTHON,
+        choices=BACKENDS,
         help=(
             "replay engine: 'python' is the scalar DES oracle, 'numpy' "
             "the vectorized packed-plane replay (identical measurements, "
@@ -745,12 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cohort", type=int, default=20, help="max cohort size"
     )
     p_query.add_argument("--k", type=int, default=3, help="replication degree")
-    p_query.add_argument(
-        "--backend",
-        default="python",
-        choices=("python", "numpy"),
-        help="timeline kernel backend (identical results)",
-    )
     p_query.add_argument(
         "--cache-dir",
         help=(

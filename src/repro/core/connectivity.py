@@ -40,7 +40,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.graph.social_graph import UserId
 from repro.timeline.day import DAY_SECONDS, seconds_to_hours
 from repro.timeline.intervals import IntervalSet
-from repro.timeline.packed import PackedSchedules
 
 _EMPTY = IntervalSet.empty()
 
@@ -89,14 +88,6 @@ class OverlapCache:
     schedules supplied (users without one count as never online), so
     cached and uncached paths produce identical floats.
 
-    Passing a :class:`PackedSchedules` built from the *same* mapping
-    enables the vectorised row fill: :meth:`overlap_row` computes every
-    missing entry of one row in a single NumPy kernel call.  The kernel
-    is only engaged when the packed endpoints are integral
-    (``packed.exact``), where its sums are guaranteed identical to the
-    merge scan; otherwise the row fill silently degrades to the scalar
-    scan, so cache contents never depend on the backend.
-
     ``max_rows`` bounds the memory of a long-lived instance (the warm
     query plane keeps one per resident user): at most that many pairwise
     entries are retained, least-recently-used evicted first.  Eviction
@@ -106,12 +97,11 @@ class OverlapCache:
     default (``None``) keeps today's unbounded dict with zero overhead.
     """
 
-    __slots__ = ("_schedules", "_cache", "_packed", "_max_rows", "evictions")
+    __slots__ = ("_schedules", "_cache", "_max_rows", "evictions")
 
     def __init__(
         self,
         schedules: Mapping[UserId, IntervalSet],
-        packed: Optional[PackedSchedules] = None,
         *,
         max_rows: Optional[int] = None,
     ):
@@ -121,15 +111,9 @@ class OverlapCache:
         self._cache: Dict[Tuple[UserId, UserId], float] = (
             OrderedDict() if max_rows is not None else {}
         )
-        self._packed = packed if packed is not None and packed.exact else None
         self._max_rows = max_rows
         #: Entries dropped by the LRU bound (0 while unbounded).
         self.evictions = 0
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether the packed row-fill kernel is engaged."""
-        return self._packed is not None
 
     @property
     def max_rows(self) -> Optional[int]:
@@ -173,39 +157,6 @@ class OverlapCache:
     def overlaps(self, a: UserId, b: UserId) -> bool:
         """Whether the two users are connected in time."""
         return self.overlap(a, b) > 0
-
-    def overlap_row(
-        self, a: UserId, others: Iterable[UserId]
-    ) -> List[float]:
-        """``overlap(a, other)`` for every other, in order.
-
-        With a packed backend the missing entries of the row are computed
-        by one vectorised kernel call; the values stored (and returned)
-        are identical to the scalar path either way.
-        """
-        others = list(others)
-        if self._packed is not None:
-            cache = self._cache
-            out: List[Optional[float]] = [None] * len(others)
-            missing: List[UserId] = []
-            missing_pos: List[int] = []
-            for i, o in enumerate(others):
-                key = (a, o) if a <= o else (o, a)
-                value = cache.get(key)
-                if value is None:
-                    missing.append(o)
-                    missing_pos.append(i)
-                else:
-                    self._touch(key)
-                    out[i] = value
-            if missing:
-                filled = self._packed.overlap_row(a, missing)
-                for i, o, value in zip(missing_pos, missing, filled):
-                    value = float(value)
-                    self._store((a, o) if a <= o else (o, a), value)
-                    out[i] = value
-            return out
-        return [self.overlap(a, o) for o in others]
 
 
 class IncrementalAPSP:

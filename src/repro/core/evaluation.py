@@ -53,11 +53,7 @@ from repro.core.placement.base import (
 )
 from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
-from repro.onlinetime.base import (
-    OnlineTimeModel,
-    packed_schedules,
-    schedule_memo,
-)
+from repro.onlinetime.base import OnlineTimeModel, schedule_memo
 from repro.onlinetime.sporadic import SporadicModel
 from repro.parallel import (
     ParallelExecutor,
@@ -69,38 +65,10 @@ from repro.parallel import (
     select_sequences_chunk,
 )
 from repro.partition import partition_bounds
-from repro.timeline.packed import (
-    NUMPY,
-    PYTHON,
-    PackedSchedules,
-    check_backend,
-)
 
 if TYPE_CHECKING:  # imported lazily: repro.cache imports this module
     from repro.cache import SweepCache
     from repro.datasets.sharding import ShardedDataset
-
-
-def _pack_for_backend(
-    schedules,
-    backend: str,
-    *,
-    dataset: Optional[Dataset] = None,
-    model: Optional[OnlineTimeModel] = None,
-    seed: int = 0,
-) -> Optional[PackedSchedules]:
-    """The packed schedules for the numpy backend, ``None`` for python.
-
-    With ``dataset`` and ``model`` supplied the packing comes from the
-    per-``(model, seed)`` memo on the dataset (built once, reused by
-    every sweep of the batch); otherwise it is packed ad hoc from the
-    given mapping.  Either way the arrays hold the identical floats.
-    """
-    if check_backend(backend) != NUMPY:
-        return None
-    if dataset is not None and model is not None:
-        return packed_schedules(dataset, model, seed=seed)
-    return PackedSchedules.from_schedules(schedules)
 
 
 #: Plain cohort means: aggregate field -> the per-user field it averages.
@@ -270,19 +238,13 @@ def placement_sequences(
     max_degree: int,
     seed: int = 0,
     executor: Optional[ParallelExecutor] = None,
-    backend: str = PYTHON,
-    model: Optional[OnlineTimeModel] = None,
-    model_seed: int = 0,
 ) -> Dict[UserId, Tuple[UserId, ...]]:
     """The full selection sequence (up to ``max_degree``) for each user.
 
     Each user's RNG is derived process-independently from
     ``(seed, policy.name, user)`` — identical under every
     ``PYTHONHASHSEED`` and in every pool worker.  Pass an ``executor``
-    to fan the per-user selection out over processes.  When ``schedules``
-    came from :func:`compute_schedules`, passing the same ``model`` and
-    ``model_seed`` lets the numpy backend reuse the memoised packing
-    instead of repacking per call.
+    to fan the per-user selection out over processes.
     """
     executor = executor or ParallelExecutor()
     payload = PlacementPayload(
@@ -292,10 +254,6 @@ def placement_sequences(
         mode=mode,
         max_degree=max_degree,
         seed=seed,
-        backend=backend,
-        packed=_pack_for_backend(
-            schedules, backend, dataset=dataset, model=model, seed=model_seed
-        ),
     )
     sequences = executor.map_shared(
         select_sequences_chunk,
@@ -320,15 +278,12 @@ def evaluate_placements(
     k: int,
     *,
     mode: str = CONREP,
-    backend: str = PYTHON,
 ) -> AggregateMetrics:
     """Evaluate the degree-``k`` prefix of each user's selection sequence."""
-    packed = _pack_for_backend(schedules, backend)
     return AggregateMetrics.from_users(
         [
-            IncrementalGroupEvaluator(
-                dataset, schedules, user, mode=mode, packed=packed
-            ).evaluate(seq, k)
+            IncrementalGroupEvaluator(dataset, schedules, user, mode=mode)
+            .evaluate(seq, k)
             for user, seq in sequences.items()
         ]
     )
@@ -342,11 +297,7 @@ def evaluate_single(
     k: int,
     *,
     mode: str = CONREP,
-    backend: str = PYTHON,
     seed: int = 0,
-    model: Optional[OnlineTimeModel] = None,
-    model_seed: Optional[int] = None,
-    packed: Optional[PackedSchedules] = None,
     evaluator: Optional[IncrementalGroupEvaluator] = None,
     sequence: Optional[Sequence[UserId]] = None,
 ) -> UserMetrics:
@@ -358,31 +309,19 @@ def evaluate_single(
     It routes through the very same per-user kernel the sweeps fan out
     (:func:`repro.parallel.evaluate_user_cell`), so the returned metrics
     are bit-identical to the degree-``k`` entry of a batch sweep that
-    includes this user — for either backend, under any ``PYTHONHASHSEED``
-    (property-tested in ``tests/query``).
+    includes this user, under any ``PYTHONHASHSEED`` (property-tested in
+    ``tests/query``).
 
     The user's RNG derives from ``(seed, policy.name, user)`` exactly as
     in the sweeps, and the incremental-selection property makes the
     degree-``k`` selection the exact prefix of any higher-degree
     selection, so a *single* degree matches the sweep's prefix slice.
 
-    Warm-state hooks: ``packed`` reuses an existing packing (built from
-    the per-``(model, seed)`` memo when ``model`` is given and the
-    backend is numpy); ``evaluator`` reuses a resident per-user
+    Warm-state hooks: ``evaluator`` reuses a resident per-user
     :class:`IncrementalGroupEvaluator`; ``sequence`` supplies a
     pre-computed selection (may be longer than ``k`` — only the prefix
-    is used).  All three change *when* work happens, never the floats.
+    is used).  Both change *when* work happens, never the floats.
     """
-    if packed is None:
-        packed = _pack_for_backend(
-            schedules,
-            backend,
-            dataset=dataset,
-            model=model,
-            seed=seed if model_seed is None else model_seed,
-        )
-    else:
-        check_backend(backend)
     payload = SweepPayload(
         dataset=dataset,
         schedules=schedules,
@@ -391,8 +330,6 @@ def evaluate_single(
         degrees=(int(k),),
         max_degree=int(k),
         seed=seed,
-        backend=backend,
-        packed=packed,
     )
     sequences = (
         {policy.name: tuple(sequence)} if sequence is not None else None
@@ -424,7 +361,6 @@ def sweep_grid(
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
 ) -> List[Optional[Dict[str, List[AggregateMetrics]]]]:
@@ -451,17 +387,14 @@ def sweep_grid(
       sweep is content-addressed by the view's fingerprint.
 
     The execution knobs never change a bit of the result: ``executor``
-    fans the per-user work over worker processes; ``backend`` picks the
-    timeline kernels (``"python"`` or ``"numpy"``, see
-    :mod:`repro.timeline.packed`); ``shards`` splits each cohort's
-    fan-out into that many contiguous ``map_shared`` slices, bounding
-    how many per-user results are in flight at once; and ``cache`` (a
-    :class:`repro.cache.SweepCache`) short-circuits a point by content
-    address.  None of them is part of a cache key.
+    fans the per-user work over worker processes; ``shards`` splits each
+    cohort's fan-out into that many contiguous ``map_shared`` slices,
+    bounding how many per-user results are in flight at once; and
+    ``cache`` (a :class:`repro.cache.SweepCache`) short-circuits a point
+    by content address.  None of them is part of a cache key.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    check_backend(backend)
     sharded = hasattr(source, "shard")
     if sharded:
         views = _shard_views(source, points)
@@ -489,7 +422,6 @@ def sweep_grid(
                         seed=run_seed,
                         repeats=run_repeats,
                         executor=executor,
-                        backend=backend,
                         cache=cache,
                         shards=shards,
                     )
@@ -526,7 +458,6 @@ def _sweep_point(
     seed: int,
     repeats: int,
     executor: Optional[ParallelExecutor],
-    backend: str,
     cache: Optional["SweepCache"],
     shards: int,
 ) -> Dict[str, List[AggregateMetrics]]:
@@ -577,14 +508,6 @@ def _sweep_point(
                 degrees=tuple(degrees),
                 max_degree=max_degree,
                 seed=run_seed,
-                backend=backend,
-                packed=_pack_for_backend(
-                    schedules,
-                    backend,
-                    dataset=dataset,
-                    model=model,
-                    seed=run_seed,
-                ),
             )
             per_user = []
             for shard, (lo, hi) in enumerate(

@@ -42,8 +42,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.connectivity import (
     IncrementalAPSP,
     OverlapCache,
@@ -57,7 +55,7 @@ from repro.graph.social_graph import UserId
 from repro.onlinetime.base import Schedules, schedule_of
 from repro.timeline.day import DAY_SECONDS, seconds_to_hours
 from repro.timeline.intervals import IntervalSet
-from repro.timeline.packed import PackedSchedules, creator_online_flags
+
 
 class IncrementalGroupEvaluator:
     """Evaluates every prefix degree of one user's selection sequence.
@@ -78,15 +76,13 @@ class IncrementalGroupEvaluator:
         *,
         mode: str = CONREP,
         overlap_cache: Optional[OverlapCache] = None,
-        packed: Optional[PackedSchedules] = None,
     ):
         if mode not in (CONREP, UNCONREP):
             raise ValueError(f"unknown mode {mode!r}")
         self._user = user
         self._schedules = schedules
         self._mode = mode
-        self._packed = packed
-        self._cache = overlap_cache or OverlapCache(schedules, packed)
+        self._cache = overlap_cache or OverlapCache(schedules)
 
         self._own = schedule_of(schedules, user)
         candidates = dataset.replica_candidates(user)
@@ -101,27 +97,10 @@ class IncrementalGroupEvaluator:
         self._instants: Tuple[float, ...] = tuple(
             act.second_of_day for act in received
         )
-        if packed is not None:
-            # Comparison-only kernels: exact for any endpoints, so the
-            # flags are identical to the scalar bisections below.
-            self._instants_array: Optional[np.ndarray] = np.asarray(
-                self._instants, dtype=np.float64
-            )
-            self._expected_array: Optional[np.ndarray] = creator_online_flags(
-                packed,
-                [act.creator for act in received],
-                self._instants_array,
-            )
-            self._expected_flags: Tuple[bool, ...] = tuple(
-                bool(f) for f in self._expected_array
-            )
-        else:
-            self._instants_array = None
-            self._expected_array = None
-            self._expected_flags = tuple(
-                schedule_of(schedules, act.creator).contains(act.second_of_day)
-                for act in received
-            )
+        self._expected_flags: Tuple[bool, ...] = tuple(
+            schedule_of(schedules, act.creator).contains(act.second_of_day)
+            for act in received
+        )
         self._total = len(received)
         self._expected_total = sum(self._expected_flags)
 
@@ -212,35 +191,17 @@ class _WalkState:
         self._member_schedules[member] = sched
         self._union = self._union.union(sched)
 
-        if ev._packed is not None:
-            if self._unserved:
-                # One containment kernel over all still-unserved instants;
-                # integer counting, identical to the scalar bisection scan.
-                idx = np.fromiter(
-                    self._unserved, dtype=np.int64, count=len(self._unserved)
-                )
-                hits = ev._packed.contains_row(
-                    member, ev._instants_array[idx]
-                )
-                served = int(np.count_nonzero(hits))
-                if served:
-                    self._served += served
-                    self._served_expected += int(
-                        np.count_nonzero(ev._expected_array[idx[hits]])
-                    )
-                    self._unserved = idx[~hits].tolist()
-        else:
-            still: List[int] = []
-            instants = ev._instants
-            flags = ev._expected_flags
-            for idx in self._unserved:
-                if sched.contains(instants[idx]):
-                    self._served += 1
-                    if flags[idx]:
-                        self._served_expected += 1
-                else:
-                    still.append(idx)
-            self._unserved = still
+        still: List[int] = []
+        instants = ev._instants
+        flags = ev._expected_flags
+        for idx in self._unserved:
+            if sched.contains(instants[idx]):
+                self._served += 1
+                if flags[idx]:
+                    self._served_expected += 1
+            else:
+                still.append(idx)
+        self._unserved = still
 
         measure = sched.measure
         if measure <= 0:

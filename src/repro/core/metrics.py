@@ -23,9 +23,7 @@ daily schedules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 from repro.core.connectivity import (
     ReplicaGroup,
@@ -40,11 +38,6 @@ from repro.graph.social_graph import UserId
 from repro.onlinetime.base import Schedules, schedule_of
 from repro.timeline.day import DAY_SECONDS
 from repro.timeline.intervals import IntervalSet
-from repro.timeline.packed import (
-    PackedSchedules,
-    batch_contains,
-    creator_online_flags,
-)
 
 
 @dataclass(frozen=True)
@@ -87,15 +80,8 @@ def evaluate_user(
     *,
     allowed_degree: int = None,
     mode: str = CONREP,
-    packed: Optional[PackedSchedules] = None,
 ) -> UserMetrics:
-    """Compute every metric for one user's replica placement.
-
-    ``packed`` (a :class:`PackedSchedules` built from the same
-    ``schedules`` mapping) vectorises the per-activity scan; the
-    containment kernels are comparison-only, so every count — and hence
-    every metric — is identical to the scalar path.
-    """
+    """Compute every metric for one user's replica placement."""
     if mode not in (CONREP, UNCONREP):
         raise ValueError(f"unknown mode {mode!r}")
     replicas = tuple(replicas)
@@ -120,35 +106,18 @@ def evaluate_user(
     received = dataset.trace.received_by(user)
     total = len(received)
     served = expected = served_expected = served_unexpected = 0
-    if packed is not None and total:
-        instants = np.fromiter(
-            (act.second_of_day for act in received),
-            dtype=np.float64,
-            count=total,
-        )
-        served_mask = batch_contains(group_sched, instants)
-        creator_mask = creator_online_flags(
-            packed, [act.creator for act in received], instants
-        )
-        served = int(np.count_nonzero(served_mask))
-        expected = int(np.count_nonzero(creator_mask))
-        served_expected = int(np.count_nonzero(served_mask & creator_mask))
-        served_unexpected = served - served_expected
-    else:
-        for act in received:
-            instant = act.second_of_day
-            is_served = group_sched.contains(instant)
-            creator_online = schedule_of(schedules, act.creator).contains(
-                instant
-            )
+    for act in received:
+        instant = act.second_of_day
+        is_served = group_sched.contains(instant)
+        creator_online = schedule_of(schedules, act.creator).contains(instant)
+        if is_served:
+            served += 1
+        if creator_online:
+            expected += 1
             if is_served:
-                served += 1
-            if creator_online:
-                expected += 1
-                if is_served:
-                    served_expected += 1
-            elif is_served:
-                served_unexpected += 1
+                served_expected += 1
+        elif is_served:
+            served_unexpected += 1
     if total:
         aod_activity = served / total
         expected_fraction = expected / total

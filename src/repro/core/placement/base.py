@@ -28,7 +28,6 @@ from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
 from repro.onlinetime.base import Schedules
 from repro.timeline.intervals import IntervalSet
-from repro.timeline.packed import PackedSchedules
 
 _EMPTY = IntervalSet.empty()
 
@@ -51,11 +50,6 @@ class PlacementContext:
     #: the scans are shared with (and reused by) the incremental
     #: evaluation engine; selections are identical either way.
     overlap_cache: Optional[OverlapCache] = None
-    #: Optional packed schedules for the numpy backend.  When set, the
-    #: set-cover universes batch their per-round gains and the
-    #: connectivity filter prefills whole cache rows per kernel call;
-    #: selections are identical either way.
-    packed: Optional[PackedSchedules] = None
 
     def __post_init__(self) -> None:
         if self.mode not in (CONREP, UNCONREP):
@@ -99,14 +93,6 @@ class ConnectivityTracker:
         self._connected: Set[UserId] = set()
         #: Unconnected candidate -> members checked so far (a prefix).
         self._checked: Dict[UserId, int] = {}
-        # With a vectorised cache, fill each member's whole row against
-        # the candidate set in one kernel call on admission; the lazy
-        # per-pair lookups below then always hit.  Cache values — and
-        # hence decisions — are identical either way.
-        self._prefill = self._cache is not None and self._cache.vectorized
-        self._candidates = ctx.candidates if self._prefill else ()
-        if self._prefill:
-            self._cache.overlap_row(ctx.user, self._candidates)
 
     def is_connected(self, candidate: UserId) -> bool:
         if candidate in self._connected:
@@ -128,8 +114,6 @@ class ConnectivityTracker:
 
     def admit(self, candidate: UserId) -> None:
         self._members.append(candidate)
-        if self._prefill:
-            self._cache.overlap_row(candidate, self._candidates)
 
     def filter_connected(self, candidates: Sequence[UserId]) -> List[UserId]:
         return [c for c in candidates if self.is_connected(c)]

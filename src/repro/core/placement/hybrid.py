@@ -52,32 +52,18 @@ class HybridPlacement(PlacementPolicy):
         universe = IntervalUniverse.over(
             [ctx.schedule_of(c) for c in ctx.candidates] + [own],
             covered=own,
-            packed=ctx.packed,
         )
         tracker = ConnectivityTracker(ctx) if ctx.mode == CONREP else None
         chosen: List[UserId] = []
         pool = list(ranked)
         while pool and len(chosen) < k:
             pick = None
-            gains = universe.batch_gain(pool)
-            if gains is not None:
-                for candidate, gain in zip(pool, gains):
-                    if tracker is not None and not tracker.is_connected(
-                        candidate
-                    ):
-                        continue
-                    if gain > 0:
-                        pick = candidate
-                        break
-            else:
-                for candidate in pool:
-                    if tracker is not None and not tracker.is_connected(
-                        candidate
-                    ):
-                        continue
-                    if universe.gain(ctx.schedule_of(candidate)) > 0:
-                        pick = candidate
-                        break
+            for candidate in pool:
+                if tracker is not None and not tracker.is_connected(candidate):
+                    continue
+                if universe.gain(ctx.schedule_of(candidate)) > 0:
+                    pick = candidate
+                    break
             if pick is None:
                 break  # nothing admissible adds coverage
             pool.remove(pick)

@@ -54,12 +54,11 @@ class MaxAvPlacement(PlacementPolicy):
             return IntervalUniverse.over(
                 [ctx.schedule_of(c) for c in ctx.candidates] + [own],
                 covered=own,
-                packed=ctx.packed,
             )
         instants = [
             act.second_of_day for act in ctx.dataset.trace.received_by(ctx.user)
         ]
-        return PointUniverse(instants, covered=own, packed=ctx.packed)
+        return PointUniverse(instants, covered=own)
 
     def select(self, ctx: PlacementContext, k: int) -> Tuple[UserId, ...]:
         self._check_k(k)
@@ -77,26 +76,16 @@ class MaxAvPlacement(PlacementPolicy):
         while remaining and len(chosen) < k:
             best_key = None
             best_gain = 0.0
-            keys = [key for key in order if key in remaining]
-            gains = universe.batch_gain(keys)
-            if gains is not None:
-                # One kernel call per round; the scan below applies the
-                # same connectivity filter and strict-``>`` tie-break to
-                # the same gain values, so the pick is identical.
-                for key, gain in zip(keys, gains):
-                    if tracker is not None and not tracker.is_connected(key):
-                        continue
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_key = key
-            else:
-                for key in keys:
-                    if tracker is not None and not tracker.is_connected(key):
-                        continue
-                    gain = universe.gain(remaining[key])
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_key = key
+            for key in order:
+                schedule = remaining.get(key)
+                if schedule is None:
+                    continue  # already chosen in an earlier round
+                if tracker is not None and not tracker.is_connected(key):
+                    continue
+                gain = universe.gain(schedule)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_key = key
             if best_key is None:
                 break  # no admissible candidate improves coverage
             schedule = remaining.pop(best_key)

@@ -20,36 +20,22 @@ The MaxAv time objective's universe is, by construction, the union of
 the candidates' schedules: :meth:`IntervalUniverse.over` builds it from
 those member schedules, and its ``gain``/``commit`` then take each
 member as it is instead of first intersecting it with the universe.
-
-Both also expose ``batch_gain(users)``: the gains of many candidates
-identified by *packed* user id in one vectorised kernel call, when a
-:class:`~repro.timeline.packed.PackedSchedules` was supplied and the
-exactness preconditions hold (see the oracle-equivalence contract in
-:mod:`repro.timeline.packed`); it returns ``None`` otherwise and callers
-fall back to the scalar ``gain`` loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.timeline.day import time_of_day
 from repro.timeline.intervals import IntervalSet
-from repro.timeline.packed import PackedSchedules, endpoints_integral
 
 
 class IntervalUniverse:
     """Set-cover state over continuous daily time.
 
-    The greedy gain decomposes as ``gain(s) = overlap(s, universe) -
-    overlap(s, covered)`` because the covered set is kept a subset of the
-    universe (intersected at construction, unioned with ``s ∩ universe``
-    on commit).  That identity is what lets :meth:`batch_gain` compute a
-    whole round of gains from two vectorised overlap kernels; it is exact
-    (and therefore oracle-identical) only when every endpoint involved is
-    integral, so the packed path is dropped otherwise.
+    The covered set is kept a subset of the universe (intersected at
+    construction, unioned with ``s ∩ universe`` on commit), so a gain is
+    the part of ``s ∩ universe`` that ``covered`` does not hold yet.
 
     A universe built by :meth:`over` skips the ``s ∩ universe`` step of
     ``gain`` and ``commit``.  For a member ``s`` that intersection is the
@@ -59,13 +45,7 @@ class IntervalUniverse:
     the same order as ``s``'s own.
     """
 
-    def __init__(
-        self,
-        universe: IntervalSet,
-        covered: IntervalSet = None,
-        *,
-        packed: Optional[PackedSchedules] = None,
-    ):
+    def __init__(self, universe: IntervalSet, covered: IntervalSet = None):
         self._universe = universe
         #: Whether gain/commit intersect a schedule with the universe
         #: first (``False`` only for :meth:`over` universes).
@@ -75,30 +55,15 @@ class IntervalUniverse:
             if covered is not None
             else IntervalSet.empty()
         )
-        # Initial covered is integral whenever universe and covered are;
-        # commits union in s ∩ universe, which preserves integrality for
-        # packed (exact) candidate schedules.
-        self._packed = (
-            packed
-            if packed is not None
-            and packed.exact
-            and endpoints_integral(universe)
-            and endpoints_integral(self._covered)
-            else None
-        )
 
     @classmethod
     def over(
-        cls,
-        members: Iterable[IntervalSet],
-        covered: IntervalSet = None,
-        *,
-        packed: Optional[PackedSchedules] = None,
+        cls, members: Iterable[IntervalSet], covered: IntervalSet = None
     ) -> "IntervalUniverse":
         """The universe ``union_all(members)``, whose ``gain`` and
         ``commit`` accept only schedules inside it — any member, or a
         union of members — and take them without the intersection."""
-        universe = cls(IntervalSet.union_all(members), covered, packed=packed)
+        universe = cls(IntervalSet.union_all(members), covered)
         universe._clip = False
         return universe
 
@@ -120,40 +85,17 @@ class IntervalUniverse:
             schedule = schedule.intersection(self._universe)
         return schedule.coverage_added(self._covered)
 
-    def batch_gain(self, users: Sequence) -> Optional[np.ndarray]:
-        """Gains of many packed candidates at once, or ``None`` when the
-        vectorised path is unavailable (no packed schedules, or
-        non-integral endpoints somewhere)."""
-        if self._packed is None:
-            return None
-        total = self._packed.overlap_against(self._universe, users)
-        if self._covered.is_empty:
-            return total
-        return total - self._packed.overlap_against(self._covered, users)
-
     def commit(self, schedule: IntervalSet) -> None:
         """Mark ``schedule``'s portion of the universe as covered."""
         add = schedule.intersection(self._universe) if self._clip else schedule
         self._covered = self._covered.union(add)
-        if self._packed is not None and not endpoints_integral(add):
-            self._packed = None  # covered no longer integral: go scalar
 
 
 class PointUniverse:
-    """Set-cover state over discrete instants (projected onto the day).
+    """Set-cover state over discrete instants (projected onto the day);
+    gains are integer counts of the still-uncovered instants."""
 
-    Gains are integer counts, so the vectorised :meth:`batch_gain` (one
-    ``count_points_in_rows`` kernel over the sorted remaining points) is
-    exact for *any* schedule endpoints — no integrality gate needed.
-    """
-
-    def __init__(
-        self,
-        instants: Iterable[float],
-        covered: IntervalSet = None,
-        *,
-        packed: Optional[PackedSchedules] = None,
-    ):
+    def __init__(self, instants: Iterable[float], covered: IntervalSet = None):
         all_points = [time_of_day(t) for t in instants]
         self._total = len(all_points)
         if covered is not None:
@@ -162,8 +104,6 @@ class PointUniverse:
             ]
         else:
             self._points = all_points
-        self._packed = packed
-        self._sorted: Optional[np.ndarray] = None
 
     @property
     def covered_measure(self) -> float:
@@ -180,20 +120,8 @@ class PointUniverse:
     def gain(self, schedule: IntervalSet) -> float:
         return sum(1 for p in self._points if schedule.contains(p))
 
-    def batch_gain(self, users: Sequence) -> Optional[np.ndarray]:
-        """Point counts of many packed candidates at once, or ``None``
-        when no packed schedules were supplied."""
-        if self._packed is None:
-            return None
-        if self._sorted is None:
-            self._sorted = np.sort(
-                np.asarray(self._points, dtype=np.float64)
-            )
-        return self._packed.count_points_in_rows(users, self._sorted)
-
     def commit(self, schedule: IntervalSet) -> None:
         self._points = [p for p in self._points if not schedule.contains(p)]
-        self._sorted = None
 
 
 def greedy_cover(

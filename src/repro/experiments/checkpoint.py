@@ -14,7 +14,7 @@ the checkpoint stores *partial* progress.  Both are keyed by content —
 :meth:`SweepCheckpoint.key_for` hashes everything that determines the
 shard's floats (dataset fingerprint, model, the full policy set, mode,
 degrees, cohort, seed protocol) and the execution knobs are excluded,
-so a checkpoint written by any jobs/backend combination serves
+so a checkpoint written by any jobs/shards combination serves
 every other one.
 
 Bit-identity: cells round-trip through the same JSON-exact payload

@@ -1,8 +1,8 @@
 """The execution context every experiment runs under.
 
 An :class:`Execution` bundles the knobs that change *how* an experiment
-runs — worker pool, timeline backend, sweep cache, shard count and
-shard mode — and never *what* it computes.  It is built once per run
+runs — worker pool, sweep cache, shard count and shard mode — and never
+*what* it computes.  It is built once per run
 (by :func:`repro.experiments.run_experiment`, the batch runner or the
 CLI), validated once, and handed to every experiment as its second
 argument.
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.parallel import ParallelExecutor
-from repro.timeline.packed import PYTHON, check_backend
 
 if TYPE_CHECKING:  # imported lazily: repro.cache imports repro.core
     from repro.cache import SweepCache
@@ -45,8 +44,7 @@ class Execution:
     """How an experiment runs; every combination gives identical output.
 
     ``executor`` fans per-user work over worker processes (``None``: each
-    call runs serially in-process); ``backend`` picks the timeline
-    kernels (``"python"`` or ``"numpy"``); ``cache`` (a
+    call runs serially in-process); ``cache`` (a
     :class:`repro.cache.SweepCache`) shares sweeps and replays by content
     address; ``shards`` slices each sweep's cohort fan-out in cohort
     mode, counts dataset shards in dataset mode, and splits the x6
@@ -55,13 +53,11 @@ class Execution:
     """
 
     executor: Optional[ParallelExecutor] = None
-    backend: str = PYTHON
     cache: Optional["SweepCache"] = None
     shards: int = 1
     shard_mode: str = COHORT_MODE
 
     def __post_init__(self) -> None:
-        check_backend(self.backend)
         check_shard_mode(self.shard_mode)
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")

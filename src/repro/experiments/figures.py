@@ -22,8 +22,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import (
     CONREP,
-    NUMPY,
-    PYTHON,
     UNCONREP,
     SweepPoint,
     evaluate_user,
@@ -58,7 +56,6 @@ from repro.onlinetime import (
     RandomLengthModel,
     SporadicModel,
     compute_schedules,
-    packed_schedules,
 )
 from repro.parallel import ParallelExecutor
 from repro.simulator import DecentralizedOSN, ReplayConfig, replay_trace
@@ -146,7 +143,6 @@ def _knobs(scale: ExperimentScale, ex: Execution) -> Dict[str, Any]:
         seed=scale.seed,
         repeats=scale.repeats,
         executor=ex.executor,
-        backend=ex.backend,
         cache=ex.cache,
         shards=ex.shards if ex.shard_mode == COHORT_MODE else 1,
     )
@@ -186,7 +182,6 @@ def _place(
         max_degree=3,
         seed=scale.seed,
         executor=ex.executor,
-        backend=ex.backend,
     )
 
 
@@ -873,22 +868,21 @@ def x5_owner_notification(
 
 
 # ---------------------------------------------------------------------------
-# X6: vectorized sharded replay
+# X6: sharded DES replay
 # ---------------------------------------------------------------------------
 
 
 def x6_scaled_replay(
     scale: ExperimentScale, ex: Execution
 ) -> ExperimentResult:
-    """Full-feature DES replay through the sharded/vectorized pipeline.
+    """Full-feature DES replay through the sharded replay pipeline.
 
     The only experiment that routes the simulator through
     :func:`repro.simulator.replay_trace`, so the execution knobs reach
-    the DES layer: ``backend="numpy"`` replays on the packed compute
-    plane (:class:`~repro.simulator.VectorizedReplay`), ``shards`` splits
-    the profile cohort into disjoint replica-group shards fanned over the
+    the DES layer: it replays on the python DES, ``shards`` splits the
+    profile cohort into disjoint replica-group shards fanned over the
     executor, and a ``cache`` memoises the merged statistics under a
-    content address that deliberately excludes all three knobs — every
+    content address that deliberately excludes both knobs — every
     combination is bit-identical to the serial scalar oracle.
     """
     result = ExperimentResult(
@@ -929,14 +923,8 @@ def x6_scaled_replay(
         sequences,
         config=config,
         tracked_profiles=users,
-        backend=ex.backend,
         shards=ex.shards,
         executor=ex.executor,
-        packed=(
-            packed_schedules(dataset, model, seed=scale.seed)
-            if ex.backend == NUMPY
-            else None
-        ),
         cache=ex.cache,
         cache_key=cache_key,
     )
@@ -1042,19 +1030,18 @@ def run_experiment(
     *,
     jobs: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
     shard_mode: str = COHORT_MODE,
 ) -> ExperimentResult:
     """Run one experiment by id at the given scale.
 
-    The keyword arguments are the five :class:`Execution` knobs (invalid
+    The keyword arguments are the four :class:`Execution` knobs (invalid
     values raise :class:`ValueError` before any work); every combination
     gives bit-identical output.  Without an ``executor`` one with
     ``jobs`` workers is built for this call and closed after it.
     """
-    ex = Execution(executor, backend, cache, shards, shard_mode)
+    ex = Execution(executor, cache, shards, shard_mode)
     if executor is not None:
         return execute(experiment_id, scale, ex)
     with ParallelExecutor(jobs=jobs) as owned:
@@ -1096,7 +1083,6 @@ def execute(
     result.timings = {
         "total_seconds": round(perf_counter() - start, 6),
         "jobs": executor.effective_jobs,
-        "backend": ex.backend,
         "shards": ex.shards,
         "shard_mode": ex.shard_mode,
         "phases": executor.timings_since(timing_mark),

@@ -38,7 +38,6 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.cache import SweepCache
 from repro.parallel import FaultInjector, ParallelExecutor, RetryPolicy
-from repro.timeline.packed import PYTHON
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.config import BENCH, ExperimentScale
 from repro.experiments.execution import COHORT_MODE, Execution
@@ -297,7 +296,6 @@ def summarize_batch(
     summary: Dict[str, Any] = {
         "scale": scale.name,
         "jobs": jobs,
-        "backend": ex.backend,
         "shards": ex.shards,
         "shard_mode": ex.shard_mode,
         "num_experiments": len(results),
@@ -334,8 +332,7 @@ def render_batch_summary(summary: Dict[str, Any]) -> str:
     """The terminal foot-lines for a batch summary."""
     lines = [
         f"[batch] {summary['num_experiments']} experiments in "
-        f"{summary['total_seconds']:.2f}s (jobs={summary['jobs']}, "
-        f"backend={summary['backend']})"
+        f"{summary['total_seconds']:.2f}s (jobs={summary['jobs']})"
     ]
     cache = summary.get("cache")
     if cache is not None:
@@ -407,7 +404,6 @@ def run_batch(
     scale: ExperimentScale = BENCH,
     ids: Optional[Iterable[str]] = None,
     jobs: int = 1,
-    backend: str = PYTHON,
     shards: int = 1,
     shard_mode: str = COHORT_MODE,
     cache: Optional[SweepCache] = None,
@@ -422,7 +418,7 @@ def run_batch(
 ) -> List[Path]:
     """Run experiments and write ``<id>.txt`` + ``<id>.json`` per entry.
 
-    ``jobs``, ``backend``, ``shards`` and ``shard_mode`` are the
+    ``jobs``, ``shards`` and ``shard_mode`` are the
     :class:`~repro.experiments.execution.Execution` knobs (see
     :func:`~repro.experiments.figures.run_experiment`): every combination
     writes identical results, and invalid values raise ``ValueError``
@@ -464,7 +460,7 @@ def run_batch(
         if fault_injector is not None:
             kwargs["fault_injector"] = fault_injector
         executor = ParallelExecutor(**kwargs)
-    ex = Execution(executor, backend, cache, shards, shard_mode)
+    ex = Execution(executor, cache, shards, shard_mode)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_ids = list(ids) if ids is not None else list(experiment_ids())

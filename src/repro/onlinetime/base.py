@@ -204,9 +204,7 @@ def packed_schedules(
 
     Packs the completed schedules of ``(model.cache_key(), seed)`` into a
     :class:`~repro.timeline.packed.PackedSchedules` exactly once per
-    memo — the numpy backend used to rebuild the packing on every sweep
-    call, which dominated warm-path cost on multi-figure batches.  The
-    packing is stored on the memo itself, so eviction and
+    memo, for the numpy DES replay engine.  The packing is stored on the memo itself, so eviction and
     :func:`clear_schedule_cache` drop both as a unit: no packing can
     outlive the schedules it was built from.
     """

@@ -31,7 +31,7 @@ from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
 from repro.onlinetime.base import Schedules
 from repro.seeding import derive_rng
-from repro.timeline.packed import PYTHON, PackedSchedules
+from repro.timeline.packed import PackedSchedules
 
 #: Per-user sweep output: policy name -> one UserMetrics per swept degree.
 UserCell = Dict[str, Tuple[UserMetrics, ...]]
@@ -64,18 +64,13 @@ class SweepPayload:
     degrees: Tuple[int, ...]
     max_degree: int
     seed: int
-    #: Timeline kernel backend: ``"python"`` (default) or ``"numpy"``.
-    backend: str = PYTHON
-    #: Packed counterpart of ``schedules`` for the numpy backend; ships to
-    #: the pool workers once, with the rest of the fork-shared payload.
-    packed: Optional[PackedSchedules] = None
 
     def fingerprint(self) -> Tuple[object, ...]:
         """Pool-reuse token: equal fingerprints ⇒ equivalent payloads.
 
-        The big shared components (dataset, schedules, packed) enter by
-        object identity — they are memoised upstream (LRU datasets,
-        per-``(model, seed)`` schedule and packing memos), so the same
+        The big shared components (dataset, schedules) enter by object
+        identity — they are memoised upstream (LRU datasets and the
+        per-``(model, seed)`` schedule memo), so the same
         configuration presents the same objects across figures, and the
         executor pins the payload while its pool lives, so the ids
         cannot be recycled underneath a comparison.  Policies enter by
@@ -91,8 +86,6 @@ class SweepPayload:
             self.degrees,
             self.max_degree,
             self.seed,
-            self.backend,
-            packed_token(self.packed),
         )
 
 
@@ -115,7 +108,6 @@ def _sequence_for(
         mode=payload.mode,
         rng=derive_rng(payload.seed, policy.name, user),
         overlap_cache=overlap_cache,
-        packed=payload.packed,
     )
     return policy.select(ctx, payload.max_degree)
 
@@ -148,7 +140,6 @@ def evaluate_user_cell(
             payload.schedules,
             user,
             mode=payload.mode,
-            packed=payload.packed,
         )
     cell: UserCell = {}
     for policy in payload.policies:
@@ -188,9 +179,6 @@ class PlacementPayload:
     mode: str = CONREP
     max_degree: int = 0
     seed: int = 0
-    #: Timeline kernel backend: ``"python"`` (default) or ``"numpy"``.
-    backend: str = PYTHON
-    packed: Optional[PackedSchedules] = None
 
     def fingerprint(self) -> Tuple[object, ...]:
         """Pool-reuse token (see :meth:`SweepPayload.fingerprint`)."""
@@ -202,8 +190,6 @@ class PlacementPayload:
             self.mode,
             self.max_degree,
             self.seed,
-            self.backend,
-            packed_token(self.packed),
         )
 
 
@@ -219,8 +205,6 @@ def select_sequences_chunk(
         degrees=(),
         max_degree=payload.max_degree,
         seed=payload.seed,
-        backend=payload.backend,
-        packed=payload.packed,
     )
     return [
         _sequence_for(sweep_like, payload.policy, user) for user in users
@@ -245,8 +229,10 @@ class ReplayPayload:
     placements: Dict[UserId, Tuple[UserId, ...]]
     config: object
     shard_owners: Tuple[Tuple[UserId, ...], ...]
+    #: Replay engine (see :mod:`repro.simulator.replay`).
+    backend: str
     tracked: Optional[Tuple[UserId, ...]] = None
-    backend: str = PYTHON
+    #: Packed schedules for the numpy replay engine.
     packed: Optional[PackedSchedules] = None
 
     def fingerprint(self) -> Tuple[object, ...]:

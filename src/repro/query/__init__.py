@@ -5,13 +5,13 @@ answers whole-cohort sweeps; this package answers *single-user*
 questions — "place replicas for user X at degree k", "what
 availability/AOD does X get under policy P" — at interactive latency:
 
-* :class:`QueryPlane` keeps schedules, packed arrays, per-user
+* :class:`QueryPlane` keeps schedules, per-user
   incremental evaluators and selection sequences resident between
   queries, with bounded LRUs and an optional shared
   :class:`~repro.cache.SweepCache` content-address store;
 * its resilient entry point (``evaluate_resilient``) adds per-request
-  :class:`~repro.resilience.Deadline` budgets, circuit-broken fallback
-  to the scalar reference path, and stale-if-error serving — every
+  :class:`~repro.resilience.Deadline` budgets, a fallback recompute
+  without the warm state, and stale-if-error serving — every
   degraded answer flagged via
   :class:`~repro.resilience.DegradedResult`.
 

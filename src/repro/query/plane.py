@@ -7,8 +7,7 @@ under policy P" — pays that whole setup for one answer.  A
 :class:`QueryPlane` keeps the expensive context resident between
 queries:
 
-* the dataset's schedules and (for the numpy backend) their CSR
-  packing, built once and shared by every query;
+* the dataset's schedules, built once and shared by every query;
 * a bounded LRU of per-user :class:`IncrementalGroupEvaluator` warm
   state, whose :class:`~repro.core.connectivity.OverlapCache` rows are
   exactly the matrices the sweeps build per user;
@@ -25,18 +24,17 @@ queries:
 Everything here changes *when* work happens, never the floats: every
 query routes through :func:`~repro.core.evaluation.evaluate_single`,
 which calls the same per-user kernel the batch sweeps fan out, so a
-point query is bit-identical to the matching cell of a batch sweep for
-either backend (property-tested in ``tests/query``).
+point query is bit-identical to the matching cell of a batch sweep
+(property-tested in ``tests/query``).
 
 Degraded serving (:meth:`QueryPlane.evaluate_resilient`) layers the
 resilience primitives on top: per-request
 :class:`~repro.resilience.Deadline` budgets checked between pipeline
-stages, a :class:`~repro.resilience.CircuitBreaker`-guarded fallback
-from the numpy kernels to the python scalar reference path
-(bit-identical by the backend-identity contract, so a fallback answer
-differs only in latency), and stale-if-error serving of previously stored payload
-blobs under the :class:`~repro.resilience.DegradationPolicy` the plane
-was built with.  Every degraded answer comes back as a
+stages, a fallback that recomputes a failed query from the schedules
+alone without the warm state (bit-identical, so a fallback answer
+differs only in latency), and stale-if-error serving of previously
+stored payload blobs under the :class:`~repro.resilience.DegradationPolicy`
+the plane was built with.  Every degraded answer comes back as a
 :class:`~repro.resilience.DegradedResult` with an explicit flag and
 reason — degraded serving is visible, never silent.
 """
@@ -55,21 +53,15 @@ from repro.core.metrics import UserMetrics
 from repro.core.placement.base import CONREP, PlacementContext, PlacementPolicy
 from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
-from repro.onlinetime.base import (
-    OnlineTimeModel,
-    compute_schedules,
-    packed_schedules,
-)
+from repro.onlinetime.base import OnlineTimeModel, compute_schedules
 from repro.parallel.faults import FaultInjector
 from repro.resilience import (
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     DegradationPolicy,
     DegradedResult,
 )
 from repro.seeding import derive_rng
-from repro.timeline.packed import NUMPY, PYTHON, check_backend
 
 #: Float fields of :class:`UserMetrics`, in declaration order.
 _METRIC_FLOAT_FIELDS = (
@@ -189,7 +181,6 @@ class QueryPlane:
         model: OnlineTimeModel,
         *,
         mode: str = CONREP,
-        backend: str = PYTHON,
         seed: int = 0,
         cache=None,
         max_users: int = 256,
@@ -197,19 +188,16 @@ class QueryPlane:
         max_results: int = 4096,
         overlap_max_rows: Optional[int] = None,
         degradation: Optional[DegradationPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         fault_injector: Optional[FaultInjector] = None,
     ):
         self.dataset = dataset
         self.model = model
         self.mode = mode
-        self.backend = check_backend(backend)
         self.seed = int(seed)
         self._store = cache
         self._overlap_max_rows = overlap_max_rows
         self._lock = threading.RLock()
         self._schedules = None
-        self._packed = None
         self._evaluators = _LRU(max_users)
         self._sequences = _LRU(max_sequences)
         self._results = _LRU(max_results)
@@ -217,9 +205,6 @@ class QueryPlane:
         self._result_hits = 0
         self._store_hits = 0
         self.degradation = degradation or DegradationPolicy()
-        #: Guards the fast-path compute under the resilient entry points;
-        #: opening it short-circuits straight to the scalar fallback.
-        self.breaker = breaker or CircuitBreaker()
         self._fault_injector = fault_injector
         self._stale_served = 0
         self._fallback_served = 0
@@ -231,30 +216,20 @@ class QueryPlane:
         """Build the shared schedule state eagerly; returns ``self``.
 
         Without this, the first query pays the schedule computation
-        (the memoised :func:`compute_schedules` /
-        :func:`packed_schedules`, so a plane over an already-swept
-        dataset warms for free).
+        (the memoised :func:`compute_schedules`, so a plane over an
+        already-swept dataset warms for free).
         """
         with self._lock:
             if self._schedules is None:
                 self._schedules = compute_schedules(
                     self.dataset, self.model, seed=self.seed
                 )
-                if self.backend == NUMPY:
-                    self._packed = packed_schedules(
-                        self.dataset, self.model, seed=self.seed
-                    )
         return self
 
     @property
     def schedules(self):
         self.warm()
         return self._schedules
-
-    @property
-    def packed(self):
-        self.warm()
-        return self._packed
 
     def _evaluator_for(self, user: UserId) -> IncrementalGroupEvaluator:
         """The user's resident evaluator."""
@@ -266,11 +241,8 @@ class QueryPlane:
                 user,
                 mode=self.mode,
                 overlap_cache=OverlapCache(
-                    self._schedules,
-                    self._packed,
-                    max_rows=self._overlap_max_rows,
+                    self._schedules, max_rows=self._overlap_max_rows
                 ),
-                packed=self._packed,
             )
             self._evaluators.put(user, evaluator)
         return evaluator
@@ -304,7 +276,6 @@ class QueryPlane:
             mode=self.mode,
             rng=derive_rng(self.seed, policy.name, user),
             overlap_cache=evaluator.overlap_cache,
-            packed=self._packed,
         )
         sequence = tuple(policy.select(ctx, depth))
         self._sequences.put(key, (depth, sequence))
@@ -363,9 +334,7 @@ class QueryPlane:
             policy,
             k,
             mode=self.mode,
-            backend=self.backend,
             seed=self.seed,
-            packed=self._packed,
             evaluator=evaluator,
             sequence=sequence,
         )
@@ -375,13 +344,13 @@ class QueryPlane:
     def _compute_fallback(
         self, user: UserId, policy: PlacementPolicy, k: int, lru_key
     ) -> UserMetrics:
-        """The degraded retry: the full python scalar reference path.
+        """The degraded retry: recompute without the warm state.
 
-        Bypasses every piece of possibly-poisoned fast-path state — the
-        packed arrays, the resident evaluator, the cached sequence —
-        and recomputes from the schedules alone with ``backend=python``.
-        The backend-identity contract makes the floats bit-identical to
-        the primary path; only the latency differs.
+        Bypasses every piece of possibly-poisoned warm state — the
+        resident evaluator and the cached sequence — and recomputes from
+        the schedules alone.  The plane's determinism contract makes the
+        floats bit-identical to the primary path; only the latency
+        differs.
         """
         if self._fault_injector is not None:
             self._fault_injector.apply_query(user, 1)
@@ -392,9 +361,7 @@ class QueryPlane:
             policy,
             k,
             mode=self.mode,
-            backend=PYTHON,
             seed=self.seed,
-            packed=None,
         )
         self._finish(user, policy, k, lru_key, metrics)
         return metrics
@@ -489,53 +456,28 @@ class QueryPlane:
         deadline: Optional[Deadline],
     ) -> DegradedResult:
         """Primary compute, then fallback, then stale, per the policy."""
-        policy_mode = self.degradation
-        error: Optional[BaseException] = None
-        breaker_open = False
-        if (
-            self.backend == NUMPY
-            and policy_mode.allow_fallback
-            and not self.breaker.allow()
-        ):
-            # Open circuit: skip the failing fast path entirely.
-            breaker_open = True
-        else:
-            try:
-                metrics = self._compute(user, policy, k, lru_key, deadline)
-                if self.backend == NUMPY:
-                    self.breaker.record_success()
-                return DegradedResult.fresh(metrics)
-            except DeadlineExceeded as exc:
-                # No budget left: a fallback recompute cannot help, only
-                # an already-stored answer can.
-                return self._serve_stale_or_fail(user, policy, k, exc)
-            except Exception as exc:
-                if self.backend == NUMPY:
-                    self.breaker.record_failure()
-                error = exc
-        if policy_mode.allow_fallback:
+        try:
+            metrics = self._compute(user, policy, k, lru_key, deadline)
+            return DegradedResult.fresh(metrics)
+        except DeadlineExceeded as exc:
+            # No budget left: a fallback recompute cannot help, only an
+            # already-stored answer can.
+            return self._serve_stale_or_fail(user, policy, k, exc)
+        except Exception as exc:
+            error = exc
+        if self.degradation.allow_fallback:
             try:
                 if deadline is not None:
                     deadline.check("scalar fallback")
                 metrics = self._compute_fallback(user, policy, k, lru_key)
                 self._fallback_served += 1
-                detail = (
-                    "circuit open: scalar path served without trying numpy"
-                    if breaker_open
-                    else "scalar-path retry after "
-                    f"{type(error).__name__}: {error}"
+                return DegradedResult.fallback(
+                    metrics,
+                    f"scalar-path retry after {type(error).__name__}: {error}",
                 )
-                return DegradedResult.fallback(metrics, detail)
-            except Exception as exc:
-                error = exc if error is None else error
-        return self._serve_stale_or_fail(
-            user,
-            policy,
-            k,
-            error
-            if error is not None
-            else RuntimeError("fast path short-circuited by open breaker"),
-        )
+            except Exception:
+                pass  # report the primary failure, not the retry's
+        return self._serve_stale_or_fail(user, policy, k, error)
 
     def _serve_stale_or_fail(
         self,
@@ -605,7 +547,6 @@ class QueryPlane:
                 "fallback_served": self._fallback_served,
                 "failed": self._failed,
                 "degraded_mode": self.degradation.mode,
-                "breaker": self.breaker.stats(),
                 "evaluators": self._evaluators.stats(),
                 "sequences": self._sequences.stats(),
                 "results": self._results.stats(),

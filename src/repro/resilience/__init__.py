@@ -7,9 +7,6 @@ primitives that make our own compute plane behave that way:
 * :class:`Deadline` / :class:`DeadlineExceeded` — per-request time
   budgets with an injectable clock
   (:mod:`repro.resilience.deadline`);
-* :class:`CircuitBreaker` — closed/open/half-open guard for optional
-  fast paths like the numpy kernels
-  (:mod:`repro.resilience.breaker`);
 * :class:`DegradationPolicy` / :class:`DegradedResult` — what a failed
   request may degrade to (``refuse`` / ``stale`` / ``fallback``), and
   the structured marker every degraded answer carries
@@ -19,19 +16,13 @@ primitives that make our own compute plane behave that way:
   segments orphaned by SIGKILLed owners
   (:mod:`repro.resilience.segments`).
 
-None of this changes any float: deadlines and breakers decide *whether*
-and *where* an answer is computed, the degradation markers say *what
+None of this changes any float: deadlines and the fallback decide
+*whether* and *where* an answer is computed, the degradation markers say *what
 kind* of answer was served, and the reaper touches only segments whose
 owners are gone.  Bit-identity of everything actually computed is
 asserted by the chaos harness in ``tests/resilience``.
 """
 
-from repro.resilience.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-)
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.degradation import (
     DEGRADED_MODES,
@@ -50,16 +41,12 @@ from repro.resilience.segments import (
 )
 
 __all__ = [
-    "CLOSED",
-    "CircuitBreaker",
     "DEGRADED_MODES",
     "Deadline",
     "DeadlineExceeded",
     "DegradationPolicy",
     "DegradedResult",
     "FALLBACK",
-    "HALF_OPEN",
-    "OPEN",
     "REFUSE",
     "ReapReport",
     "STALE",

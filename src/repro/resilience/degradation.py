@@ -8,10 +8,10 @@ in increasing permissiveness:
   (fail-fast; the pre-existing behaviour);
 * ``stale`` — on failure, serve the best previously stored answer from
   the content-addressed store, flagged ``stale``;
-* ``fallback`` — additionally retry the failed compute on the python
-  scalar reference path first (bit-identical to the fast path by the
-  backend-identity contract), flagged ``fallback``; staleness remains
-  the last resort.
+* ``fallback`` — additionally retry the failed compute from the
+  schedules alone, without the plane's warm state (bit-identical to the
+  warm path by the query plane's determinism contract), flagged
+  ``fallback``; staleness remains the last resort.
 
 Every degraded answer is wrapped in a :class:`DegradedResult` carrying
 an explicit ``degraded`` flag plus the reason — callers can always tell
@@ -60,7 +60,7 @@ class DegradationPolicy:
 
     @property
     def allow_fallback(self) -> bool:
-        """May failed computes retry on the scalar reference path?"""
+        """May failed computes retry without the warm state?"""
         return self.mode == FALLBACK
 
 

@@ -36,12 +36,22 @@ from repro.partition import clamp_parts, partition_slices
 from repro.simulator.osn import DecentralizedOSN, Placements, ReplayConfig
 from repro.simulator.stats import SimulationStats
 from repro.simulator.vectorized import VectorizedReplay
-from repro.timeline.packed import (
-    NUMPY,
-    PYTHON,
-    PackedSchedules,
-    check_backend,
-)
+from repro.timeline.packed import PackedSchedules
+
+#: Replay engines: the scalar DES oracle and the packed-plane replay.
+#: The DES is the one layer that still chooses between two engines.
+PYTHON = "python"
+NUMPY = "numpy"
+BACKENDS = (PYTHON, NUMPY)
+
+
+def check_backend(backend: str) -> str:
+    """Validate a replay engine name."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; choose from {BACKENDS}"
+        )
+    return backend
 
 
 @dataclass(frozen=True)

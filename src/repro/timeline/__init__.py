@@ -19,37 +19,19 @@ from repro.timeline.day import (
 )
 from repro.timeline.intervals import IntervalSet
 from repro.timeline.minutegrid import MinuteGrid, availability_matrix
-from repro.timeline.packed import (
-    BACKENDS,
-    NUMPY,
-    PYTHON,
-    PackedSchedules,
-    batch_contains,
-    batch_wait_until,
-    check_backend,
-    creator_online_flags,
-    endpoints_integral,
-)
+from repro.timeline.packed import PackedSchedules
 from repro.timeline.shared import SharedPackedSchedules
 
 __all__ = [
-    "BACKENDS",
     "DAY_HOURS",
     "DAY_MINUTES",
     "DAY_SECONDS",
     "HOUR_SECONDS",
     "MINUTE_SECONDS",
-    "NUMPY",
-    "PYTHON",
     "IntervalSet",
     "MinuteGrid",
     "PackedSchedules",
     "SharedPackedSchedules",
-    "batch_contains",
-    "batch_wait_until",
-    "check_backend",
-    "creator_online_flags",
-    "endpoints_integral",
     "availability_matrix",
     "format_clock",
     "hours_to_seconds",

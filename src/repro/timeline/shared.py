@@ -11,14 +11,11 @@ of megabytes, so copies, not compute, become the wall.
 offsets, starts, ends) in one :class:`multiprocessing.shared_memory`
 block.  Pickling transmits only the block *name*: a worker attaches to
 the same physical pages and rebuilds lightweight views, so ``jobs=N``
-holds one copy of the endpoints regardless of N.  The derived arrays
-(``lengths``, ``measures``) are computed per attachment — they are an
-order of magnitude smaller than a full copy and keep the block layout
-trivial.
+holds one copy of the endpoints regardless of N.
 
 Lifecycle: the creating process owns the block and must call
 :meth:`close` (or let :meth:`__del__` fire) to unlink it; attached
-processes close their mapping only.  Kernel results are bit-identical to
+processes close their mapping only.  Row reads are bit-identical to
 the heap-backed packing — the arrays hold the very same float64/int64
 values, only the pages behind them differ.
 
@@ -205,8 +202,6 @@ class SharedPackedSchedules(PackedSchedules):
         self.starts = empty_f
         self.ends = empty_f
         self.offsets = empty_i
-        self.lengths = empty_f
-        self.measures = np.empty(0, dtype=np.float64)
         self._index = None
         try:
             self.shm.close()

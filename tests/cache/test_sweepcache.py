@@ -9,7 +9,7 @@ Three contracts:
   the floats changes the key.
 * **Value fidelity** — series served from the cache (memory or disk)
   are field-for-field identical to freshly computed ones, for every
-  policy, mode, and (jobs, backend) combination, and equal to the
+  policy, mode, and (jobs, shards) combination, and equal to the
   per-degree oracle's (``tests/oracle.py``); the on-disk
   layer tolerates corruption by missing cleanly.
 * **Sweep integration** — ``sweep_replication_degree`` with a cache
@@ -179,7 +179,7 @@ class TestHashSeedIndependence:
 
 
 def _sweep(cache=None, executor=None, oracle=False,
-           backend="python", policies=None, mode=CONREP):
+           shards=1, policies=None, mode=CONREP):
     ds = _dataset()
     with oracle_sweeps(oracle):
         return sweep_replication_degree(
@@ -193,8 +193,8 @@ def _sweep(cache=None, executor=None, oracle=False,
             seed=1,
             repeats=2,
             executor=executor,
-            backend=backend,
             cache=cache,
+            shards=shards,
         )
 
 
@@ -210,22 +210,22 @@ class TestCachedSweepIdentity:
         assert cache.stats.hits == 3
 
     @pytest.mark.parametrize(
-        "oracle,backend",
+        "oracle,shards",
         [
-            pytest.param(True, "python", id="naive-python"),
-            pytest.param(False, "numpy", id="incremental-numpy"),
+            pytest.param(True, 1, id="naive"),
+            pytest.param(False, 3, id="incremental-shards"),
         ],
     )
-    def test_entry_serves_every_engine_and_backend(self, oracle, backend):
+    def test_entry_serves_every_engine_and_backend(self, oracle, shards):
         # Execution knobs are excluded from the key: an entry computed
         # by the default path must equal what any other path — or the
         # per-degree oracle — computes.
         cache = SweepCache()
         default = _sweep(cache=cache)
-        other = _sweep(cache=cache, oracle=oracle, backend=backend)
+        other = _sweep(cache=cache, oracle=oracle, shards=shards)
         assert other == default
         assert cache.stats.misses == 3  # second sweep fully cache-served
-        fresh = _sweep(oracle=oracle, backend=backend)
+        fresh = _sweep(oracle=oracle, shards=shards)
         assert default == fresh
 
     @pytest.mark.skipif(

@@ -5,7 +5,7 @@ others, how many members they were checked against.  After every
 ``admit`` its answer for any candidate — queried before, after, or
 repeatedly around the moment it becomes connected — must equal
 ``any(overlaps(candidate, member))`` over all current members, with and
-without an overlap cache (scalar or vectorised row fill).
+without an overlap cache.
 """
 
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from repro.core.placement import ConnectivityTracker
 from repro.datasets import ActivityTrace, Dataset
 from repro.graph import SocialGraph
 from repro.timeline import DAY_SECONDS, IntervalSet
-from repro.timeline.packed import PackedSchedules
 
 _NUM_FRIENDS = 9
 
@@ -57,18 +56,11 @@ def _brute(schedules, members, candidate) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(
     instance=tracker_instances(),
-    cache=st.sampled_from(["none", "scalar", "vectorized"]),
+    cached=st.booleans(),
 )
-def test_is_connected_equals_brute_force_after_every_admit(instance, cache):
+def test_is_connected_equals_brute_force_after_every_admit(instance, cached):
     dataset, schedules, admitted, queries = instance
-    overlap_cache = None
-    if cache != "none":
-        packed = (
-            PackedSchedules.from_schedules(schedules)
-            if cache == "vectorized"
-            else None
-        )
-        overlap_cache = OverlapCache(schedules, packed)
+    overlap_cache = OverlapCache(schedules) if cached else None
     ctx = PlacementContext(
         dataset=dataset,
         schedules=schedules,

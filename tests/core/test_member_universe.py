@@ -6,7 +6,7 @@ identity.  These tests hold it to bit equality (``==``, never approx)
 with the intersecting path of a plain ``IntervalUniverse`` over the same
 union, on random schedules with non-integral and midnight-wrapping
 endpoints, and check that MaxAv, MaxAv-activity and Hybrid select exactly
-what they select over the intersecting universe, on both backends.
+what they select over the intersecting universe.
 """
 
 import random
@@ -20,7 +20,6 @@ from repro.core import (
     UNCONREP,
     IntervalUniverse,
     MaxAvPlacement,
-    PackedSchedules,
     PlacementContext,
     make_policy,
 )
@@ -64,12 +63,12 @@ def test_member_gain_and_commit_equal_the_intersecting_path(
             clipped.commit(schedule)
 
 
-def _clipping_over(cls, members, covered=None, *, packed=None):
+def _clipping_over(cls, members, covered=None):
     """The pre-``over`` universe: same union, intersecting gain/commit."""
-    return cls(IntervalSet.union_all(members), covered, packed=packed)
+    return cls(IntervalSet.union_all(members), covered)
 
 
-def _selections(dataset, schedules, policy, mode, packed):
+def _selections(dataset, schedules, policy, mode):
     out = {}
     for user in sorted(dataset.graph.users()):
         ctx = PlacementContext(
@@ -78,7 +77,6 @@ def _selections(dataset, schedules, policy, mode, packed):
             user=user,
             mode=mode,
             rng=random.Random(user),
-            packed=packed,
         )
         out[user] = policy.select(ctx, 10)
     return out
@@ -87,21 +85,17 @@ def _selections(dataset, schedules, policy, mode, packed):
 @pytest.mark.parametrize(
     "model", [SporadicModel(), FixedLengthModel(8)], ids=lambda m: m.describe()
 )
-@pytest.mark.parametrize("backend", ["python", "numpy"])
 @pytest.mark.parametrize("mode", [CONREP, UNCONREP])
-def test_selections_unchanged(monkeypatch, model, backend, mode):
+def test_selections_unchanged(monkeypatch, model, mode):
     dataset = synthetic_facebook(150, seed=4)
     schedules = compute_schedules(dataset, model, seed=2)
-    packed = (
-        PackedSchedules.from_schedules(schedules) if backend == "numpy" else None
-    )
     policies = [
         make_policy("maxav"),
         MaxAvPlacement(objective="activity"),
         make_policy("hybrid"),
     ]
-    got = [_selections(dataset, schedules, p, mode, packed) for p in policies]
+    got = [_selections(dataset, schedules, p, mode) for p in policies]
     monkeypatch.setattr(IntervalUniverse, "over", classmethod(_clipping_over))
-    want = [_selections(dataset, schedules, p, mode, packed) for p in policies]
+    want = [_selections(dataset, schedules, p, mode) for p in policies]
     assert got == want
     assert any(any(seq) for seq in got[0].values())

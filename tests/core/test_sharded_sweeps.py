@@ -4,7 +4,7 @@ Splitting a sweep cohort into contiguous slices changes how much work
 is in flight at once — never what is computed.  The per-user cells of
 all slices are concatenated before the rollup, so the sharded series
 must equal the unsharded one on exact float equality, the same
-contract ``jobs``/``backend`` and the per-degree oracle obey.
+contract ``jobs`` and the per-degree oracle obey.
 ``AggregateMetrics.merge`` (the cross-shard-*dataset* rollup, which is
 weighted rather than cell-concatenated) is exercised separately,
 approximately.
@@ -37,7 +37,7 @@ def _dataset():
     return synthetic_facebook(600, seed=5)
 
 
-def _sweep(*, shards, executor=None, backend="python"):
+def _sweep(*, shards, executor=None):
     ds = _dataset()
     users = select_cohort(ds, 10, max_users=9)
     return sweep_replication_degree(
@@ -50,7 +50,6 @@ def _sweep(*, shards, executor=None, backend="python"):
         repeats=2,
         shards=shards,
         executor=executor,
-        backend=backend,
     )
 
 
@@ -62,10 +61,10 @@ class TestShardedSweepBitIdentity:
         # 9 cohort users, 50 shards: most slices are empty and skipped.
         assert _sweep(shards=50) == _sweep(shards=1)
 
-    def test_sharded_equals_unsharded_numpy_naive(self):
+    def test_sharded_equals_unsharded_naive(self):
         baseline = _sweep(shards=1)
         with oracle_sweeps():
-            assert _sweep(shards=3, backend="numpy") == baseline
+            assert _sweep(shards=3) == baseline
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork pools")
     def test_sharded_equals_unsharded_across_jobs(self):

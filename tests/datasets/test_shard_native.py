@@ -8,7 +8,7 @@ dataset-per-shard mode can replace it at scale:
 2. the streaming receiver-survey fixpoint == ``filter_dataset``'s
    fixpoint (via the eager builders, which run the latter);
 3. the ``*_datasets`` sweep drivers == the whole-dataset sweeps,
-   field for field, across the (jobs, backend, shards) grid and with the
+   field for field, across the (jobs, shards) grid and with the
    per-shard side swept through the per-degree oracle —
    integer fields exactly, float fields to ~1e-9 (the only divergence
    is float-summation order in the cross-shard merge);
@@ -152,11 +152,9 @@ def _policies():
 
 class TestDatasetModeSweepIdentity:
     @pytest.mark.parametrize("kind", ["facebook", "twitter"])
-    @pytest.mark.parametrize(
-        "reference,backend", [("incremental", "python"), ("naive", "numpy")]
-    )
+    @pytest.mark.parametrize("reference", ["incremental", "naive"])
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_replication_degree(self, kind, reference, backend, shards):
+    def test_replication_degree(self, kind, reference, shards):
         eager, sharded = _sweep_fixture(kind)
         users = select_cohort(eager, 10, max_users=8, seed=0)
         assert users == select_cohort(sharded, 10, max_users=8, seed=0)
@@ -165,7 +163,6 @@ class TestDatasetModeSweepIdentity:
             users=users,
             seed=0,
             repeats=2,
-            backend=backend,
         )
         whole = sweep_replication_degree(
             eager, SporadicModel(), _policies(), shards=shards, **kwargs
@@ -295,9 +292,8 @@ _DRIVERS = ("replication_degree", "session_length", "user_degree")
 
 
 @pytest.mark.parametrize("driver", _DRIVERS)
-@pytest.mark.parametrize("backend", ["python", "numpy"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_cohort_views_match_full_shards_exactly(driver, backend, jobs):
+def test_cohort_views_match_full_shards_exactly(driver, jobs):
     """Cohort-scoped builds change what is materialised, never a bit of
     the result: every driver's series equals the full-shard reference
     under canonical JSON."""
@@ -307,7 +303,7 @@ def test_cohort_views_match_full_shards_exactly(driver, backend, jobs):
     policies = _policies()
     common = dict(seed=0, repeats=2)
     with ParallelExecutor(jobs=jobs) as executor:
-        knobs = dict(executor=executor, backend=backend, mode=CONREP)
+        knobs = dict(executor=executor, mode=CONREP)
         if driver == "replication_degree":
             users = select_cohort(sharded, 10, max_users=8, seed=0)
             got = sweep_replication_degree_datasets(

@@ -256,13 +256,13 @@ class TestMidSweepResume:
     def test_checkpoints_are_execution_knob_independent(self, tmp_path):
         # Checkpoints written by a 4-shard run serve... only a 4-shard
         # run of the same sweep (the shard slice is part of the
-        # identity), but the backend doesn't fragment them, and neither
-        # does sweeping through the per-degree oracle.
+        # identity), but sweeping through the per-degree oracle doesn't
+        # fragment them.
         first_cache = _checkpointed_cache(tmp_path)
         first = _sweep(first_cache, shards=4)
         other_cache = _checkpointed_cache(tmp_path)
         with oracle_sweeps():
-            other = _sweep(other_cache, shards=4, backend="numpy")
+            other = _sweep(other_cache, shards=4)
         assert other == first
         assert other_cache.checkpoint.stats()["loads"] == 8
 

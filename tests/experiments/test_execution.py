@@ -10,7 +10,6 @@ from repro.parallel import ParallelExecutor
 from tests.experiments.test_config_and_registry import TINY
 
 INVALID_KNOBS = [
-    {"backend": "cuda"},
     {"shard_mode": "bogus"},
     {"shards": 0},
     {"shards": -3},
@@ -35,11 +34,10 @@ def test_execution_defaults_and_frozen():
     from repro.experiments import COHORT_MODE, Execution
 
     ex = Execution()
-    assert (ex.executor, ex.backend, ex.cache) == (None, "python", None)
+    assert (ex.executor, ex.cache) == (None, None)
     assert (ex.shards, ex.shard_mode) == (1, COHORT_MODE)
     assert [f.name for f in dataclasses.fields(Execution)] == [
         "executor",
-        "backend",
         "cache",
         "shards",
         "shard_mode",
@@ -51,17 +49,17 @@ def test_execution_defaults_and_frozen():
 #: Callables the experiments hand execution knobs to, and the knobs each
 #: accepts (besides ``executor``).  Names absent from the module are
 #: skipped, so the spy covers whichever sweep entry points exist.
-_KNOBS = {"backend": "numpy", "shards": 2}
+_KNOBS = {"shards": 2}
 _ACCEPTS = {
-    "sweep_grid": ("backend", "shards"),
-    "sweep_replication_degree": ("backend", "shards"),
-    "sweep_replication_degree_datasets": ("backend", "shards"),
-    "sweep_session_length": ("backend", "shards"),
-    "sweep_session_length_datasets": ("backend", "shards"),
-    "sweep_user_degree": ("backend", "shards"),
-    "sweep_user_degree_datasets": ("backend", "shards"),
-    "placement_sequences": ("backend",),
-    "replay_trace": ("backend", "shards"),
+    "sweep_grid": ("shards",),
+    "sweep_replication_degree": ("shards",),
+    "sweep_replication_degree_datasets": ("shards",),
+    "sweep_session_length": ("shards",),
+    "sweep_session_length_datasets": ("shards",),
+    "sweep_user_degree": ("shards",),
+    "sweep_user_degree_datasets": ("shards",),
+    "placement_sequences": (),
+    "replay_trace": ("shards",),
 }
 
 #: Experiments that only characterise the datasets (no sweep/placement).

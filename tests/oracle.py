@@ -34,7 +34,6 @@ def naive_user_cell(payload: SweepPayload, user: UserId) -> UserCell:
             user=user,
             mode=payload.mode,
             rng=derive_rng(payload.seed, policy.name, user),
-            packed=payload.packed,
         )
         sequence = policy.select(ctx, payload.max_degree)
         cell[policy.name] = tuple(
@@ -45,7 +44,6 @@ def naive_user_cell(payload: SweepPayload, user: UserId) -> UserCell:
                 sequence[:k],
                 allowed_degree=k,
                 mode=payload.mode,
-                packed=payload.packed,
             )
             for k in payload.degrees
         )

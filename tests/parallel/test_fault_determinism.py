@@ -1,9 +1,8 @@
 """Determinism under failure (satellite of the fault-tolerance PR).
 
 A sweep whose workers crash/hang/error once and are retried must return
-floats identical to an uninterrupted run — across jobs counts and both
-timeline backends, with the clean run computed by the production engine
-or by the per-degree oracle (``tests/oracle.py``).  Quarantining a
+floats identical to an uninterrupted run — across jobs counts, with the
+clean run computed by the production engine or by the per-degree oracle (``tests/oracle.py``).  Quarantining a
 poison user must equal running the sweep over the cohort without them.
 """
 
@@ -36,7 +35,7 @@ def _dataset():
 
 
 @functools.lru_cache(maxsize=8)
-def _baseline(reference="incremental", backend="python", drop_user=None):
+def _baseline(reference="incremental", drop_user=None):
     """The clean serial run, computed by the production engine
     (``"incremental"``) or by the per-degree oracle (``"naive"``)."""
     ds = _dataset()
@@ -44,10 +43,10 @@ def _baseline(reference="incremental", backend="python", drop_user=None):
     if drop_user is not None:
         users = [u for u in users if u != drop_user]
     with oracle_sweeps(reference == "naive"):
-        return _sweep(None, users=users, backend=backend)
+        return _sweep(None, users=users)
 
 
-def _sweep(executor, *, users=None, backend="python"):
+def _sweep(executor, *, users=None):
     ds = _dataset()
     if users is None:
         users = select_cohort(ds, 6, max_users=10)
@@ -60,7 +59,6 @@ def _sweep(executor, *, users=None, backend="python"):
         users=list(users),
         seed=3,
         executor=executor,
-        backend=backend,
     )
 
 
@@ -71,15 +69,14 @@ def _cohort():
 @needs_fork
 class TestFaultedSweepsMatchClean:
     @pytest.mark.parametrize("reference", ["incremental", "naive"])
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_crash_retry_is_float_identical(self, reference, backend):
-        clean = _baseline(reference=reference, backend=backend)
+    def test_crash_retry_is_float_identical(self, reference):
+        clean = _baseline(reference=reference)
         victim = _cohort()[0]
         injector = FaultInjector.once(crash={victim})
         with ParallelExecutor(
             jobs=4, chunk_size=2, retry=FAST, fault_injector=injector
         ) as ex:
-            faulted = _sweep(ex, backend=backend)
+            faulted = _sweep(ex)
             assert ex.pool_stats.rebuilds >= 1
         assert faulted == clean
 

@@ -7,13 +7,7 @@ import sys
 import pytest
 
 import repro
-from repro.parallel import (
-    ParallelExecutor,
-    SweepPayload,
-    evaluate_users_chunk,
-    fork_available,
-    packed_token,
-)
+from repro.parallel import ParallelExecutor, fork_available, packed_token
 from repro.timeline import PackedSchedules, SharedPackedSchedules
 from repro.timeline.intervals import IntervalSet
 
@@ -105,22 +99,22 @@ class TestPackedToken:
             shared.close()
 
     def test_fingerprint_uses_token(self):
-        from repro.core import make_policy
         from repro.datasets import synthetic_facebook
         from repro.onlinetime import SporadicModel, compute_schedules
+        from repro.parallel.worker import ReplayPayload
+        from repro.simulator import ReplayConfig
 
         ds = synthetic_facebook(60, seed=1)
         schedules = compute_schedules(ds, SporadicModel(), seed=0)
         shared = SharedPackedSchedules.from_schedules(schedules)
         try:
-            payload = SweepPayload(
+            payload = ReplayPayload(
                 dataset=ds,
                 schedules=schedules,
-                policies=(make_policy("random"),),
-                mode="conrep",
-                degrees=(0, 1),
-                max_degree=1,
-                seed=0,
+                placements={},
+                config=ReplayConfig(days=1),
+                shard_owners=((),),
+                backend="numpy",
                 packed=shared,
             )
             assert ("shm", shared.shared_name) in payload.fingerprint()

@@ -1,7 +1,7 @@
 """The warm query plane's bit-identity contract and warm-state caches.
 
 The load-bearing property: a point query answered by any
-:class:`QueryPlane` configuration — backend, warm or cold state, cached
+:class:`QueryPlane` configuration — warm or cold state, cached
 or recomputed — equals the matching cell of a batch sweep bit for bit,
 and the cell the per-degree oracle (``tests/oracle.py``) computes.
 Everything else here (LRU behavior, store composition, payload round
@@ -25,10 +25,8 @@ from repro.core.evaluation import evaluate_single
 from repro.core.metrics import UserMetrics
 from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel, compute_schedules
-from repro.onlinetime.base import packed_schedules
 from repro.parallel import SweepPayload, evaluate_users_chunk
 from repro.query import QueryPlane, metrics_from_payload, metrics_to_payload
-from repro.timeline.packed import NUMPY, PYTHON
 from tests.oracle import naive_user_cell
 
 SEED = 5
@@ -41,16 +39,11 @@ def _dataset():
     return synthetic_facebook(300, seed=9)
 
 
-def _sweep_cells(model, mode, reference, backend, users):
+def _sweep_cells(model, mode, reference, users):
     """Batch-sweep cells from the production kernel (``"incremental"``)
     or from the per-degree oracle (``"naive"``)."""
     dataset = _dataset()
     schedules = compute_schedules(dataset, model, seed=SEED)
-    packed = (
-        packed_schedules(dataset, model, seed=SEED)
-        if backend == NUMPY
-        else None
-    )
     payload = SweepPayload(
         dataset=dataset,
         schedules=schedules,
@@ -59,8 +52,6 @@ def _sweep_cells(model, mode, reference, backend, users):
         degrees=DEGREES,
         max_degree=max(DEGREES),
         seed=SEED,
-        backend=backend,
-        packed=packed,
     )
     if reference == "naive":
         return [naive_user_cell(payload, user) for user in users]
@@ -70,15 +61,12 @@ def _sweep_cells(model, mode, reference, backend, users):
 class TestPlaneMatchesSweep:
     @pytest.mark.parametrize("mode", [CONREP, UNCONREP])
     @pytest.mark.parametrize("reference", ["incremental", "naive"])
-    @pytest.mark.parametrize("backend", [PYTHON, NUMPY])
-    def test_point_queries_equal_sweep_cells(self, mode, reference, backend):
+    def test_point_queries_equal_sweep_cells(self, mode, reference):
         dataset = _dataset()
         model = SporadicModel()
         users = sorted(dataset.graph.users())[:5]
-        cells = _sweep_cells(model, mode, reference, backend, users)
-        plane = QueryPlane(
-            dataset, model, mode=mode, backend=backend, seed=SEED
-        )
+        cells = _sweep_cells(model, mode, reference, users)
+        plane = QueryPlane(dataset, model, mode=mode, seed=SEED)
         # Descending degree first: later smaller degrees must reuse the
         # cached deeper sequence's prefix, not re-derive a fresh one.
         order = sorted(enumerate(DEGREES), key=lambda ik: -ik[1])
@@ -220,7 +208,6 @@ class TestPlaneState:
             "fallback_served",
             "failed",
             "degraded_mode",
-            "breaker",
             "evaluators",
             "sequences",
             "results",

@@ -1,7 +1,7 @@
 """Unit behaviour of the resilience primitives.
 
-Deadlines and breakers both take injectable clocks, so every timing
-property here is driven deterministically — no sleeps, no flakes.
+Deadlines take an injectable clock, so every timing property here is
+driven deterministically — no sleeps, no flakes.
 """
 
 import pickle
@@ -9,13 +9,9 @@ import pickle
 import pytest
 
 from repro.resilience import (
-    CLOSED,
     FALLBACK,
-    HALF_OPEN,
-    OPEN,
     REFUSE,
     STALE,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     DegradationPolicy,
@@ -70,68 +66,6 @@ class TestDeadline:
         assert deadline.expired
         with pytest.raises(DeadlineExceeded):
             deadline.check()
-
-
-class TestCircuitBreaker:
-    def _breaker(self, clock, threshold=3, reset_after=30.0):
-        return CircuitBreaker(
-            failure_threshold=threshold,
-            reset_after=reset_after,
-            clock=clock,
-        )
-
-    def test_opens_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        assert breaker.stats()["short_circuits"] == 1
-
-    def test_success_resets_the_consecutive_count(self):
-        breaker = self._breaker(FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-    def test_half_open_trial_success_closes(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, threshold=1, reset_after=10.0)
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        clock.advance(10.0)
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow()  # the trial request
-        breaker.record_success()
-        assert breaker.state == CLOSED
-
-    def test_half_open_trial_failure_reopens(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, threshold=1, reset_after=10.0)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.stats()["opens"] == 2
-        # The cool-down restarted from the re-open.
-        clock.advance(9.0)
-        assert not breaker.allow()
-        clock.advance(1.0)
-        assert breaker.allow()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_after=-1.0)
 
 
 class TestDegradationPolicy:

@@ -230,6 +230,17 @@ class TestOrchestrationIdentity:
             assert numpy.events_replayed == python.events_replayed
 
 
+class TestBackendChoice:
+    def test_check_backend(self):
+        from repro.simulator.replay import BACKENDS, NUMPY, PYTHON, check_backend
+
+        assert check_backend(PYTHON) == PYTHON
+        assert check_backend(NUMPY) == NUMPY
+        assert set(BACKENDS) == {PYTHON, NUMPY}
+        with pytest.raises(ValueError):
+            check_backend("cuda")
+
+
 class TestShardOwners:
     def test_partition_covers_and_is_disjoint(self):
         placements = {u: () for u in range(17)}

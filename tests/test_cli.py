@@ -32,6 +32,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--engine", "naive"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig3"], ["batch", "out"], ["query"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_backend_flag_is_gone(self, argv):
+        # One timeline kernel: sweeps, placements and queries have no
+        # backend to choose.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--backend", "numpy"])
+        assert exc.value.code == 2
+
+    def test_simulate_keeps_its_replay_engine_choice(self):
+        parser = build_parser()
+        assert parser.parse_args(["simulate"]).backend == "python"
+        args = parser.parse_args(["simulate", "--backend", "numpy"])
+        assert args.backend == "numpy"
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["simulate", "--backend", "cuda"])
+        assert exc.value.code == 2
+
     def test_run_rejects_bad_scale(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3", "--scale", "huge"])
@@ -276,7 +297,6 @@ class TestQueryCommand:
         assert args.policy == "maxav"
         assert args.mode == "conrep"
         assert args.k == 3
-        assert args.backend == "python"
         assert args.user is None
 
     def test_query_user_flag_repeats(self):

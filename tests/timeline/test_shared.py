@@ -33,11 +33,7 @@ class TestNbytesAccounting:
         # the row index, understating what a per-worker copy holds.
         packed = PackedSchedules.from_schedules(_schedules())
         arrays = (
-            packed.starts.nbytes
-            + packed.ends.nbytes
-            + packed.offsets.nbytes
-            + packed.lengths.nbytes
-            + packed.measures.nbytes
+            packed.starts.nbytes + packed.ends.nbytes + packed.offsets.nbytes
         )
         users_bytes = sys.getsizeof(packed.users) + sum(
             sys.getsizeof(u) for u in packed.users
@@ -51,11 +47,7 @@ class TestNbytesAccounting:
 
     def test_ndarray_users_counted(self, shared):
         arrays = (
-            shared.starts.nbytes
-            + shared.ends.nbytes
-            + shared.offsets.nbytes
-            + shared.lengths.nbytes
-            + shared.measures.nbytes
+            shared.starts.nbytes + shared.ends.nbytes + shared.offsets.nbytes
         )
         assert shared.nbytes == arrays + shared.users.nbytes
 
@@ -67,10 +59,11 @@ class TestSharedEquivalence:
         assert np.array_equal(shared.ends, packed.ends)
         assert np.array_equal(shared.offsets, packed.offsets)
         assert [int(u) for u in shared.users] == list(packed.users)
-        assert shared.exact == packed.exact
-        assert np.array_equal(
-            shared.overlap_row(0, [1, 2, 3]), packed.overlap_row(0, [1, 2, 3])
-        )
+        for user in (0, 1, 2, 3, 99):
+            for got, want in zip(
+                shared.row_slice(user), packed.row_slice(user)
+            ):
+                assert np.array_equal(got, want)
         assert shared.row_index(3) == packed.row_index(3)
         assert shared.row_index(99) == -1
 
