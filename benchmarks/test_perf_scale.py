@@ -1,4 +1,4 @@
-"""Million-user scale path: sharded lazy synthesis + shared-memory packing.
+"""Million-user scale path: sharded lazy synthesis.
 
 Three contracts, one record (``BENCH_scale.json``):
 
@@ -24,17 +24,10 @@ Three contracts, one record (``BENCH_scale.json``):
    to the unsharded path across jobs and with the per-degree
    oracle (``tests/oracle.py``) swept in place of the production engine,
    the same contract those knobs already obey individually.
-
-The record also accounts for the shared-memory packing win: the bytes
-a worker receives for a ``SharedPackedSchedules`` payload (a block name
-plus dimensions) versus the full array copy a heap ``PackedSchedules``
-pickles — the "attach instead of copy" arithmetic behind the RSS
-ceiling holding at high ``--jobs``.
 """
 
 import json
 import os
-import pickle
 import platform
 import subprocess
 import sys
@@ -45,9 +38,8 @@ import pytest
 import repro
 from repro.core import make_policy, select_cohort, sweep_replication_degree
 from repro.datasets import synthetic_facebook
-from repro.onlinetime import SporadicModel, compute_schedules
+from repro.onlinetime import SporadicModel
 from repro.parallel import ParallelExecutor, fork_available
-from repro.timeline import PackedSchedules, SharedPackedSchedules
 from tests.oracle import oracle_sweeps
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -191,29 +183,6 @@ def _run_path(script, *args):
     return json.loads(proc.stdout)
 
 
-def _payload_bytes():
-    """Bytes pickled to each worker: heap copy vs shared-memory attach."""
-    ds = synthetic_facebook(2000, seed=SCALE_SEED)
-    schedules = compute_schedules(ds, SporadicModel(), seed=0)
-    heap = PackedSchedules.from_schedules(schedules)
-    shared = SharedPackedSchedules.from_packed(heap)
-    try:
-        heap_bytes = len(pickle.dumps(heap))
-        shared_bytes = len(pickle.dumps(shared))
-        nbytes = int(shared.nbytes)
-    finally:
-        shared.close()
-    # Attaching ships a block name + dimensions, not the arrays.
-    assert shared_bytes < 1024
-    assert shared_bytes < heap_bytes / 100
-    return {
-        "schedule_users": len(schedules),
-        "packed_nbytes": nbytes,
-        "heap_pickle_bytes": heap_bytes,
-        "shared_pickle_bytes": shared_bytes,
-    }
-
-
 def _identity_grid():
     """Sharded == unsharded on a subsampled cohort, across the knobs."""
     ds = synthetic_facebook(400, seed=5)
@@ -272,7 +241,6 @@ def _path_record(result):
 
 def test_scale_sharded_vs_eager(benchmark):
     identity_checked = _identity_grid()
-    payloads = _payload_bytes()
 
     eager = _run_path(_EAGER_SCRIPT, SCALE_USERS, SCALE_SEED)
     stream_eager = _run_path(
@@ -324,7 +292,6 @@ def test_scale_sharded_vs_eager(benchmark):
             float(STREAM_RSS_CEILING_MIB) if STREAM_RSS_CEILING_MIB else None
         ),
         "digests_identical": True,
-        "worker_payload": payloads,
         "identity_grid": identity_checked,
     }
     _JSON_PATH.write_text(

@@ -76,6 +76,13 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
+def _probability(value: str) -> float:
+    parsed = float(value)
+    if not 0.0 <= parsed <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {parsed}")
+    return parsed
+
+
 def _fault_injector_from_args(args: argparse.Namespace):
     """Build the soak-test fault injector from the hidden CLI knobs."""
     from repro.parallel import FaultInjector
@@ -436,28 +443,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reap(args: argparse.Namespace) -> int:
-    from repro.resilience import SegmentRegistry, default_registry
-
-    registry = (
-        SegmentRegistry(args.registry_dir)
-        if args.registry_dir
-        else default_registry()
-    )
-    report = registry.reap()
-    print(
-        f"[reap] {registry.directory}: scanned {report.scanned} "
-        f"record(s), reaped {len(report.reaped)} orphaned segment(s), "
-        f"kept {len(report.kept)} live"
-        + (f", {len(report.errors)} error(s)" if report.errors else "")
-    )
-    for name in report.reaped:
-        print(f"[reap] unlinked {name}")
-    for error in report.errors:
-        print(f"[reap] error: {error}", file=sys.stderr)
-    return 1 if report.errors else 0
-
-
 def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     """Fault-tolerance knobs shared by ``run`` and ``batch``.
 
@@ -485,13 +470,13 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--fault-crash", type=float, default=0.0, help=argparse.SUPPRESS
+        "--fault-crash", type=_probability, default=0.0, help=argparse.SUPPRESS
     )
     parser.add_argument(
-        "--fault-hang", type=float, default=0.0, help=argparse.SUPPRESS
+        "--fault-hang", type=_probability, default=0.0, help=argparse.SUPPRESS
     )
     parser.add_argument(
-        "--fault-error", type=float, default=0.0, help=argparse.SUPPRESS
+        "--fault-error", type=_probability, default=0.0, help=argparse.SUPPRESS
     )
     parser.add_argument(
         "--fault-seed", type=int, default=0, help=argparse.SUPPRESS
@@ -755,25 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
             "what a failed or over-deadline query serves: 'refuse' "
             "raises (default), 'stale' serves the nearest stored "
             "lower-degree answer flagged as stale, 'fallback' retries "
-            "on the scalar reference path (bit-identical) and only "
+            "without warm state (bit-identical) and only "
             "then falls back to stale; every degraded answer is "
             "flagged in the 'served' column"
         ),
     )
     p_query.set_defaults(fn=_cmd_query)
-
-    p_reap = sub.add_parser(
-        "reap",
-        help="unlink shared-memory segments leaked by dead processes",
-    )
-    p_reap.add_argument(
-        "--registry-dir",
-        help=(
-            "segment registry directory (default: the per-user registry, "
-            "also overridable via REPRO_SEGMENT_REGISTRY_DIR)"
-        ),
-    )
-    p_reap.set_defaults(fn=_cmd_reap)
 
     return parser
 

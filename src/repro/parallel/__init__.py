@@ -30,7 +30,6 @@ from repro.parallel.faults import (
     FAULT_KINDS,
     HANG,
     POISON_QUERY,
-    SHM_LEAK,
     SLOW_IO,
     TORN_WRITE,
     FaultInjector,
@@ -52,7 +51,6 @@ from repro.parallel.worker import (
     SweepPayload,
     evaluate_user_cell,
     evaluate_users_chunk,
-    packed_token,
     select_sequences_chunk,
 )
 
@@ -77,7 +75,6 @@ __all__ = [
     "Quarantined",
     "QuarantinedItem",
     "RetryPolicy",
-    "SHM_LEAK",
     "SLOW_IO",
     "SweepPayload",
     "TORN_WRITE",
@@ -85,7 +82,6 @@ __all__ = [
     "evaluate_users_chunk",
     "fork_available",
     "is_quarantined",
-    "packed_token",
     "payload_fingerprint",
     "resolve_jobs",
     "select_sequences_chunk",

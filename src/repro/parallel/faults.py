@@ -19,11 +19,6 @@ Fault kinds, mirroring how real systems die.  Worker-chunk kinds:
   (``chunk_timeout``) recovers from this.
 * ``"error"`` — the worker raises :class:`InjectedFault`, the way an
   ordinary per-item bug surfaces.  The pool survives; the chunk retries.
-* ``"shm-leak"`` — the worker allocates a shared-memory segment,
-  registers it in the :class:`~repro.resilience.SegmentRegistry` and
-  never frees it, the way a SIGKILLed owner leaks ``/dev/shm`` pages.
-  The work itself succeeds; only the registry reaper can recover the
-  segment.
 
 Disk kinds (consulted by the cache's on-disk layer via
 :meth:`FaultInjector.disk_fault`):
@@ -56,7 +51,7 @@ items (``items={user_id}``) or any chunk (``items=frozenset()``).
 The serial (``jobs=1``) path consults the injector too, but only
 ``"error"`` rules apply there — crashing or hanging the calling process
 would take the whole run down, which is exactly what supervision exists
-to prevent (and a leaked segment would belong to the supervisor itself).
+to prevent.
 """
 
 from __future__ import annotations
@@ -73,7 +68,6 @@ from repro.seeding import derive_rng
 CRASH = "crash"
 HANG = "hang"
 ERROR = "error"
-SHM_LEAK = "shm-leak"
 
 #: Disk-layer fault kinds.
 TORN_WRITE = "torn-write"
@@ -87,7 +81,6 @@ FAULT_KINDS: Tuple[str, ...] = (
     CRASH,
     HANG,
     ERROR,
-    SHM_LEAK,
     TORN_WRITE,
     ENOSPC,
     SLOW_IO,
@@ -95,7 +88,7 @@ FAULT_KINDS: Tuple[str, ...] = (
 )
 
 #: The kinds each injection site consults.
-CHUNK_KINDS: Tuple[str, ...] = (CRASH, HANG, ERROR, SHM_LEAK)
+CHUNK_KINDS: Tuple[str, ...] = (CRASH, HANG, ERROR)
 DISK_KINDS: Tuple[str, ...] = (TORN_WRITE, ENOSPC, SLOW_IO)
 QUERY_KINDS: Tuple[str, ...] = (POISON_QUERY,)
 
@@ -161,20 +154,12 @@ class FaultInjector:
     hang_seconds: float = 60.0
     #: How long a ``"slow-io"`` fault stalls a disk write.
     slow_io_seconds: float = 0.05
-    #: Where ``"shm-leak"`` faults register their leaked segments; ``None``
-    #: uses the process default registry.  A path string (not a registry
-    #: object) so the frozen injector stays trivially picklable.
-    registry_dir: Optional[str] = None
-    #: Size of a leaked segment — tiny on purpose; the *leak* is the test.
-    leak_bytes: int = 64
 
     def __post_init__(self) -> None:
         if self.hang_seconds <= 0:
             raise ValueError("hang_seconds must be > 0")
         if self.slow_io_seconds < 0:
             raise ValueError("slow_io_seconds must be >= 0")
-        if self.leak_bytes < 1:
-            raise ValueError("leak_bytes must be >= 1")
 
     # -- constructors -------------------------------------------------------
 
@@ -319,8 +304,7 @@ class FaultInjector:
 
         Called by the pool's chunk runner before the real work.  With
         ``in_worker=False`` (the serial path) only ``"error"`` faults
-        fire — crash/hang would kill the supervising process itself,
-        and a leaked segment would be charged to the supervisor.
+        fire — crash/hang would kill the supervising process itself.
         """
         kind = self.fault_for(items, attempt, CHUNK_KINDS)
         if kind is None:
@@ -329,8 +313,6 @@ class FaultInjector:
             os._exit(CRASH_EXIT_CODE)
         elif kind == HANG and in_worker:
             time.sleep(self.hang_seconds)
-        elif kind == SHM_LEAK and in_worker:
-            self._leak_segment()
         elif kind == ERROR:
             raise InjectedFault(
                 f"injected fault on attempt {attempt} "
@@ -338,35 +320,6 @@ class FaultInjector:
                 if items
                 else f"injected fault on attempt {attempt} (empty chunk)"
             )
-
-    def _leak_segment(self) -> None:
-        """Allocate a registered shm segment and deliberately lose it.
-
-        The segment is dropped from this process's resource tracker —
-        exactly the state a SIGKILLed owner leaves behind — so nothing
-        but a :meth:`~repro.resilience.SegmentRegistry.reap` pass can
-        recover it.  The chunk's real work then proceeds normally.
-        """
-        from multiprocessing import resource_tracker, shared_memory
-
-        from repro.resilience.segments import (
-            SegmentRegistry,
-            default_registry,
-        )
-
-        seg = shared_memory.SharedMemory(create=True, size=self.leak_bytes)
-        registry = (
-            SegmentRegistry(self.registry_dir)
-            if self.registry_dir is not None
-            else default_registry()
-        )
-        registry.register(seg.name, self.leak_bytes)
-        try:
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:
-            pass
-        # Close our mapping but never unlink: the segment is now orphaned.
-        seg.close()
 
     def disk_fault(self, key: str, attempt: int) -> Optional[str]:
         """The disk fault to inject for this write attempt, if any.

@@ -37,22 +37,6 @@ from repro.timeline.packed import PackedSchedules
 UserCell = Dict[str, Tuple[UserMetrics, ...]]
 
 
-def packed_token(packed: Optional[PackedSchedules]) -> object:
-    """Fingerprint component identifying a payload's packed schedules.
-
-    Shared-memory packings are identified by their OS-level block name —
-    stable across pickling, so a payload rebuilt around the same block
-    (e.g. after a worker respawn) still matches its pool.  Heap-backed
-    packings fall back to object identity, as before.
-    """
-    if packed is None:
-        return None
-    name = getattr(packed, "shared_name", None)
-    if name is not None:
-        return ("shm", name)
-    return ("packed", id(packed))
-
-
 @dataclass(frozen=True)
 class SweepPayload:
     """Shared read-only context for one repeat of a degree sweep."""
@@ -240,7 +224,8 @@ class ReplayPayload:
 
         The replay config enters by value — fresh-but-equal configs are
         built per call — with the latency model identified by its
-        parameter-carrying ``describe()`` string.
+        parameter-carrying ``describe()`` string; the packed schedules,
+        like the dataset, enter by object identity.
         """
         config = self.config
         latency = getattr(config, "latency", None)
@@ -260,7 +245,7 @@ class ReplayPayload:
                 config.latency_seed,
             ),
             self.backend,
-            packed_token(self.packed),
+            id(self.packed),
         )
 
 

@@ -468,12 +468,13 @@ class QueryPlane:
         if self.degradation.allow_fallback:
             try:
                 if deadline is not None:
-                    deadline.check("scalar fallback")
+                    deadline.check("fallback without warm state")
                 metrics = self._compute_fallback(user, policy, k, lru_key)
                 self._fallback_served += 1
                 return DegradedResult.fallback(
                     metrics,
-                    f"scalar-path retry after {type(error).__name__}: {error}",
+                    f"retry without warm state after "
+                    f"{type(error).__name__}: {error}",
                 )
             except Exception:
                 pass  # report the primary failure, not the retry's

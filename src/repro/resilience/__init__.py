@@ -10,17 +10,13 @@ primitives that make our own compute plane behave that way:
 * :class:`DegradationPolicy` / :class:`DegradedResult` — what a failed
   request may degrade to (``refuse`` / ``stale`` / ``fallback``), and
   the structured marker every degraded answer carries
-  (:mod:`repro.resilience.degradation`);
-* :class:`SegmentRegistry` / :func:`default_registry` — the pid-stamped
-  shared-memory ledger and the startup/exit reaper that unlinks
-  segments orphaned by SIGKILLed owners
-  (:mod:`repro.resilience.segments`).
+  (:mod:`repro.resilience.degradation`).
 
 None of this changes any float: deadlines and the fallback decide
-*whether* and *where* an answer is computed, the degradation markers say *what
-kind* of answer was served, and the reaper touches only segments whose
-owners are gone.  Bit-identity of everything actually computed is
-asserted by the chaos harness in ``tests/resilience``.
+*whether* and *where* an answer is computed, and the degradation
+markers say *what kind* of answer was served.  Bit-identity of
+everything actually computed is asserted by the chaos harness in
+``tests/resilience``.
 """
 
 from repro.resilience.deadline import Deadline, DeadlineExceeded
@@ -32,13 +28,6 @@ from repro.resilience.degradation import (
     DegradationPolicy,
     DegradedResult,
 )
-from repro.resilience.segments import (
-    ReapReport,
-    SegmentRecord,
-    SegmentRegistry,
-    default_registry,
-    pid_alive,
-)
 
 __all__ = [
     "DEGRADED_MODES",
@@ -48,10 +37,5 @@ __all__ = [
     "DegradedResult",
     "FALLBACK",
     "REFUSE",
-    "ReapReport",
     "STALE",
-    "SegmentRecord",
-    "SegmentRegistry",
-    "default_registry",
-    "pid_alive",
 ]

@@ -76,8 +76,8 @@ class VectorizedReplay:
     """A replica-group-decomposed, numpy-driven replay of one trace.
 
     Constructor signature mirrors :class:`DecentralizedOSN`; ``packed``
-    optionally supplies the CSR schedule arrays (heap- or shared-memory
-    backed) so transition generation reads the packed plane directly.
+    optionally supplies the CSR schedule arrays so transition generation
+    reads the packed plane directly.
     """
 
     def __init__(

@@ -20,7 +20,6 @@ from repro.timeline.day import (
 from repro.timeline.intervals import IntervalSet
 from repro.timeline.minutegrid import MinuteGrid, availability_matrix
 from repro.timeline.packed import PackedSchedules
-from repro.timeline.shared import SharedPackedSchedules
 
 __all__ = [
     "DAY_HOURS",
@@ -31,7 +30,6 @@ __all__ = [
     "IntervalSet",
     "MinuteGrid",
     "PackedSchedules",
-    "SharedPackedSchedules",
     "availability_matrix",
     "format_clock",
     "hours_to_seconds",

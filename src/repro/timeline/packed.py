@@ -4,16 +4,13 @@
 into three flat arrays (``starts``, ``ends``, ``offsets``), built once
 per ``(model, seed)`` by :func:`repro.onlinetime.packed_schedules`.  The
 vectorized DES replay (:class:`~repro.simulator.VectorizedReplay`) reads
-one user's row at a time through :meth:`PackedSchedules.row_slice`;
-:class:`~repro.timeline.shared.SharedPackedSchedules` backs the same
-arrays with one shared-memory block so pool workers attach instead of
-copying.  The sweeps, placements, metrics and point queries all run on
+one user's row at a time through :meth:`PackedSchedules.row_slice`.
+The sweeps, placements, metrics and point queries all run on
 the exact interval scans of :mod:`repro.timeline.intervals`.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -52,13 +49,12 @@ class PackedSchedules:
         self.starts = starts
         self.ends = ends
         self.offsets = offsets
-        # user -> row map, built on first lookup: a process that only
-        # attaches to a shared block never pays for the dict.
+        # user -> row map, built on first lookup.
         self._index: Optional[Dict[UserId, int]] = None
 
     def _index_map(self) -> Dict[UserId, int]:
         if self._index is None:
-            self._index = {int(u): i for i, u in enumerate(self.users)}
+            self._index = {u: i for i, u in enumerate(self.users)}
         return self._index
 
     @classmethod
@@ -87,26 +83,6 @@ class PackedSchedules:
             count=total,
         )
         return cls(users, starts, ends, offsets)
-
-    @property
-    def nbytes(self) -> int:
-        """Memory held by *all* owned buffers (observability rollups).
-
-        Covers the three packed arrays plus the user-id container and the
-        lazily built user→row index — the structures a copied-per-worker
-        instance actually duplicates, which is what the attached-vs-copied
-        RSS accounting of the scale benchmark compares against.
-        """
-        total = self.starts.nbytes + self.ends.nbytes + self.offsets.nbytes
-        if isinstance(self.users, np.ndarray):
-            total += self.users.nbytes
-        else:
-            total += sys.getsizeof(self.users) + sum(
-                sys.getsizeof(u) for u in self.users
-            )
-        if self._index is not None:
-            total += sys.getsizeof(self._index)
-        return total
 
     def __len__(self) -> int:
         return len(self.users)

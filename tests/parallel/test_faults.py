@@ -14,7 +14,6 @@ from repro.parallel.faults import (
     HANG,
     POISON_QUERY,
     QUERY_KINDS,
-    SHM_LEAK,
     SLOW_IO,
     TORN_WRITE,
     FaultInjector,
@@ -27,6 +26,8 @@ class TestFaultRule:
     def test_kind_validated(self):
         with pytest.raises(ValueError):
             FaultRule("explode")
+        with pytest.raises(ValueError):
+            FaultRule("shm-leak")  # nothing allocates shared memory
 
     def test_times_validated(self):
         with pytest.raises(ValueError):
@@ -215,21 +216,3 @@ class TestDiskFaults:
     def test_slow_io_seconds_rides_the_injector(self):
         injector = FaultInjector.disk_faults(slow=1.0, slow_io_seconds=0.2)
         assert injector.slow_io_seconds == 0.2
-
-
-class TestShmLeakRule:
-    def test_shm_leak_is_a_chunk_kind(self):
-        assert SHM_LEAK in CHUNK_KINDS
-        rule = FaultRule(SHM_LEAK, times=1)
-        assert rule.matches([1], attempt=0, seed=0)
-
-    def test_serial_path_never_leaks(self, tmp_path):
-        # in_worker=False: a leak would be charged to the supervisor.
-        injector = FaultInjector(
-            rules=(FaultRule(SHM_LEAK, times=None),),
-            registry_dir=str(tmp_path),
-        )
-        injector.apply([1], 0, in_worker=False)
-        from repro.resilience import SegmentRegistry
-
-        assert SegmentRegistry(tmp_path).records() == []

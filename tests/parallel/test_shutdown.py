@@ -7,9 +7,8 @@ import sys
 import pytest
 
 import repro
-from repro.parallel import ParallelExecutor, fork_available, packed_token
-from repro.timeline import PackedSchedules, SharedPackedSchedules
-from repro.timeline.intervals import IntervalSet
+from repro.parallel import ParallelExecutor, fork_available
+from repro.timeline import PackedSchedules
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -72,33 +71,10 @@ class TestLeakedExecutorShutdown:
         executor.close()  # idempotent
 
 
-class TestPackedToken:
-    def test_heap_packed_by_identity(self):
-        packed = PackedSchedules.from_schedules(
-            {0: IntervalSet([(0.0, 10.0)])}
-        )
-        assert packed_token(None) is None
-        assert packed_token(packed) == ("packed", id(packed))
+class TestReplayPayloadFingerprint:
+    def test_packed_schedules_by_identity(self):
+        from dataclasses import replace
 
-    def test_shared_packed_by_block_name(self):
-        shared = SharedPackedSchedules.from_schedules(
-            {0: IntervalSet([(0.0, 10.0)])}
-        )
-        try:
-            token = packed_token(shared)
-            assert token == ("shm", shared.shared_name)
-            # The token must survive pickling (worker respawn), unlike id().
-            import pickle
-
-            clone = pickle.loads(pickle.dumps(shared))
-            try:
-                assert packed_token(clone) == token
-            finally:
-                clone.close()
-        finally:
-            shared.close()
-
-    def test_fingerprint_uses_token(self):
         from repro.datasets import synthetic_facebook
         from repro.onlinetime import SporadicModel, compute_schedules
         from repro.parallel.worker import ReplayPayload
@@ -106,17 +82,21 @@ class TestPackedToken:
 
         ds = synthetic_facebook(60, seed=1)
         schedules = compute_schedules(ds, SporadicModel(), seed=0)
-        shared = SharedPackedSchedules.from_schedules(schedules)
-        try:
-            payload = ReplayPayload(
-                dataset=ds,
-                schedules=schedules,
-                placements={},
-                config=ReplayConfig(days=1),
-                shard_owners=((),),
-                backend="numpy",
-                packed=shared,
-            )
-            assert ("shm", shared.shared_name) in payload.fingerprint()
-        finally:
-            shared.close()
+        packed = PackedSchedules.from_schedules(schedules)
+        payload = ReplayPayload(
+            dataset=ds,
+            schedules=schedules,
+            placements={},
+            config=ReplayConfig(days=1),
+            shard_owners=((),),
+            backend="numpy",
+            packed=packed,
+        )
+        # The same packed object keeps the pool; an equal copy does not.
+        same = replace(payload, config=ReplayConfig(days=1))
+        assert same.fingerprint() == payload.fingerprint()
+        copy = replace(payload, packed=PackedSchedules.from_schedules(schedules))
+        assert copy.fingerprint() != payload.fingerprint()
+        unpacked = replace(payload, packed=None)
+        assert unpacked.fingerprint() == replace(unpacked).fingerprint()
+        assert unpacked.fingerprint() != payload.fingerprint()

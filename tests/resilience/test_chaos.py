@@ -1,11 +1,10 @@
 """End-to-end chaos soak: batches under compound faults.
 
 The soak property: a batch run under deterministic chaos — worker
-crashes, injected errors, leaked shared-memory segments, torn and
-failed disk writes, a SIGKILL mid-batch — produces bit-identical
-figure data to an unfaulted run, leaks zero shared-memory segments
-after a reap pass, and flags every degraded answer it serves.  Chaos
-changes wall-clock and provenance, never floats.
+crashes, injected errors, torn and failed disk writes, a SIGKILL
+mid-batch — produces bit-identical figure data to an unfaulted run and
+flags every degraded answer it serves.  Chaos changes wall-clock and
+provenance, never floats.
 """
 
 import json
@@ -26,7 +25,6 @@ from repro.parallel import (
     CRASH,
     ENOSPC,
     ERROR,
-    SHM_LEAK,
     TORN_WRITE,
     FaultInjector,
     FaultRule,
@@ -35,7 +33,7 @@ from repro.parallel import (
     fork_available,
 )
 from repro.query import QueryPlane
-from repro.resilience import DegradationPolicy, SegmentRegistry
+from repro.resilience import DegradationPolicy
 from tests.experiments.test_config_and_registry import TINY
 
 needs_fork = pytest.mark.skipif(
@@ -54,20 +52,18 @@ def _strip_timings(blob):
     return blob
 
 
-def _chaos_injector(registry_dir):
+def _chaos_injector():
     """Compound, deterministic chaos: every chunk faults exactly once
-    (crash, leaked segment or error — first matching rule wins), and
-    the cache's disk layer tears or fills probabilistically."""
+    (crash or error — first matching rule wins), and the cache's disk
+    layer tears or fills probabilistically."""
     return FaultInjector(
         rules=(
             FaultRule(CRASH, probability=0.3, times=1),
-            FaultRule(SHM_LEAK, probability=0.5, times=1),
             FaultRule(ERROR, times=1),
             FaultRule(TORN_WRITE, probability=0.4, times=1),
             FaultRule(ENOSPC, probability=0.3, times=1),
         ),
         seed=11,
-        registry_dir=str(registry_dir),
     )
 
 
@@ -76,8 +72,7 @@ class TestChaosBatch:
     def test_compound_faults_never_change_the_figures(self, tmp_path):
         ids = ["fig3", "fig5"]
         run_batch(tmp_path / "clean", scale=TINY, ids=ids)
-        registry_dir = tmp_path / "registry"
-        injector = _chaos_injector(registry_dir)
+        injector = _chaos_injector()
         with warnings.catch_warnings():
             # The disk layer may legitimately warn once when an injected
             # ENOSPC degrades it to memory-only; that is the soak point.
@@ -102,17 +97,6 @@ class TestChaosBatch:
             chaos = _strip_timings(load_result(tmp_path / "chaos" / f"{eid}.json"))
             clean = _strip_timings(load_result(tmp_path / "clean" / f"{eid}.json"))
             assert chaos == clean
-        # Leaked segments: visible in the registry, reaped to zero once
-        # the pool's workers are gone.
-        registry = SegmentRegistry(registry_dir)
-        deadline = time.time() + 10.0
-        while time.time() < deadline:
-            registry.reap()
-            if not registry.leaked():
-                break
-            time.sleep(0.1)
-        assert registry.leaked() == []
-        assert registry.records() == []
 
 
 class TestSigkillMidBatch:

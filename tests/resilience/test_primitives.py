@@ -120,17 +120,14 @@ class TestDegradedResult:
 
 
 class TestInjectorPicklability:
-    def test_fault_injector_with_registry_dir_pickles(self, tmp_path):
-        # The injector ships to pool workers at fork time; the registry
-        # reference is a path string precisely so this round trip works.
-        from repro.parallel import FaultInjector
+    def test_query_fault_injector_pickles(self):
+        # The injector ships to pool workers at fork time and to the
+        # query plane; a poisoned-query plan must survive the round trip.
+        from repro.parallel import FaultInjector, InjectedFault
 
         injector = FaultInjector.poison_queries([3], times=1, seed=2)
-        injector = FaultInjector(
-            rules=injector.rules,
-            seed=2,
-            registry_dir=str(tmp_path),
-        )
         clone = pickle.loads(pickle.dumps(injector))
         assert clone == injector
-        assert clone.registry_dir == str(tmp_path)
+        with pytest.raises(InjectedFault):
+            clone.apply_query(3, 0)
+        clone.apply_query(3, 1)  # times=1: the fallback retry is clean

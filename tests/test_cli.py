@@ -125,6 +125,35 @@ class TestParser:
         assert "--fault-crash" not in sub.format_help()
         assert "--chunk-timeout" in sub.format_help()
 
+    @pytest.mark.parametrize("command", [["run", "fig2"], ["batch", "out"]])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--fault-crash", "1.5"),
+            ("--fault-hang", "2"),
+            ("--fault-error", "-0.2"),
+            ("--fault-crash", "nan"),
+        ],
+    )
+    def test_fault_probabilities_must_be_in_unit_interval(
+        self, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + [flag, value])
+        assert exc.value.code == 2
+
+    def test_fault_probability_bounds_are_inclusive(self):
+        args = build_parser().parse_args(
+            ["run", "fig2", "--fault-crash", "0", "--fault-error", "1"]
+        )
+        assert (args.fault_crash, args.fault_error) == (0.0, 1.0)
+
+    def test_reap_command_is_gone(self):
+        # Nothing allocates shared memory, so there is nothing to reap.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["reap"])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_list_output(self, capsys):
