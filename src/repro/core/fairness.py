@@ -52,6 +52,11 @@ def jain_index(values: Sequence[float]) -> float:
     n = len(values)
     if n == 0:
         return 1.0
+    peak = max(values)
+    if 0 < peak < 1:
+        # The index is scale-invariant; lift sub-unit loads so their
+        # squares cannot underflow (integer loads pass through as-is).
+        values = [v / peak for v in values]
     total = sum(values)
     squares = sum(v * v for v in values)
     if squares == 0:

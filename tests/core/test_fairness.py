@@ -43,6 +43,11 @@ class TestJainIndex:
         assert jain_index([]) == 1.0
         assert jain_index([0, 0]) == 1.0
 
+    def test_tiny_loads_do_not_underflow(self):
+        # Squares of these underflow to subnormals without rescaling.
+        assert jain_index([2.7794623557583594e-160] * 2) == 1.0
+        assert jain_index([5e-324, 0.0]) == pytest.approx(0.5)
+
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=30))
     def test_bounds(self, values):
         j = jain_index(values)
