@@ -10,10 +10,13 @@ measurement surface):
    scalar :class:`DecentralizedOSN` oracle, and so does the sharded
    multi-process path.
 2. Speedup — the vectorized single-process replay must cut wall-clock by
-   >= 3x.  The scalar kernel pays a heapq push/pop plus a Python
-   callback for every one of the cohort's ~12k schedule transitions;
-   the vectorized engine replaces that stream with a handful of
-   ``searchsorted`` calls per replica group.
+   >= 3x.  The gate dates from a scalar oracle that pushed every user's
+   transitions through the heap.  The oracle now runs only the
+   transitions of replica hosts and readers of tracked profiles, up to
+   the horizon, and counts the rest in closed form — the same work the
+   vectorized engine skips with its ``searchsorted`` calls per replica
+   group — so the remaining gap is small and the gate may fail; its
+   bound is left as it was.
 
 The 1-vs-N-jobs sharded timing is recorded (events/second per
 configuration) but not asserted: at BENCH scale the fork + pickle

@@ -64,7 +64,7 @@ def main() -> None:
                 else None,
             )
         )
-    print(f"simulated {osn.sim.events_executed} events over 3 days")
+    print(f"simulated {osn.events_replayed} events over 3 days")
     print(
         format_table(
             (

@@ -20,6 +20,7 @@ from repro.simulator.node import (
     PRIORITY_ONLINE,
     PeerNode,
     day_transitions,
+    transition_event_count,
 )
 from repro.simulator.osn import (
     DecentralizedOSN,
@@ -66,4 +67,5 @@ __all__ = [
     "latency_rng",
     "replay_trace",
     "shard_owners",
+    "transition_event_count",
 ]

@@ -7,8 +7,10 @@ deterministic tie-breaking (equal-time events fire in priority, then
 insertion order), cancellable handles, and a bounded run loop.
 
 It is deliberately synchronous and single-threaded — determinism matters
-more than throughput here, and a day of a thousand-node OSN is only a few
-hundred thousand events.
+more than throughput here.  The replay keeps the queue small instead:
+:class:`~repro.simulator.osn.DecentralizedOSN` queues only the
+transitions of nodes a measurement can observe, none past the horizon,
+and counts every other node's transitions in closed form.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ A :class:`PeerNode` owns a daily :class:`~repro.timeline.intervals.
 IntervalSet` schedule and, when attached to a :class:`~repro.simulator.
 kernel.Simulator`, fires *online*/*offline* transitions at every interval
 boundary of every simulated day.  Observers (the OSN runtime's anti-
-entropy and read replay) subscribe to the transitions.
+entropy and read replay) subscribe to the transitions.  The OSN runtime
+attaches only the nodes a measurement observes and counts the
+transitions of the others with :func:`transition_event_count`.
 
 Transition priorities are arranged so that at an instant where a node
 goes online and an activity is delivered, the transition runs first —
@@ -47,6 +49,28 @@ def day_transitions(schedule: IntervalSet, days: int, base_day: int = 0):
             yield offset + iv_start, offset + iv_end
 
 
+def transition_event_count(schedule: IntervalSet, days: int) -> int:
+    """How many transition events a node attached at time 0 fires in a
+    ``days``-day run: the instants of :func:`day_transitions` at or
+    before the horizon ``days * DAY_SECONDS``.
+
+    Endpoints lie in ``[0, DAY_SECONDS]``, so each of the ``days`` whole
+    days fires both transitions of every interval.  Of the wrap copy
+    (day ``days``) only an interval opening at midnight lands on the
+    horizon itself; the loop checks that in the kernel's float
+    arithmetic.  So the count is ``2 * intervals * days``, plus one if
+    the first interval opens at midnight.
+    """
+    intervals = schedule.intervals
+    count = 2 * len(intervals) * days
+    horizon = days * DAY_SECONDS
+    for t_on, t_off in day_transitions(schedule, 0, base_day=days):
+        if t_on > horizon:
+            break
+        count += 1 + (t_off <= horizon)
+    return count
+
+
 class PeerNode:
     """One user's machine in the decentralized OSN."""
 
@@ -76,14 +100,19 @@ class PeerNode:
         return self.schedule.contains(time)
 
     def attach(self, sim: Simulator, days: int) -> None:
-        """Schedule all online/offline transitions for ``days`` days.
+        """Schedule the online/offline transitions of ``days`` days.
 
         If the schedule covers the simulation start instant the node comes
         online immediately (via an online event at the start time).
+        Transitions past the end of the last day are not queued: a run of
+        ``days`` days stops there, so they would never fire.
         """
         start = sim.now
         base_day = int(start // DAY_SECONDS)
+        horizon = (base_day + days) * DAY_SECONDS
         for t_on, t_off in day_transitions(self.schedule, days, base_day):
+            if t_on > horizon:
+                break
             if t_off <= start:
                 continue
             if t_on >= start:
@@ -95,9 +124,10 @@ class PeerNode:
                 sim.schedule_at(
                     start, self._go_online, priority=PRIORITY_ONLINE
                 )
-            sim.schedule_at(
-                t_off, self._go_offline, priority=PRIORITY_OFFLINE
-            )
+            if t_off <= horizon:
+                sim.schedule_at(
+                    t_off, self._go_offline, priority=PRIORITY_OFFLINE
+                )
 
     def _go_online(self) -> None:
         if self.online:

@@ -1,11 +1,11 @@
 """The decentralized F2F OSN runtime: trace replay over peer nodes.
 
 This is the executable counterpart of the analytical metrics: given a
-dataset, everyone's daily schedules and a replica placement, it builds one
-:class:`~repro.simulator.node.PeerNode` per user, replays the activity
-trace as wall-post/tweet *write* events against the receivers' replica
-groups, runs owner-seeded anti-entropy whenever replicas share an online
-window, and measures empirically what §II-C defines analytically:
+dataset, everyone's daily schedules and a replica placement, it replays
+the activity trace as wall-post/tweet *write* events against the
+receivers' replica groups, runs owner-seeded anti-entropy whenever
+replicas share an online window, and measures empirically what §II-C
+defines analytically:
 
 * profile **availability** by periodic sampling;
 * **write service rate** — the availability-on-demand-activity analogue
@@ -18,6 +18,14 @@ window, and measures empirically what §II-C defines analytically:
 
 With ``use_cdn=True`` the replicas additionally sync through an always-on
 third-party store — the UnconRep regime.
+
+Only *active* users get a :class:`~repro.simulator.node.PeerNode` on
+the kernel: the hosts of a replica group and, with ``replay_reads``,
+the readers of a tracked profile.  No measurement looks at anyone
+else's online state, so the other users' transitions are counted in
+closed form (:func:`~repro.simulator.node.transition_event_count`)
+instead of run; :attr:`DecentralizedOSN.events_replayed` is the sum,
+the same logical count as one node per user would execute.
 
 The integration tests cross-validate these empirical numbers against the
 closed-form metrics of :mod:`repro.core`.
@@ -45,7 +53,11 @@ from repro.onlinetime.base import Schedules, schedule_of
 from repro.seeding import derive_rng
 from repro.simulator.kernel import Simulator
 from repro.simulator.network import LatencyModel, NoLatency
-from repro.simulator.node import PRIORITY_DEFAULT, PeerNode
+from repro.simulator.node import (
+    PRIORITY_DEFAULT,
+    PeerNode,
+    transition_event_count,
+)
 from repro.simulator.replication import ProfileReplication, Update
 from repro.simulator.stats import Counter2, SimulationStats
 from repro.timeline.day import DAY_SECONDS, HOUR_SECONDS
@@ -179,65 +191,98 @@ class DecentralizedOSN:
             else set(placements)
         )
 
-        self.nodes: Dict[UserId, PeerNode] = {
-            user: PeerNode(user, schedule_of(schedules, user))
-            for user in dataset.graph.users()
-        }
-
+        graph = dataset.graph
         #: profile owner → replication group (owner + placed replicas).
         self.replication: Dict[UserId, ProfileReplication] = {}
         #: host → profiles whose replica it hosts.
-        self._hosted: Dict[UserId, List[UserId]] = {u: [] for u in self.nodes}
+        self._hosted: Dict[UserId, List[UserId]] = {}
         for owner, replicas in placements.items():
-            hosts = [owner] + [r for r in replicas if r in self.nodes]
+            hosts = [owner] + [r for r in replicas if r in graph]
             self.replication[owner] = ProfileReplication(owner, hosts)
             for host in hosts:
-                self._hosted[host].append(owner)
+                self._hosted.setdefault(host, []).append(owner)
+
+        #: reader → the tracked, replicated profiles it reads on coming
+        #: online, in its own neighbour/followee order (the order in
+        #: which reads are recorded).
+        self._reads: Dict[UserId, Tuple[UserId, ...]] = {}
+        if config.replay_reads:
+            readable = {p for p in self._tracked if p in self.replication}
+            readers: Set[UserId] = set()
+            for profile in readable:
+                readers.update(
+                    graph.followers(profile)
+                    if graph.directed
+                    else graph.neighbors(profile)
+                )
+            for user in readers:
+                self._reads[user] = tuple(
+                    p for p in self._read_targets(user) if p in readable
+                )
+
+        #: The active nodes, in graph order (the kernel's tie-break among
+        #: same-instant transitions).  Everyone else is idle: only the
+        #: number of their transitions enters the replay.
+        self.nodes: Dict[UserId, PeerNode] = {}
+        self._idle_schedules: List[IntervalSet] = []
+        for user in graph.users():
+            schedule = schedule_of(schedules, user)
+            if user in self._hosted or user in self._reads:
+                node = PeerNode(user, schedule)
+                node.subscribe_online(self._on_node_online)
+                self.nodes[user] = node
+            else:
+                self._idle_schedules.append(schedule)
+        #: The idle users' transitions up to the horizon (set by run).
+        self._counted_events = 0
 
         #: CDN shadow store: profile → updates uploaded so far.
         self._cdn: Dict[UserId, Dict[Tuple[UserId, int], Update]] = {
             owner: {} for owner in self.replication
         }
 
-        for node in self.nodes.values():
-            node.subscribe_online(self._on_node_online)
+    @property
+    def events_replayed(self) -> int:
+        """Logical events replayed: what the kernel ran plus the idle
+        users' transitions, counted in closed form by :meth:`run`."""
+        return self.sim.events_executed + self._counted_events
 
     # -- wiring ---------------------------------------------------------------
 
     def _on_node_online(self, node: PeerNode) -> None:
         """Anti-entropy on arrival, CDN pull, and read replay."""
         now = self.sim.now
-        for profile in self._hosted[node.user]:
+        user = node.user
+        for profile in self._hosted.get(user, ()):
             group = self.replication[profile]
             if self.config.use_cdn:
-                self._sync_with_cdn(group, node.user, now)
+                self._sync_with_cdn(group, user, now)
             for other in group.hosts:
-                if other != node.user and self.nodes[other].online:
-                    self._sync_hosts(group, node.user, other)
-        if self.config.replay_reads:
-            self._replay_reads(node)
+                if other != user and self.nodes[other].online:
+                    self._sync_hosts(group, user, other)
+        self._replay_reads(node)
 
     def _replay_reads(self, node: PeerNode) -> None:
-        """The arriving user tries to read each tracked friend profile.
+        """The arriving user tries to read each tracked friend profile
+        (none unless ``replay_reads`` is on).
 
         A served read goes to the online replica holding the most
         updates; the *staleness* of that replica — how many created
         updates it is missing — is the feed-freshness the reader
         experiences (driven by the propagation delay, §II-C3).
         """
-        for profile in self._read_targets(node.user):
-            if profile in self._tracked and profile in self.replication:
-                group = self.replication[profile]
-                online = [h for h in group.hosts if self.nodes[h].online]
-                self.stats.reads.setdefault(profile, Counter2()).record(
-                    bool(online)
+        for profile in self._reads.get(node.user, ()):
+            group = self.replication[profile]
+            online = [h for h in group.hosts if self.nodes[h].online]
+            self.stats.reads.setdefault(profile, Counter2()).record(
+                bool(online)
+            )
+            if online:
+                best = max(online, key=lambda h: len(group.store_of(h)))
+                created = self.created_updates.get(profile, 0)
+                self.stats.add_staleness(
+                    profile, created - len(group.store_of(best))
                 )
-                if online:
-                    best = max(online, key=lambda h: len(group.store_of(h)))
-                    created = self.created_updates.get(profile, 0)
-                    self.stats.add_staleness(
-                        profile, created - len(group.store_of(best))
-                    )
 
     def _sync_hosts(self, group: ProfileReplication, a: UserId, b: UserId) -> None:
         """Anti-entropy between two online hosts, through the network."""
@@ -331,6 +376,10 @@ class DecentralizedOSN:
         days = self.config.days
         for node in self.nodes.values():
             node.attach(self.sim, days)
+        self._counted_events = sum(
+            transition_event_count(schedule, days)
+            for schedule in self._idle_schedules
+        )
         for act in self.dataset.trace:
             if act.receiver in self.replication:
                 self.sim.schedule_at(

@@ -59,11 +59,13 @@ class ReplayOutcome:
     """One replay's statistics plus its execution footprint."""
 
     stats: SimulationStats
-    #: Logical events replayed — the number the oracle's kernel would
-    #: have executed for the same shard partition (transitions, posts,
-    #: latency deliveries, sampling ticks).  Sums over shards, so it
-    #: grows with the shard count (each shard re-counts the cohort-wide
-    #: transition stream); the measured ``stats`` do not.
+    #: Logical events replayed for the same shard partition: every
+    #: user's transitions up to the horizon, posts, latency deliveries
+    #: and sampling ticks.  Both engines count, rather than run, the
+    #: transitions no measurement observes (the oracle's idle users).
+    #: Sums over shards, so it grows with the shard count (each shard
+    #: re-counts the cohort-wide transition stream); the measured
+    #: ``stats`` do not.
     events_replayed: int
     backend: str
     shards: int
@@ -116,7 +118,7 @@ def _replay_single(
         tracked_profiles=tracked,
     )
     stats = osn.run()
-    return stats, osn.sim.events_executed
+    return stats, osn.events_replayed
 
 
 def replay_shard(

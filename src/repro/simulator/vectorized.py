@@ -2,9 +2,9 @@
 
 :class:`VectorizedReplay` replays the same trace as the scalar
 :class:`~repro.simulator.osn.DecentralizedOSN` oracle, but instead of
-pushing every node's online/offline transition through the heapq kernel
-it derives each replica group's event stream directly from the schedule
-arrays:
+running its active nodes' online/offline transitions through the heapq
+kernel it derives each replica group's event stream directly from the
+schedule arrays:
 
 * **Vectorized event generation** — each participant's absolute
   transition instants come from one outer add of day offsets against the
@@ -55,6 +55,7 @@ from repro.datasets.schema import Activity, Dataset
 from repro.graph.social_graph import UserId
 from repro.onlinetime.base import Schedules
 from repro.simulator.network import NoLatency
+from repro.simulator.node import transition_event_count
 from repro.simulator.osn import (
     Placements,
     ReplayConfig,
@@ -512,20 +513,13 @@ class VectorizedReplay:
     # -- event accounting --------------------------------------------------
 
     def _transition_event_count(self) -> int:
-        """Transition events the oracle's kernel fires: for each user,
-        every online/offline instant that lands at or before the horizon
-        — ``2 * intervals * days`` plus one extra online event exactly at
-        the horizon for each schedule whose first interval opens at
-        midnight."""
+        """Transition events of every user up to the horizon, in the
+        closed form the oracle uses for its idle users."""
         days = self.config.days
-        total = 0
-        for user in self.dataset.graph.users():
-            starts, _ends = self._row(user)
-            n = len(starts)
-            if not n:
-                continue
-            total += 2 * n * days + int(starts[0] == 0.0)
-        return total
+        return sum(
+            transition_event_count(self._schedule_of(user), days)
+            for user in self.dataset.graph.users()
+        )
 
     # -- run ---------------------------------------------------------------
 

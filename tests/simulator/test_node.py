@@ -1,6 +1,9 @@
 """Tests for PeerNode schedule-driven online/offline transitions."""
 
-from repro.simulator import PeerNode, Simulator
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.simulator import PeerNode, Simulator, transition_event_count
 from repro.timeline import DAY_SECONDS, HOUR_SECONDS, IntervalSet
 
 
@@ -89,3 +92,36 @@ class TestTransitions:
         sim.schedule_at(3.5 * HOUR_SECONDS, lambda: states.append(node.online))
         sim.run(until=DAY_SECONDS)
         assert states == [True]
+
+
+_ENDPOINTS = st.one_of(
+    st.just(0),
+    st.just(DAY_SECONDS),
+    st.integers(0, DAY_SECONDS),
+    st.floats(0, DAY_SECONDS, allow_nan=False),
+)
+
+
+class TestTransitionEventCount:
+    """The closed form against the kernel actually running the node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), max_size=6),
+        days=st.integers(1, 4),
+    )
+    @example(pairs=[], days=1)
+    @example(pairs=[(0, 3600)], days=2)
+    @example(pairs=[(82800, DAY_SECONDS)], days=3)
+    @example(pairs=[(0, 3600), (3600, 7200), (82800, DAY_SECONDS)], days=4)
+    @example(pairs=[(0, DAY_SECONDS)], days=1)
+    def test_matches_attach_and_run(self, pairs, days):
+        # ``(a, b)`` with ``a > b`` wraps midnight: an interval at 0
+        # plus one ending at DAY_SECONDS; touching pairs coalesce.
+        schedule = IntervalSet(pairs)
+        sim = Simulator()
+        node = PeerNode(1, schedule)
+        node.attach(sim, days)
+        sim.run(until=days * DAY_SECONDS)
+        assert transition_event_count(schedule, days) == sim.events_executed
+        assert sim.pending == 0  # nothing was queued past the horizon

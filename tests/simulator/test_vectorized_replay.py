@@ -86,7 +86,7 @@ def _both(kind, seed, model_name, config, packed=False):
         packed=packed_arrays if packed else None,
     )
     vector = engine.run()
-    return (scalar, osn.sim.events_executed), (vector, engine.events_replayed)
+    return (scalar, osn.events_replayed), (vector, engine.events_replayed)
 
 
 def _assert_identical(scalar_pair, vector_pair):
