@@ -20,10 +20,10 @@ Three contracts, one record (``BENCH_scale.json``):
    pipeline's latency to the first materialised shard — and per-path
    ``users_per_second``.
 
-3. Identity — sharded sweeps on a subsampled cohort are bit-identical
-   to the unsharded path across jobs and with the per-degree
-   oracle (``tests/oracle.py``) swept in place of the production engine,
-   the same contract those knobs already obey individually.
+3. Identity — sweeps over a 3-shard ``ShardedDataset`` on a subsampled
+   cohort are bit-identical (``==``) to the eager sweep of the same spec,
+   across jobs and with the per-degree oracle (``tests/oracle.py``)
+   swept in place of the production engine.
 """
 
 import json
@@ -37,7 +37,7 @@ import pytest
 
 import repro
 from repro.core import make_policy, select_cohort, sweep_replication_degree
-from repro.datasets import synthetic_facebook
+from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import SporadicModel
 from repro.parallel import ParallelExecutor, fork_available
 from tests.oracle import oracle_sweeps
@@ -184,31 +184,33 @@ def _run_path(script, *args):
 
 
 def _identity_grid():
-    """Sharded == unsharded on a subsampled cohort, across the knobs."""
-    ds = synthetic_facebook(400, seed=5)
+    """Sharded source == eager dataset on a subsampled cohort, across
+    the knobs."""
+    spec = SyntheticSpec("facebook", 400, seed=5)
+    ds = spec.eager()
+    sharded = ShardedDataset(spec, 3)
     users = select_cohort(ds, 10, max_users=8)
     policies = [make_policy("maxav"), make_policy("random")]
 
-    def sweep(*, shards, jobs=1, oracle=False):
+    def sweep(source, *, jobs=1, oracle=False):
         executor = ParallelExecutor(jobs=jobs) if jobs > 1 else None
         try:
             with oracle_sweeps(oracle):
                 return sweep_replication_degree(
-                    ds,
+                    source,
                     SporadicModel(),
                     policies,
                     degrees=list(range(4)),
                     users=users,
                     seed=0,
                     repeats=2,
-                    shards=shards,
                     executor=executor,
                 )
         finally:
             if executor is not None:
                 executor.close()
 
-    baseline = sweep(shards=1)
+    baseline = sweep(ds)
     combos = [
         {"jobs": 1, "oracle": False},
         {"jobs": 1, "oracle": True},
@@ -220,7 +222,7 @@ def _identity_grid():
         ]
     checked = []
     for combo in combos:
-        assert sweep(shards=3, **combo) == baseline, combo
+        assert sweep(sharded, **combo) == baseline, combo
         checked.append(dict(combo, shards=3))
     return checked
 

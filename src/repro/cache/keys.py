@@ -7,9 +7,11 @@ fingerprint, not name), the online-time model (via
 policy (via :meth:`~repro.core.placement.base.PlacementPolicy.cache_key`),
 the regime, the cohort, the swept degrees, and the seed/repeat protocol.
 Deliberately *excluded* are the execution knobs — ``jobs`` and
-``shards`` — because the parallel and sliced paths are bit-identical to
-the serial reference (the determinism contract), so one cache entry
-serves every combination.
+``shards`` — because parallel runs and sharded sources are bit-identical
+to the serial eager reference (the determinism contract), so one cache
+entry serves every combination.  A
+:class:`~repro.datasets.sharding.ShardedDataset` source is addressed by
+its spec, not by its shard count, so its entries serve every count.
 
 Keys are SHA-256 hex digests over the canonical part encoding of
 :func:`repro.seeding.canonical_key_bytes` — the same fixed, versioned
@@ -44,7 +46,9 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     (timestamp bits, creator, receiver) — not the display name, so two
     differently-labelled but identical datasets share cache entries.
     Memoized on the dataset object: computed once per dataset per
-    process, reused by every key derivation.
+    process, reused by every key derivation.  Shard views and
+    :class:`~repro.datasets.sharding.ShardedDataset` sources come
+    pre-stamped with an address derived from their spec.
     """
     cached = getattr(dataset, _FINGERPRINT_ATTR, None)
     if cached is not None:

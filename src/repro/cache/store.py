@@ -171,7 +171,7 @@ class SweepCache:
         self.fault_injector = fault_injector
         #: Hung here by the batch runner: a
         #: :class:`~repro.experiments.checkpoint.SweepCheckpoint` the
-        #: sweeps consult for shard-granular mid-sweep resume.  The
+        #: sweeps consult for per-view mid-sweep resume.  The
         #: cache is the batch's memory plane, already threaded through
         #: every sweep, so the checkpoint rides it rather than growing
         #: every experiment signature.

@@ -121,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             strict=args.strict,
             fault_injector=_fault_injector_from_args(args),
         ) as executor:
-            ex = Execution(executor, cache, args.shards, args.shard_mode)
+            ex = Execution(executor, cache, args.shards)
             for eid in ids:
                 result = execute(eid, scale, ex)
                 results.append(result)
@@ -170,7 +170,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             ids=ids,
             jobs=args.jobs,
             shards=args.shards,
-            shard_mode=args.shard_mode,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             resume=args.resume,
@@ -507,21 +506,10 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         type=_shards_arg,
         default=1,
         help=(
-            "split each sweep cohort into this many contiguous slices "
-            "dispatched one at a time, bounding peak memory on large "
-            "cohorts (results are bit-identical for any value)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-mode",
-        default="cohort",
-        choices=("cohort", "dataset"),
-        help=(
-            "'cohort' (default) materialises each dataset whole and "
-            "shards only the sweep fan-out; 'dataset' streams the "
-            "dataset shard by shard (--shards sets the shard count) so "
-            "only one shard's graph/trace/schedules is in memory at a "
-            "time — results agree up to float rounding"
+            "process the data in this many pieces: above 1 the sweeps "
+            "stream each dataset shard by shard, so only one shard "
+            "view's graph/trace/schedules is in memory at a time "
+            "(results are bit-identical for any value)"
         ),
     )
 

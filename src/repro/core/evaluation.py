@@ -31,13 +31,14 @@ are bit-identical to serial ones.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -64,7 +65,7 @@ from repro.parallel import (
     is_quarantined,
     select_sequences_chunk,
 )
-from repro.partition import partition_bounds
+from repro.parallel.worker import UserCell
 
 if TYPE_CHECKING:  # imported lazily: repro.cache imports this module
     from repro.cache import SweepCache
@@ -138,10 +139,9 @@ class AggregateMetrics:
 
         Note: float addition is not associative, so a merge of
         per-shard aggregates agrees with a single pass over the union
-        cohort only up to rounding.  Paths that need bit-identical
-        sharded results (``shards=`` on the sweeps) therefore
-        concatenate the per-user cells before aggregating and use
-        ``merge`` only for rollups across shard *datasets*.
+        cohort only up to rounding.  The sweeps therefore never merge:
+        they aggregate the concatenated per-user cells, which is why a
+        sharded sweep equals the eager one bit for bit.
         """
         if not parts:
             raise ValueError("cannot merge zero aggregates")
@@ -362,7 +362,6 @@ def sweep_grid(
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
     cache: Optional["SweepCache"] = None,
-    shards: int = 1,
 ) -> List[Optional[Dict[str, List[AggregateMetrics]]]]:
     """The one sweep driver: per point, metric means per policy per degree.
 
@@ -370,220 +369,219 @@ def sweep_grid(
     and averages — the paper's protocol for randomised components.
 
     ``source`` is a :class:`~repro.datasets.schema.Dataset` or a
-    :class:`~repro.datasets.sharding.ShardedDataset`:
-
-    * **eager** — the points are swept one after another over the whole
-      dataset.  Within a point the per-user cells of every fan-out slice
-      are concatenated, aggregated per repeat, then averaged across
-      repeats, so the series is bit-identical for every ``shards``.
-    * **sharded** — the dataset is never materialised whole.  For each
-      shard one view is built (:meth:`ShardedDataset.shard` with
-      ``users=``) covering the union of that shard's slices of every
-      point's cohort, and each slice is swept one repeat at a time
-      (``seed + r``, ``repeats=1``).  Per-shard aggregates are merged
-      within each repeat (:meth:`AggregateMetrics.merge`) and averaged
-      across repeats last — equal to the eager series field for field up
-      to float-summation order.  With a ``cache`` each (view, repeat)
-      sweep is content-addressed by the view's fingerprint.
+    :class:`~repro.datasets.sharding.ShardedDataset`; an eager dataset is
+    a one-shard source.  Each shard view is built once (for a sharded
+    source, :meth:`ShardedDataset.shard` with ``users=`` covering that
+    shard's slice of every point's cohort), and per view, point and
+    repeat the per-user cells of the view's cohort slice are computed.
+    Each repeat then aggregates its cells in the point's cohort order
+    with one :meth:`AggregateMetrics.from_users`, and the repeats are
+    averaged with :meth:`AggregateMetrics.mean` — the same arithmetic on
+    the same floats for every source, so a sharded sweep equals the
+    eager sweep bit for bit at every shard count.  A repeat is
+    aggregated, and its cells dropped, as soon as the last view covering
+    the point has produced them, so an eager sweep holds one repeat's
+    cells at a time.
 
     The execution knobs never change a bit of the result: ``executor``
-    fans the per-user work over worker processes; ``shards`` splits each
-    cohort's fan-out into that many contiguous ``map_shared`` slices,
-    bounding how many per-user results are in flight at once; and
-    ``cache`` (a :class:`repro.cache.SweepCache`) short-circuits a point
-    by content address.  None of them is part of a cache key.
+    fans the per-user work over worker processes, and ``cache`` (a
+    :class:`repro.cache.SweepCache`) serves finished series by content
+    address before any view is built.  Neither is part of a cache key.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    sharded = hasattr(source, "shard")
-    if sharded:
-        views = _shard_views(source, points)
-        runs = [(seed + r, 1) for r in range(repeats)]
-    else:
-        views = [(source, [list(p.users) for p in points])]
-        runs = [(seed, repeats)]
-    # parts[point][run] -> one per-policy series per view covering it
-    parts: List[List[List[Dict[str, List[AggregateMetrics]]]]] = [
-        [[] for _ in runs] for _ in points
+    # Each point's content-key fields (cache and checkpoint).
+    keys = [
+        dict(
+            mode=mode,
+            degrees=list(point.degrees),
+            users=list(point.users),
+            seed=seed,
+            repeats=repeats,
+        )
+        for point in points
     ]
-    for dataset, cohorts in views:
-        for point, cohort, cells in zip(points, cohorts, parts):
+    todo: List[List[PlacementPolicy]] = []
+    results: List[Optional[Dict[str, List[AggregateMetrics]]]] = []
+    for point, key in zip(points, keys):
+        if not point.users:
+            todo.append([])
+            results.append(None)
+            continue
+        found: Dict[str, List[AggregateMetrics]] = {}
+        missing: List[PlacementPolicy] = list(policies)
+        if cache is not None:
+            found, missing = cache.lookup(source, point.model, policies, **key)
+        todo.append(missing)
+        results.append(found)
+    views = _views(source, points, todo)
+    # The view after which each point's repeats hold every cell.
+    last = {
+        i: v
+        for v, (_, cohorts) in enumerate(views)
+        for i, cohort in enumerate(cohorts)
+        if cohort
+    }
+    if any(missing and i not in last for i, missing in enumerate(todo)):
+        raise ValueError("no cohort user is owned by any shard")
+    # Per point: each repeat's cells gathered so far (user -> cell), and
+    # the aggregates of its finished repeats.
+    cells: List[List[Dict[UserId, UserCell]]] = [
+        [{} for _ in range(repeats)] for _ in points
+    ]
+    finished: List[List[Dict[str, List[AggregateMetrics]]]] = [
+        [] for _ in points
+    ]
+    executor = executor or ParallelExecutor()
+    checkpoint = getattr(cache, "checkpoint", None)
+    for v, (build, cohorts) in enumerate(views):
+        dataset = build()
+        for i, cohort in enumerate(cohorts):
             if not cohort:
                 continue
-            for (run_seed, run_repeats), run_cells in zip(runs, cells):
-                run_cells.append(
-                    _sweep_point(
-                        dataset,
-                        point.model,
-                        policies,
-                        mode=mode,
-                        degrees=list(point.degrees),
-                        users=cohort,
-                        seed=run_seed,
-                        repeats=run_repeats,
-                        executor=executor,
-                        cache=cache,
-                        shards=shards,
-                    )
+            view_key = {**keys[i], "users": cohort}
+            for r, by_user in enumerate(cells[i]):
+                view_cells = _view_cells(
+                    dataset,
+                    points[i].model,
+                    todo[i],
+                    view_key,
+                    repeat=r,
+                    executor=executor,
+                    checkpoint=checkpoint,
                 )
-    results: List[Optional[Dict[str, List[AggregateMetrics]]]] = []
-    for point, cells in zip(points, parts):
-        if not point.users:
-            results.append(None)
-        elif not cells[0]:
-            raise ValueError("no cohort user is owned by any shard")
-        elif not sharded:
-            results.append(cells[0][0])
-        else:
-            results.append(
-                {
-                    p.name: [
-                        _rollup([[v[p.name][i] for v in run] for run in cells])
-                        for i in range(len(point.degrees))
-                    ]
-                    for p in policies
-                }
-            )
-    return results
+                by_user.update(zip(cohort, view_cells))
+                if v == last[i]:
+                    # The repeat is complete: aggregate it in cohort
+                    # order and drop its cells.
+                    finished[i].append(
+                        _aggregate(points[i], todo[i], by_user)
+                    )
+                    by_user.clear()
+    for point, key, missing, runs, series in zip(
+        points, keys, todo, finished, results
+    ):
+        for policy in missing:
+            series[policy.name] = [
+                AggregateMetrics.mean([run[policy.name][d] for run in runs])
+                for d in range(len(point.degrees))
+            ]
+            if cache is not None:
+                cache.store(
+                    source, point.model, policy, series[policy.name], **key
+                )
+    return [
+        None
+        if found is None
+        else {p.name: list(found[p.name]) for p in policies}
+        for found in results
+    ]
 
 
-def _sweep_point(
+def _view_cells(
     dataset: Dataset,
     model: OnlineTimeModel,
     policies: Sequence[PlacementPolicy],
+    key: Dict,
     *,
-    mode: str,
-    degrees: List[int],
-    users: List[UserId],
-    seed: int,
-    repeats: int,
-    executor: Optional[ParallelExecutor],
-    cache: Optional["SweepCache"],
-    shards: int,
-) -> Dict[str, List[AggregateMetrics]]:
-    """One point of :func:`sweep_grid` over one materialised dataset.
+    repeat: int,
+    executor: ParallelExecutor,
+    checkpoint,
+) -> List[UserCell]:
+    """One repeat's per-user cells for the cohort slice ``key["users"]``
+    of one view.
 
-    Per-policy series are independent — each user's RNG derives from
-    ``(seed, policy.name, user)`` — so a partial cache hit computes only
-    the policies still missing and merges them with the cached ones.
+    With a :class:`~repro.experiments.checkpoint.SweepCheckpoint` (hung
+    on the cache by the batch runner) each completed (view, point,
+    repeat) is persisted, keyed by the view's content and its cohort
+    slice, so an interrupted sweep resumes mid-flight.
     """
-    max_degree = max(degrees)
-    key_kwargs = dict(
-        mode=mode, degrees=degrees, users=users, seed=seed, repeats=repeats
+    users = key["users"]
+    ck_key = None
+    if checkpoint is not None:
+        ck_key = checkpoint.key_for(dataset, model, policies, **key)
+        stored = checkpoint.load(ck_key, repeat, users=users)
+        if stored is not None:
+            return stored
+    run_seed = key["seed"] + repeat
+    # Demand-driven: only the schedules the cohort's placements and
+    # metrics read get computed (each forked worker fills its own copy
+    # of the memo).
+    payload = SweepPayload(
+        dataset=dataset,
+        schedules=schedule_memo(dataset, model, seed=run_seed),
+        policies=tuple(policies),
+        mode=key["mode"],
+        degrees=tuple(key["degrees"]),
+        max_degree=max(key["degrees"]),
+        seed=run_seed,
     )
-    results: Dict[str, List[AggregateMetrics]] = {}
-    compute_policies: List[PlacementPolicy] = list(policies)
-    if cache is not None:
-        results, compute_policies = cache.lookup(
-            dataset, model, policies, **key_kwargs
+    cells = list(
+        executor.map_shared(
+            evaluate_users_chunk,
+            payload,
+            users,
+            phase=f"sweep[{model.name}]",
         )
-    if compute_policies:
-        executor = executor or ParallelExecutor()
-        # Shard-granular checkpoints (see repro.experiments.checkpoint)
-        # ride on the cache plane: the batch runner hangs a
-        # SweepCheckpoint on the cache, and every completed
-        # (repeat, shard) slice is persisted so an interrupted sweep
-        # resumes mid-flight instead of from scratch.  Content-addressed
-        # like the cache itself, so execution knobs don't fragment it.
-        checkpoint = getattr(cache, "checkpoint", None)
-        ck_key = None
-        if checkpoint is not None:
-            ck_key = checkpoint.key_for(
-                dataset, model, compute_policies, **key_kwargs
-            )
-        runs: Dict[str, List[List[AggregateMetrics]]] = {
-            p.name: [[] for _ in degrees] for p in compute_policies
-        }
-        for r in range(repeats):
-            run_seed = seed + r
-            # Demand-driven: only the schedules the cohort's placements
-            # and metrics read get computed (each forked worker fills
-            # its own copy of the memo).
-            schedules = schedule_memo(dataset, model, seed=run_seed)
-            payload = SweepPayload(
-                dataset=dataset,
-                schedules=schedules,
-                policies=tuple(compute_policies),
-                mode=mode,
-                degrees=tuple(degrees),
-                max_degree=max_degree,
-                seed=run_seed,
-            )
-            per_user = []
-            for shard, (lo, hi) in enumerate(
-                partition_bounds(len(users), shards)
-            ):
-                if lo == hi:
-                    continue
-                shard_users = users[lo:hi]
-                if ck_key is not None:
-                    stored = checkpoint.load(
-                        ck_key, r, shard, users=shard_users
-                    )
-                    if stored is not None:
-                        per_user.extend(stored)
-                        continue
-                phase = f"sweep[{model.name}]"
-                if shards > 1:
-                    phase += f"[shard {shard + 1}/{shards}]"
-                shard_cells = list(
-                    executor.map_shared(
-                        evaluate_users_chunk,
-                        payload,
-                        shard_users,
-                        phase=phase,
-                    )
-                )
-                if ck_key is not None and not any(
-                    is_quarantined(cell) for cell in shard_cells
-                ):
-                    # Quarantine decisions belong to the run that made
-                    # them: a shard with excluded users is never
-                    # checkpointed, so a resume re-judges it afresh.
-                    checkpoint.store(
-                        ck_key, r, shard, shard_users, shard_cells
-                    )
-                per_user.extend(shard_cells)
-            # Quarantined users drop out of the aggregation (the means
-            # cover the surviving cohort); the executor's FailureReport
-            # records exactly who was excluded and why.
-            per_user = [
-                cell for cell in per_user if not is_quarantined(cell)
-            ]
-            if not per_user:
-                raise RuntimeError(
-                    f"every user of the sweep[{model.name}] cohort was "
-                    f"quarantined; see the executor failure report"
-                )
-            for policy in compute_policies:
-                for i in range(len(degrees)):
-                    runs[policy.name][i].append(
-                        AggregateMetrics.from_users(
-                            [cell[policy.name][i] for cell in per_user]
-                        )
-                    )
-        for policy in compute_policies:
-            series = [
-                AggregateMetrics.mean(cell) for cell in runs[policy.name]
-            ]
-            results[policy.name] = series
-            if cache is not None:
-                cache.store(dataset, model, policy, series, **key_kwargs)
-    return {p.name: list(results[p.name]) for p in policies}
+    )
+    if ck_key is not None and not any(is_quarantined(c) for c in cells):
+        # Quarantine decisions belong to the run that made them: cells
+        # with excluded users are never checkpointed, so a resume
+        # re-judges them afresh.
+        checkpoint.store(ck_key, repeat, users, cells)
+    return cells
 
 
-def _shard_views(
-    sharded: "ShardedDataset", points: Sequence[SweepPoint]
-) -> Iterator[Tuple[Dataset, List[List[UserId]]]]:
-    """Per shard: one cohort view over the union of that shard's slices
-    of every point's cohort, and those slices (built lazily, so one view
-    is in memory at a time)."""
-    per_point = [_shard_cohorts(sharded, p.users) for p in points]
-    for shard in range(sharded.num_shards):
+def _aggregate(
+    point: SweepPoint,
+    policies: Sequence[PlacementPolicy],
+    by_user: Dict[UserId, UserCell],
+) -> Dict[str, List[AggregateMetrics]]:
+    """One repeat's aggregate per policy per degree, over its cells in
+    the point's cohort order."""
+    # Quarantined users drop out of the aggregation (the means cover the
+    # surviving cohort); the executor's FailureReport records exactly
+    # who was excluded and why.
+    per_user = [
+        by_user[u]
+        for u in point.users
+        if u in by_user and not is_quarantined(by_user[u])
+    ]
+    if not per_user:
+        raise RuntimeError(
+            f"every user of the sweep[{point.model.name}] cohort was "
+            f"quarantined; see the executor failure report"
+        )
+    return {
+        p.name: [
+            AggregateMetrics.from_users([cell[p.name][d] for cell in per_user])
+            for d in range(len(point.degrees))
+        ]
+        for p in policies
+    }
+
+
+def _views(
+    source, points: Sequence[SweepPoint], todo: Sequence[Sequence]
+) -> List[Tuple[Callable[[], Dataset], List[List[UserId]]]]:
+    """Per view: a builder of its dataset and each point's cohort slice
+    in it (empty for points with nothing to compute).
+
+    An eager dataset is its own single view.  A sharded source has one
+    view per shard over the union of that shard's slices, built only
+    when its turn comes, so one view is in memory at a time.
+    """
+    users = [p.users if missing else () for p, missing in zip(points, todo)]
+    if not hasattr(source, "shard"):
+        return [(lambda: source, [list(cohort) for cohort in users])]
+    per_point = [_shard_cohorts(source, cohort) for cohort in users]
+    views = []
+    for shard in range(source.num_shards):
         cohorts = [slices[shard] for slices in per_point]
         union = {u for cohort in cohorts for u in cohort}
         if union:
-            yield sharded.shard(shard, users=union), cohorts
+            views.append(
+                (functools.partial(source.shard, shard, users=union), cohorts)
+            )
+    return views
 
 
 def _shard_cohorts(
@@ -595,15 +593,6 @@ def _shard_cohorts(
         owned = set(sharded.shard_users(shard))
         cohorts.append([u for u in users if u in owned])
     return cohorts
-
-
-def _rollup(
-    parts: List[List["AggregateMetrics"]],
-) -> "AggregateMetrics":
-    """Merge per-shard aggregates within each repeat, then average."""
-    return AggregateMetrics.mean(
-        [AggregateMetrics.merge(shard_parts) for shard_parts in parts]
-    )
 
 
 def _by_policy(

@@ -43,7 +43,10 @@ Two graph layouts:
 Shard datasets are stamped with a content fingerprint derived from
 ``(spec, shard, num_shards)`` — or, for a view of part of a shard, from
 ``(spec, sorted users)`` — so they compose with the content-addressed
-:class:`~repro.cache.SweepCache` without hashing their activities.
+:class:`~repro.cache.SweepCache` without hashing their activities.  The
+:class:`ShardedDataset` itself is stamped from the spec alone: a sweep
+over it gives the same series at every shard count, so its finished
+series are cached under one address whatever ``num_shards`` is.
 
 Equivalence guarantees (property-tested):
 
@@ -367,6 +370,12 @@ class ShardedDataset:
             raise ValueError("survey_window must be >= 1")
         self.spec = spec
         self.num_shards = num_shards
+        # The sweep cache's address for the whole source: the spec's,
+        # without the shard count (every count sweeps to the same
+        # series).
+        self._repro_content_fingerprint = hashlib.sha256(
+            canonical_key_bytes("sharded-source", spec.fingerprint())
+        ).hexdigest()
         self.params = spec.resolved_params()
         self._window = survey_window
         if spec.graph_layout == STREAM_GRAPH:
@@ -520,8 +529,8 @@ class ShardedDataset:
         """The cohort slice owned by ``shard`` (contiguous, near-equal).
 
         Uses the shared :func:`repro.partition.partition_bounds`
-        formula, so sweep shards, replay shards and dataset shards all
-        mean the same slice of a sorted cohort.
+        formula, so replay shards and dataset shards mean the same
+        slice of a sorted cohort.
         """
         if not 0 <= shard < self.num_shards:
             raise IndexError(

@@ -1,33 +1,37 @@
-"""Shard-granular sweep checkpoints for mid-sweep batch resume.
+"""Per-view sweep checkpoints for mid-sweep batch resume.
 
 The batch journal resumes at *experiment* granularity: a batch killed
-three shards into an eight-shard sweep re-runs the whole sweep.  At the
+three views into an eight-shard sweep re-runs the whole sweep.  At the
 scales this repo targets one sweep is hours of work, so the journal
 grows a finer ledger: :class:`SweepCheckpoint` persists each completed
-``(sweep, repeat, shard)`` slice — the per-user metric cells exactly as
-the executor returned them — and the sweep skips straight past the
-shards already on disk when it runs again.
+``(view, point, repeat)`` — the per-user metric cells of the view's
+cohort slice exactly as the executor returned them — and the sweep skips
+straight past the ones already on disk when it runs again.
 
 Checkpoints compose with (not replace) the content-addressed
 :class:`~repro.cache.SweepCache`: the cache stores *finished* series,
 the checkpoint stores *partial* progress.  Both are keyed by content —
 :meth:`SweepCheckpoint.key_for` hashes everything that determines the
-shard's floats (dataset fingerprint, model, the full policy set, mode,
-degrees, cohort, seed protocol) and the execution knobs are excluded,
-so a checkpoint written by any jobs/shards combination serves
-every other one.
+cells' floats: the fingerprint of the dataset or shard view they were
+computed over, the model, the full policy set, mode, degrees, the
+cohort slice and the seed protocol.  ``jobs`` is never part of a key.
+An eager sweep is one view, so its keys do not depend on ``shards``
+either; a sharded sweep's views are keyed by their own content, so a
+view's entries are found again by any run that builds the same view.
+No combination of knobs therefore makes another's checkpoint stale: a
+shard count whose views differ simply misses and computes.
 
 Bit-identity: cells round-trip through the same JSON-exact payload
 encoding as the point-query store
 (:func:`repro.query.plane.metrics_to_payload` — ints stay ints, floats
 render by shortest round-trip repr, ``inf`` survives), so a sweep
 resumed from checkpoints aggregates the *identical* floats an
-uninterrupted run would.  A shard containing quarantined users is never
+uninterrupted run would.  Cells containing quarantined users are never
 checkpointed — quarantine decisions belong to the run that made them.
 
 Durability mirrors the journal: atomic writes, corruption-tolerant
-loads (a torn checkpoint reads as "not done" and the shard recomputes),
-and an optional journal hookup that records completed shard ids in
+loads (a torn checkpoint reads as "not done" and the cells recompute),
+and an optional journal hookup that records completed entry ids in
 ``journal.json`` so the resume surface is inspectable in one place.
 Like the cache's disk layer, checkpoint writes are best-effort: an
 ``OSError`` degrades to not-checkpointing instead of failing the sweep.
@@ -49,16 +53,17 @@ from repro.seeding import canonical_key_bytes
 __all__ = ["SweepCheckpoint", "CHECKPOINT_FORMAT_VERSION"]
 
 #: Bumped on incompatible checkpoint layout changes; mismatches load as
-#: "not done" and the shard recomputes.
-CHECKPOINT_FORMAT_VERSION = 1
+#: "not done" and the cells recompute.  v2: one entry per (view, point,
+#: repeat), no cohort-slice index.
+CHECKPOINT_FORMAT_VERSION = 2
 
-#: One shard's result: per user, a ``{policy_name: [UserMetrics, ...]}``
-#: cell with one metrics object per swept degree.
+#: One user's result: a ``{policy_name: [UserMetrics, ...]}`` cell with
+#: one metrics object per swept degree.
 Cell = Dict[str, List[UserMetrics]]
 
 
 class SweepCheckpoint:
-    """A directory of per-(sweep, repeat, shard) result slices."""
+    """A directory of per-(view, point, repeat) cohort-slice cells."""
 
     def __init__(
         self,
@@ -69,7 +74,7 @@ class SweepCheckpoint:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         #: Optional :class:`~repro.experiments.runner.BatchJournal`;
-        #: completed shard ids are recorded there too, making the
+        #: completed entry ids are recorded there too, making the
         #: journal the single resume ledger.
         self.journal = journal
         self.loads = 0
@@ -91,12 +96,13 @@ class SweepCheckpoint:
         seed: int,
         repeats: int,
     ) -> str:
-        """The content address of one sweep's checkpoint family.
+        """The content address of one (view, point)'s checkpoints.
 
-        Unlike the cache's per-policy series keys, one checkpoint
-        covers the whole *policy set* being computed together — the
-        shard cells interleave every policy's metrics — so the key
-        hashes the ordered tuple of policy cache keys.
+        ``dataset`` is the view and ``users`` its cohort slice.  Unlike
+        the cache's per-policy series keys, one checkpoint covers the
+        whole *policy set* being computed together — each cell
+        interleaves every policy's metrics — so the key hashes the
+        ordered tuple of policy cache keys.
         """
         parts = (
             "sweep-checkpoint",
@@ -114,13 +120,11 @@ class SweepCheckpoint:
         return hashlib.sha256(canonical_key_bytes(*parts)).hexdigest()
 
     @staticmethod
-    def shard_id(key: str, repeat: int, shard: int) -> str:
-        return f"{key}.r{int(repeat)}.s{int(shard)}"
+    def entry_id(key: str, repeat: int) -> str:
+        return f"{key}.r{int(repeat)}"
 
-    def _path(self, key: str, repeat: int, shard: int) -> Path:
-        return self.directory / (
-            self.shard_id(key, repeat, shard) + ".shard.json"
-        )
+    def _path(self, key: str, repeat: int) -> Path:
+        return self.directory / (self.entry_id(key, repeat) + ".cells.json")
 
     # -- store/load ---------------------------------------------------------
 
@@ -128,18 +132,16 @@ class SweepCheckpoint:
         self,
         key: str,
         repeat: int,
-        shard: int,
         users: Sequence[int],
         cells: Sequence[Cell],
     ) -> None:
-        """Persist one completed shard slice (atomic; best-effort)."""
+        """Persist one repeat's completed cells (atomic; best-effort)."""
         if self._disabled:
             return
         blob = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "key": key,
             "repeat": int(repeat),
-            "shard": int(shard),
             "users": [int(u) for u in users],
             "cells": [
                 {
@@ -149,7 +151,7 @@ class SweepCheckpoint:
                 for cell in cells
             ],
         }
-        path = self._path(key, repeat, shard)
+        path = self._path(key, repeat)
         tmp = path.with_name(path.name + ".tmp")
         try:
             tmp.write_text(
@@ -158,7 +160,7 @@ class SweepCheckpoint:
             os.replace(tmp, path)
         except OSError:
             # A full or revoked disk must not fail the sweep; we simply
-            # stop checkpointing (the journal keeps only real shards).
+            # stop checkpointing (the journal keeps only real entries).
             self._disabled = True
             try:
                 tmp.unlink()
@@ -167,23 +169,22 @@ class SweepCheckpoint:
             return
         self.stores += 1
         if self.journal is not None:
-            self.journal.mark_checkpoint(self.shard_id(key, repeat, shard))
+            self.journal.mark_checkpoint(self.entry_id(key, repeat))
 
     def load(
         self,
         key: str,
         repeat: int,
-        shard: int,
         *,
         users: Sequence[int],
     ) -> Optional[List[Cell]]:
-        """The stored cells for this shard, or ``None`` to recompute.
+        """The stored cells for this repeat, or ``None`` to recompute.
 
         Validates the format version, the key echo and the exact user
         slice; any torn, corrupt or mismatched file counts ``stale``
         and misses — resume must *never* trade correctness for speed.
         """
-        path = self._path(key, repeat, shard)
+        path = self._path(key, repeat)
         if not path.exists():
             return None
         try:

@@ -116,7 +116,7 @@ def facebook_sharded(scale, num_shards: int) -> ShardedDataset:
     Built from a :class:`SyntheticSpec` whose defaults match
     :func:`repro.datasets.synthetic_facebook`, so shard datasets carry
     the same users, candidates and activities as :func:`facebook_dataset`
-    — dataset-per-shard sweeps agree with whole-dataset ones.
+    — sweeps over it equal whole-dataset ones bit for bit.
     """
     scale = _resolve(scale)
     return _sharded("facebook", scale.facebook_users, scale.seed, num_shards)

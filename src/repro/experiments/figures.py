@@ -48,7 +48,7 @@ from repro.experiments.config import (
     twitter_dataset,
     twitter_sharded,
 )
-from repro.experiments.execution import COHORT_MODE, DATASET_MODE, Execution
+from repro.experiments.execution import Execution
 from repro.experiments.report import ExperimentResult
 from repro.onlinetime import (
     FixedLengthModel,
@@ -125,10 +125,11 @@ def _cohort(source, scale: ExperimentScale) -> List[int]:
 
 
 def _source(kind: str, scale: ExperimentScale, ex: Execution):
-    """The sweep input for a dataset kind: the eager dataset in cohort
-    mode, its :class:`ShardedDataset` in dataset mode."""
+    """The sweep input for a dataset kind: the eager dataset, or with
+    ``shards > 1`` its :class:`ShardedDataset` (same series, bit for
+    bit)."""
     facebook = kind == "facebook"
-    if ex.shard_mode == DATASET_MODE:
+    if ex.shards > 1:
         sharded = facebook_sharded if facebook else twitter_sharded
         return sharded(scale, ex.shards)
     return facebook_dataset(scale) if facebook else twitter_dataset(scale)
@@ -136,15 +137,12 @@ def _source(kind: str, scale: ExperimentScale, ex: Execution):
 
 def _knobs(scale: ExperimentScale, ex: Execution) -> Dict[str, Any]:
     """Keyword arguments for the sweeps: the scale's seed and repeat
-    count plus the execution knobs.  In dataset mode ``shards`` already
-    counted the dataset shards, so each view's fan-out is not sliced
-    again."""
+    count plus the execution knobs."""
     return dict(
         seed=scale.seed,
         repeats=scale.repeats,
         executor=ex.executor,
         cache=ex.cache,
-        shards=ex.shards if ex.shard_mode == COHORT_MODE else 1,
     )
 
 
@@ -402,7 +400,8 @@ def fig2_degree_distribution(
     )
     fb = dict(degree_distribution(facebook_dataset(scale)))
     tw = dict(degree_distribution(twitter_dataset(scale)))
-    max_degree = min(50, max(max(fb), max(tw)))
+    # A dataset the §IV-A filter empties renders as all-zero counts.
+    max_degree = min(50, max([*fb, *tw], default=1))
     rows = [
         (d, fb.get(d, 0), tw.get(d, 0)) for d in range(1, max_degree + 1)
     ]
@@ -1032,16 +1031,15 @@ def run_experiment(
     executor: Optional[ParallelExecutor] = None,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
-    shard_mode: str = COHORT_MODE,
 ) -> ExperimentResult:
     """Run one experiment by id at the given scale.
 
-    The keyword arguments are the four :class:`Execution` knobs (invalid
+    The keyword arguments are the :class:`Execution` knobs (invalid
     values raise :class:`ValueError` before any work); every combination
     gives bit-identical output.  Without an ``executor`` one with
     ``jobs`` workers is built for this call and closed after it.
     """
-    ex = Execution(executor, cache, shards, shard_mode)
+    ex = Execution(executor, cache, shards)
     if executor is not None:
         return execute(experiment_id, scale, ex)
     with ParallelExecutor(jobs=jobs) as owned:
@@ -1084,7 +1082,6 @@ def execute(
         "total_seconds": round(perf_counter() - start, 6),
         "jobs": executor.effective_jobs,
         "shards": ex.shards,
-        "shard_mode": ex.shard_mode,
         "phases": executor.timings_since(timing_mark),
         "pool": executor.pool_stats.since(pool_mark),
     }

@@ -40,7 +40,7 @@ from repro.cache import SweepCache
 from repro.parallel import FaultInjector, ParallelExecutor, RetryPolicy
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.config import BENCH, ExperimentScale
-from repro.experiments.execution import COHORT_MODE, Execution
+from repro.experiments.execution import Execution
 from repro.experiments.figures import execute, experiment_ids
 from repro.experiments.report import ExperimentResult
 
@@ -123,7 +123,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 #: Version stamp of the journal schema; bumped on incompatible changes.
-#: v2 added the ``checkpoints`` ledger (shard-granular sweep resume);
+#: v2 added the ``checkpoints`` ledger (mid-sweep resume);
 #: v1 journals are still accepted on resume — they simply carry none.
 JOURNAL_FORMAT_VERSION = 2
 
@@ -153,8 +153,8 @@ class BatchJournal:
     path: Path
     scale: str
     statuses: Dict[str, str]
-    #: Completed shard-granular sweep checkpoints
-    #: (:meth:`~repro.experiments.checkpoint.SweepCheckpoint.shard_id`
+    #: Completed sweep checkpoints
+    #: (:meth:`~repro.experiments.checkpoint.SweepCheckpoint.entry_id`
     #: strings).  Content-addressed, so they survive resume unchanged
     #: and a re-run of the same sweep skips straight past them.
     checkpoints: List[str] = dataclasses.field(default_factory=list)
@@ -231,15 +231,15 @@ class BatchJournal:
         self.statuses[experiment_id] = status
         self.write()
 
-    def mark_checkpoint(self, shard_id: str) -> None:
-        """Record one completed sweep shard (idempotent, persisted)."""
-        if shard_id in self.checkpoints:
+    def mark_checkpoint(self, entry_id: str) -> None:
+        """Record one completed sweep checkpoint (idempotent, persisted)."""
+        if entry_id in self.checkpoints:
             return
-        self.checkpoints.append(shard_id)
+        self.checkpoints.append(entry_id)
         self.write()
 
-    def has_checkpoint(self, shard_id: str) -> bool:
-        return shard_id in self.checkpoints
+    def has_checkpoint(self, entry_id: str) -> bool:
+        return entry_id in self.checkpoints
 
     def done_ids(self) -> List[str]:
         return [e for e, s in self.statuses.items() if s == DONE]
@@ -297,7 +297,6 @@ def summarize_batch(
         "scale": scale.name,
         "jobs": jobs,
         "shards": ex.shards,
-        "shard_mode": ex.shard_mode,
         "num_experiments": len(results),
         "total_seconds": round(
             sum(r.timings.get("total_seconds", 0.0) for r in results), 6
@@ -355,7 +354,7 @@ def render_batch_summary(summary: Dict[str, Any]) -> str:
         checkpoints.get("loads") or checkpoints.get("stores")
     ):
         lines.append(
-            f"[batch] checkpoints: {checkpoints['loads']} shard loads, "
+            f"[batch] checkpoints: {checkpoints['loads']} loads, "
             f"{checkpoints['stores']} stores, {checkpoints['stale']} stale"
         )
     pool = summary.get("pool")
@@ -405,7 +404,6 @@ def run_batch(
     ids: Optional[Iterable[str]] = None,
     jobs: int = 1,
     shards: int = 1,
-    shard_mode: str = COHORT_MODE,
     cache: Optional[SweepCache] = None,
     cache_dir: Optional[Union[str, os.PathLike]] = None,
     use_cache: bool = True,
@@ -418,7 +416,7 @@ def run_batch(
 ) -> List[Path]:
     """Run experiments and write ``<id>.txt`` + ``<id>.json`` per entry.
 
-    ``jobs``, ``shards`` and ``shard_mode`` are the
+    ``jobs`` and ``shards`` are the
     :class:`~repro.experiments.execution.Execution` knobs (see
     :func:`~repro.experiments.figures.run_experiment`): every combination
     writes identical results, and invalid values raise ``ValueError``
@@ -460,7 +458,7 @@ def run_batch(
         if fault_injector is not None:
             kwargs["fault_injector"] = fault_injector
         executor = ParallelExecutor(**kwargs)
-    ex = Execution(executor, cache, shards, shard_mode)
+    ex = Execution(executor, cache, shards)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_ids = list(ids) if ids is not None else list(experiment_ids())
@@ -469,7 +467,7 @@ def run_batch(
     )
     checkpoint: Optional[SweepCheckpoint] = None
     if cache is not None:
-        # Shard-granular sweep checkpoints ride on the cache plane (the
+        # Mid-sweep checkpoints ride on the cache plane (the
         # cache is already threaded through every sweep); with
         # use_cache=False there is no plane to hang them on, and the
         # batch resumes at experiment granularity only.

@@ -1,11 +1,11 @@
 """Shared disjoint-partition utility.
 
 Several layers split an ordered cohort into contiguous, disjoint,
-jointly-covering chunks — the sweep sharding in
-:mod:`repro.core.evaluation`, the shard slices of
-:class:`repro.datasets.ShardedDataset`, and the replica-group cohorts of
-the DES replay (:func:`repro.simulator.replay.shard_owners`).  They all
-use the same formula so a "shard" means the same slice everywhere:
+jointly-covering chunks — the shard slices of
+:class:`repro.datasets.ShardedDataset` (which the sharded sweeps stream)
+and the replica-group cohorts of the DES replay
+(:func:`repro.simulator.replay.shard_owners`).  They all use the same
+formula so a "shard" means the same slice everywhere:
 
     ``lo_i = i * n // parts``  (chunk ``i`` covers ``items[lo_i:lo_{i+1}]``)
 

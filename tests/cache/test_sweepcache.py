@@ -37,7 +37,12 @@ from repro.core import (
     make_policy,
     sweep_replication_degree,
 )
-from repro.datasets import synthetic_facebook, synthetic_twitter
+from repro.datasets import (
+    ShardedDataset,
+    SyntheticSpec,
+    synthetic_facebook,
+    synthetic_twitter,
+)
 from repro.onlinetime import (
     FixedLengthModel,
     RandomLengthModel,
@@ -179,11 +184,11 @@ class TestHashSeedIndependence:
 
 
 def _sweep(cache=None, executor=None, oracle=False,
-           shards=1, policies=None, mode=CONREP):
+           source=None, policies=None, mode=CONREP):
     ds = _dataset()
     with oracle_sweeps(oracle):
         return sweep_replication_degree(
-            ds,
+            source or ds,
             SporadicModel(),
             policies
             or [make_policy(n) for n in ("maxav", "mostactive", "random")],
@@ -194,7 +199,6 @@ def _sweep(cache=None, executor=None, oracle=False,
             repeats=2,
             executor=executor,
             cache=cache,
-            shards=shards,
         )
 
 
@@ -210,23 +214,30 @@ class TestCachedSweepIdentity:
         assert cache.stats.hits == 3
 
     @pytest.mark.parametrize(
-        "oracle,shards",
-        [
-            pytest.param(True, 1, id="naive"),
-            pytest.param(False, 3, id="incremental-shards"),
-        ],
+        "oracle", [pytest.param(True, id="naive")]
     )
-    def test_entry_serves_every_engine_and_backend(self, oracle, shards):
+    def test_entry_serves_every_engine_and_backend(self, oracle):
         # Execution knobs are excluded from the key: an entry computed
         # by the default path must equal what any other path — or the
         # per-degree oracle — computes.
         cache = SweepCache()
         default = _sweep(cache=cache)
-        other = _sweep(cache=cache, oracle=oracle, shards=shards)
+        other = _sweep(cache=cache, oracle=oracle)
         assert other == default
         assert cache.stats.misses == 3  # second sweep fully cache-served
-        fresh = _sweep(oracle=oracle, shards=shards)
+        fresh = _sweep(oracle=oracle)
         assert default == fresh
+
+    def test_sharded_entry_serves_every_shard_count(self):
+        # A sharded source is keyed by its spec, not its shard count:
+        # the entry a 3-shard sweep stores serves a 4-shard one, and
+        # both equal the eager sweep.
+        spec = SyntheticSpec("facebook", 300, seed=3)
+        cache = SweepCache()
+        three = _sweep(cache=cache, source=ShardedDataset(spec, 3))
+        four = _sweep(cache=cache, source=ShardedDataset(spec, 4))
+        assert four == three == _sweep()
+        assert cache.stats.misses == cache.stats.hits == 3
 
     @pytest.mark.skipif(
         not fork_available(), reason="needs the fork start method"

@@ -1,13 +1,14 @@
-"""Cohort-sharded sweeps: ``shards=`` is an execution knob.
+"""Sharded sweeps: a ShardedDataset source is an execution choice.
 
-Splitting a sweep cohort into contiguous slices changes how much work
-is in flight at once — never what is computed.  The per-user cells of
-all slices are concatenated before the rollup, so the sharded series
-must equal the unsharded one on exact float equality, the same
-contract ``jobs`` and the per-degree oracle obey.
-``AggregateMetrics.merge`` (the cross-shard-*dataset* rollup, which is
-weighted rather than cell-concatenated) is exercised separately,
-approximately.
+Streaming a dataset shard by shard changes how much of it is in memory
+at once — never what is computed.  Each shard view's per-user cells are
+the eager dataset's, and the sweep aggregates them in cohort order with
+the eager arithmetic, so every driver's series over
+``ShardedDataset(spec, k)`` must equal the eager ``spec.eager()`` sweep
+on exact float equality, for every shard count — the same contract
+``jobs`` and the per-degree oracle obey.  ``AggregateMetrics.merge``
+(a weighted rollup of disjoint cohorts, which no sweep uses) is
+exercised separately, approximately.
 """
 
 import dataclasses
@@ -26,49 +27,101 @@ from repro.core import (
     sweep_session_length,
     sweep_user_degree,
 )
-from repro.datasets import synthetic_facebook
+from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel import ParallelExecutor, fork_available
 from tests.oracle import oracle_sweeps
 
+SPEC = SyntheticSpec("facebook", 600, seed=5)
+
 
 @functools.lru_cache(maxsize=1)
 def _dataset():
-    return synthetic_facebook(600, seed=5)
+    return SPEC.eager()
 
 
-def _sweep(*, shards, executor=None):
-    ds = _dataset()
-    users = select_cohort(ds, 10, max_users=9)
+@functools.lru_cache(maxsize=None)
+def _sharded(shards):
+    return ShardedDataset(SPEC, shards)
+
+
+def _source(shards):
+    """The eager dataset for ``shards=None``, else a sharded source."""
+    return _dataset() if shards is None else _sharded(shards)
+
+
+def _replication_degree(source, users=None, **knobs):
     return sweep_replication_degree(
-        ds,
+        source,
         SporadicModel(),
         [make_policy("maxav"), make_policy("random")],
         degrees=list(range(5)),
-        users=users,
+        users=users or select_cohort(_dataset(), 10, max_users=9),
         seed=0,
         repeats=2,
-        shards=shards,
-        executor=executor,
+        **knobs,
     )
+
+
+def _session_length(source, **knobs):
+    return sweep_session_length(
+        source,
+        (1000, 10000),
+        [make_policy("random")],
+        mode="conrep",
+        k=2,
+        users=select_cohort(_dataset(), 10, max_users=6),
+        seed=0,
+        repeats=2,
+        **knobs,
+    )
+
+
+def _user_degree(source, **knobs):
+    return sweep_user_degree(
+        source,
+        SporadicModel(),
+        [make_policy("maxav")],
+        mode="conrep",
+        user_degrees=[2, 3],
+        max_users_per_degree=6,
+        seed=0,
+        repeats=2,
+        **knobs,
+    )
+
+
+_DRIVERS = {
+    "replication_degree": _replication_degree,
+    "session_length": _session_length,
+    "user_degree": _user_degree,
+}
+
+
+def _sweep(*, shards, executor=None):
+    return _replication_degree(_source(shards), executor=executor)
 
 
 class TestShardedSweepBitIdentity:
     def test_sharded_equals_unsharded(self):
-        assert _sweep(shards=3) == _sweep(shards=1)
+        users = select_cohort(_dataset(), 10, max_users=9)
+        owners = {u for u in users if u in _sharded(3).shard_users(0)}
+        assert 0 < len(owners) < len(users)  # the cohort spans shards
+        assert _sweep(shards=3) == _sweep(shards=None)
 
     def test_more_shards_than_users_equals_unsharded(self):
-        # 9 cohort users, 50 shards: most slices are empty and skipped.
-        assert _sweep(shards=50) == _sweep(shards=1)
+        # 9 cohort users, 50 shards: most shards own none and build no
+        # view.
+        assert _sweep(shards=50) == _sweep(shards=None)
 
     def test_sharded_equals_unsharded_naive(self):
-        baseline = _sweep(shards=1)
+        baseline = _sweep(shards=None)
         with oracle_sweeps():
             assert _sweep(shards=3) == baseline
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork pools")
     def test_sharded_equals_unsharded_across_jobs(self):
-        baseline = _sweep(shards=1)
+        baseline = _sweep(shards=None)
         with ParallelExecutor(jobs=2) as executor:
             assert _sweep(shards=3, executor=executor) == baseline
 
@@ -77,33 +130,35 @@ class TestShardedSweepBitIdentity:
             _sweep(shards=0)
 
     def test_session_length_sweep_sharded(self):
-        ds = _dataset()
-        users = select_cohort(ds, 10, max_users=6)
-        kwargs = dict(
-            mode="conrep", k=2, users=users, seed=0, repeats=1
-        )
-        policies = [make_policy("random")]
-        a = sweep_session_length(ds, (1000, 10000), policies, **kwargs)
-        b = sweep_session_length(
-            ds, (1000, 10000), policies, shards=2, **kwargs
-        )
-        assert a == b
+        assert _session_length(_sharded(2)) == _session_length(_dataset())
 
     def test_user_degree_sweep_sharded(self):
-        ds = _dataset()
-        kwargs = dict(
-            mode="conrep",
-            user_degrees=[2, 3],
-            max_users_per_degree=6,
-            seed=0,
-            repeats=1,
+        assert _user_degree(_sharded(2)) == _user_degree(_dataset())
+
+    def test_unsorted_cohort_aggregates_in_cohort_order(self):
+        # Views hand back cells shard by shard; the rollup must still
+        # follow the caller's cohort order, as the eager sweep does.
+        users = select_cohort(_dataset(), 10, max_users=9)[::-1]
+        assert _replication_degree(_sharded(3), users) == (
+            _replication_degree(_dataset(), users)
         )
-        policies = [make_policy("maxav")]
-        a = sweep_user_degree(ds, SporadicModel(), policies, **kwargs)
-        b = sweep_user_degree(
-            ds, SporadicModel(), policies, shards=2, **kwargs
-        )
-        assert a == b
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    @pytest.mark.parametrize("driver", sorted(_DRIVERS))
+    @pytest.mark.parametrize(
+        "jobs,oracle",
+        [(1, False), (1, True), (2, False), (2, True)],
+        ids=["serial", "serial-oracle", "jobs2", "jobs2-oracle"],
+    )
+    def test_every_driver_equals_eager(self, jobs, oracle, driver, shards):
+        if jobs > 1 and not fork_available():
+            pytest.skip("needs fork pools")
+        sweep = _DRIVERS[driver]
+        eager = sweep(_dataset())
+        with ParallelExecutor(jobs=jobs) as executor:
+            with oracle_sweeps(oracle):
+                got = sweep(_sharded(shards), executor=executor)
+        assert got == eager
 
 
 class TestAggregateMerge:

@@ -1,20 +1,18 @@
 """Shard-native pipeline equivalence: stream layout end to end.
 
-Three layers must agree with the whole-graph reference path before the
-dataset-per-shard mode can replace it at scale:
+Four layers must agree with the whole-graph reference path before
+sharded sources can replace it at scale:
 
 1. stream-layout shard datasets == eager stream-layout slices (graph
    rows, candidates, activities);
 2. the streaming receiver-survey fixpoint == ``filter_dataset``'s
    fixpoint (via the eager builders, which run the latter);
-3. the ``*_datasets`` sweep drivers == the whole-dataset sweeps,
-   field for field, across the (jobs, shards) grid and with the
-   per-shard side swept through the per-degree oracle —
-   integer fields exactly, float fields to ~1e-9 (the only divergence
-   is float-summation order in the cross-shard merge);
-4. the ``*_datasets`` drivers, which build only each shard's cohort
-   view, == the same per-shard sweeps over the full ``shard(k)``,
-   byte for byte.
+3. the sweep drivers over a ShardedDataset == the whole-dataset sweeps,
+   bit for bit (``==``), across the (jobs, shards) grid and with the
+   sharded side swept through the per-degree oracle: both aggregate
+   the same per-user cells in cohort order;
+4. the drivers, which build only each shard's cohort view, == the
+   eager sweeps under canonical JSON, byte for byte.
 
 The subprocess suite re-asserts layer 1+3 under ``PYTHONHASHSEED=random``
 so no set/dict iteration order can leak into shard content or metrics.
@@ -32,7 +30,6 @@ import pytest
 import repro
 from repro.core import (
     CONREP,
-    AggregateMetrics,
     SweepPoint,
     make_policy,
     select_cohort,
@@ -44,7 +41,7 @@ from repro.core import (
     sweep_user_degree,
     sweep_user_degree_datasets,
 )
-from repro.core.evaluation import _rollup, _shard_cohorts
+from repro.core.evaluation import _shard_cohorts
 from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import FixedLengthModel, SporadicModel
 from repro.parallel import ParallelExecutor, fork_available
@@ -121,29 +118,16 @@ class TestStreamShardEquivalence:
 
 
 def _assert_series_match(got, want):
-    """Dataset-mode sweep == whole-path sweep: ints exact, floats ~1e-9."""
+    """Sharded sweep == whole-path sweep, every field of every point."""
     assert set(got) == set(want)
     for name in want:
-        assert len(got[name]) == len(want[name]), name
-        for g, w in zip(got[name], want[name]):
-            if w is None:
-                assert g is None
-                continue
-            for field in dataclasses.fields(AggregateMetrics):
-                gv = getattr(g, field.name)
-                wv = getattr(w, field.name)
-                if isinstance(wv, int):
-                    assert gv == wv, f"{name}.{field.name}"
-                else:
-                    assert gv == pytest.approx(
-                        wv, rel=1e-9, abs=1e-12
-                    ), f"{name}.{field.name}"
+        assert got[name] == want[name], name
 
 
-@functools.lru_cache(maxsize=2)
-def _sweep_fixture(kind):
+@functools.lru_cache(maxsize=None)
+def _sweep_fixture(kind, shards=3):
     spec = _stream_spec(kind)
-    return spec.eager(), ShardedDataset(spec, 3)
+    return spec.eager(), ShardedDataset(spec, shards)
 
 
 def _policies():
@@ -155,7 +139,7 @@ class TestDatasetModeSweepIdentity:
     @pytest.mark.parametrize("reference", ["incremental", "naive"])
     @pytest.mark.parametrize("shards", [1, 3])
     def test_replication_degree(self, kind, reference, shards):
-        eager, sharded = _sweep_fixture(kind)
+        eager, sharded = _sweep_fixture(kind, shards)
         users = select_cohort(eager, 10, max_users=8, seed=0)
         assert users == select_cohort(sharded, 10, max_users=8, seed=0)
         kwargs = dict(
@@ -165,11 +149,11 @@ class TestDatasetModeSweepIdentity:
             repeats=2,
         )
         whole = sweep_replication_degree(
-            eager, SporadicModel(), _policies(), shards=shards, **kwargs
+            eager, SporadicModel(), _policies(), **kwargs
         )
         with oracle_sweeps(reference == "naive"):
             per_shard = sweep_replication_degree_datasets(
-                sharded, SporadicModel(), _policies(), shards=shards, **kwargs
+                sharded, SporadicModel(), _policies(), **kwargs
             )
         _assert_series_match(per_shard, whole)
 
@@ -247,47 +231,6 @@ def _canonical(series):
     )
 
 
-def _full_shard_reference(sharded, points, policies, *, seed, repeats, **knobs):
-    """Per-shard sweeps over the *full* ``shard(k)``, rolled up per point.
-
-    ``points`` lists ``(model, degrees, users)``; each contributes one
-    series entry per degree, or a ``None`` when ``users`` is empty.
-    """
-    full = {}
-    out = {p.name: [] for p in policies}
-    for model, degrees, users in points:
-        if not users:
-            for p in policies:
-                out[p.name].append(None)
-            continue
-        cells = {
-            p.name: [[[] for _ in range(repeats)] for _ in degrees]
-            for p in policies
-        }
-        for k, cohort in enumerate(_shard_cohorts(sharded, users)):
-            if not cohort:
-                continue
-            if k not in full:
-                full[k] = sharded.shard(k)
-            for r in range(repeats):
-                point = sweep_replication_degree(
-                    full[k],
-                    model,
-                    policies,
-                    degrees=degrees,
-                    users=cohort,
-                    seed=seed + r,
-                    repeats=1,
-                    **knobs,
-                )
-                for name, series in point.items():
-                    for i, aggregate in enumerate(series):
-                        cells[name][i][r].append(aggregate)
-        for p in policies:
-            out[p.name].extend(_rollup(cell) for cell in cells[p.name])
-    return out
-
-
 _DRIVERS = ("replication_degree", "session_length", "user_degree")
 
 
@@ -295,61 +238,48 @@ _DRIVERS = ("replication_degree", "session_length", "user_degree")
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_cohort_views_match_full_shards_exactly(driver, jobs):
     """Cohort-scoped builds change what is materialised, never a bit of
-    the result: every driver's series equals the full-shard reference
-    under canonical JSON."""
+    the result: every driver's series equals the eager sweep (whose
+    dataset holds every full shard) under canonical JSON."""
     if jobs > 1 and not fork_available():
         pytest.skip("needs fork pools")
-    _, sharded = _sweep_fixture("facebook")
+    eager, sharded = _sweep_fixture("facebook")
     policies = _policies()
-    common = dict(seed=0, repeats=2)
-    with ParallelExecutor(jobs=jobs) as executor:
-        knobs = dict(executor=executor, mode=CONREP)
+    common = dict(seed=0, repeats=2, mode=CONREP)
+
+    def sweep(source, **knobs):
         if driver == "replication_degree":
-            users = select_cohort(sharded, 10, max_users=8, seed=0)
-            got = sweep_replication_degree_datasets(
-                sharded,
+            return sweep_replication_degree_datasets(
+                source,
                 SporadicModel(),
                 policies,
                 degrees=[0, 1, 3],
-                users=users,
+                users=select_cohort(sharded, 10, max_users=8, seed=0),
                 **common,
                 **knobs,
             )
-            points = [(SporadicModel(), [0, 1, 3], users)]
-        elif driver == "session_length":
-            users = select_cohort(sharded, 10, max_users=6, seed=0)
-            lengths = (1000.0, 10000.0)
-            got = sweep_session_length_datasets(
-                sharded, lengths, policies, k=2, users=users, **common, **knobs
-            )
-            points = [
-                (SporadicModel(session_seconds=length), [2], users)
-                for length in lengths
-            ]
-        else:
-            degrees = [2, 3, 10_000]
-            got = sweep_user_degree_datasets(
-                sharded,
-                SporadicModel(),
+        if driver == "session_length":
+            return sweep_session_length_datasets(
+                source,
+                (1000.0, 10000.0),
                 policies,
-                user_degrees=degrees,
-                max_users_per_degree=6,
+                k=2,
+                users=select_cohort(sharded, 10, max_users=6, seed=0),
                 **common,
                 **knobs,
             )
-            points = [
-                (
-                    SporadicModel(),
-                    [degree],
-                    select_cohort(sharded, degree, max_users=6, seed=0),
-                )
-                for degree in degrees
-            ]
-        want = _full_shard_reference(
-            sharded, points, policies, **common, **knobs
+        return sweep_user_degree_datasets(
+            source,
+            SporadicModel(),
+            policies,
+            user_degrees=[2, 3, 10_000],
+            max_users_per_degree=6,
+            **common,
+            **knobs,
         )
-    assert _canonical(got) == _canonical(want)
 
+    with ParallelExecutor(jobs=jobs) as executor:
+        got = sweep(sharded, executor=executor)
+    assert _canonical(got) == _canonical(sweep(eager))
 
 
 def test_grid_builds_one_view_per_shard_for_all_points(monkeypatch):
@@ -393,7 +323,6 @@ from repro.core import (
     select_cohort,
     sweep_replication_degree_datasets,
 )
-from repro.core.evaluation import _rollup, _shard_cohorts
 from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import FixedLengthModel, SporadicModel
 
@@ -450,7 +379,7 @@ class TestHashSeedIndependence:
     def test_shard_native_pipeline_across_hash_seeds(self, kind):
         # Shard==eager is asserted *inside* each subprocess under a
         # random string-hash salt; the survivors, the cohort, and every
-        # dataset-mode metric must then be bit-identical across salts.
+        # sharded-sweep metric must then be bit-identical across salts.
         a = _run_under_hashseed("random", kind)
         b = _run_under_hashseed("random", kind)
         c = _run_under_hashseed("0", kind)

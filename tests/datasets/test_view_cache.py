@@ -1,9 +1,10 @@
-"""Cohort views compose with the sweep cache and mid-sweep checkpoints.
+"""Sharded sources compose with the sweep cache and mid-sweep checkpoints.
 
-Dataset-mode sweeps address each (shard, repeat) entry by the cohort
-view's content fingerprint, so a rerun — in another process, under
-another string-hash salt — must hit every entry, and an interrupted
-dataset-mode batch must resume from the checkpoint slices it wrote.
+A sweep over a ShardedDataset caches its finished series under the
+source's spec-derived fingerprint, so a rerun — in another process,
+under another string-hash salt, at another shard count — must hit every
+entry before building any view; and an interrupted sharded batch must
+resume from the per-view checkpoints it wrote.
 """
 
 import json
@@ -28,8 +29,12 @@ from repro.core import make_policy, select_cohort, sweep_replication_degree_data
 from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import SporadicModel
 
-sharded = ShardedDataset(SyntheticSpec(kind="facebook", num_users=300, seed=7), 3)
+spec = SyntheticSpec(kind="facebook", num_users=300, seed=7)
+sharded = ShardedDataset(spec, int(sys.argv[2]))
 users = select_cohort(sharded, 10, max_users=8, seed=0)
+views = []
+shard = ShardedDataset.shard
+ShardedDataset.shard = lambda self, *a, **kw: views.append(a) or shard(self, *a, **kw)
 cache = SweepCache(sys.argv[1])
 series = sweep_replication_degree_datasets(
     sharded,
@@ -41,9 +46,15 @@ series = sweep_replication_degree_datasets(
     repeats=2,
     cache=cache,
 )
-owners = {k for k in range(3) for u in users if u in sharded.shard_users(k)}
+owners = {
+    k
+    for k in range(sharded.num_shards)
+    for u in users
+    if u in sharded.shard_users(k)
+}
 print(json.dumps({
-    "entries": len(owners) * 2,
+    "owners": len(owners),
+    "views": len(views),
     "stats": cache.stats.as_dict(),
     "series": {
         name: [dataclasses.asdict(m) for m in points]
@@ -53,12 +64,18 @@ print(json.dumps({
 """
 
 
-def _cached_sweep(cache_dir, hashseed):
+def _cached_sweep(cache_dir, hashseed, shards=3):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _CACHED_SWEEP_SCRIPT, str(cache_dir)],
+        [
+            sys.executable,
+            "-c",
+            _CACHED_SWEEP_SCRIPT,
+            str(cache_dir),
+            str(shards),
+        ],
         env=env,
         capture_output=True,
         text=True,
@@ -70,10 +87,15 @@ def _cached_sweep(cache_dir, hashseed):
 def test_disk_cache_hits_every_view_entry_across_hash_seeds(tmp_path):
     first = _cached_sweep(tmp_path, "1")
     policies = len(first["series"])
-    # One series entry per (shard, repeat, policy), all computed once.
-    assert first["entries"] > 1
-    assert first["stats"]["stores"] == first["entries"] * policies
-    second = _cached_sweep(tmp_path, "2")
+    # One series entry per policy for the whole source, computed over
+    # one view per owning shard.
+    assert first["owners"] > 1
+    assert first["views"] == first["owners"]
+    assert first["stats"]["stores"] == policies
+    # Another salt and another shard count: every entry hits before
+    # any view is built.
+    second = _cached_sweep(tmp_path, "2", shards=2)
+    assert second["views"] == 0
     assert second["stats"]["misses"] == 0
     assert second["stats"]["stores"] == 0
     assert second["stats"]["hits"] == first["stats"]["stores"]
@@ -83,7 +105,7 @@ def test_disk_cache_hits_every_view_entry_across_hash_seeds(tmp_path):
 def test_dataset_mode_resume_reloads_view_checkpoints(
     tmp_path, monkeypatch
 ):
-    kwargs = dict(scale=TINY, ids=["fig3"], shard_mode="dataset", shards=2)
+    kwargs = dict(scale=TINY, ids=["fig3"], shards=2)
     fingerprints = []
     key_for = SweepCheckpoint.key_for
     store = SweepCheckpoint.store

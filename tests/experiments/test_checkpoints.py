@@ -1,50 +1,62 @@
-"""Shard-granular sweep checkpoints and the journal v2 ledger.
+"""Per-view sweep checkpoints and the journal v2 ledger.
 
 The mid-sweep resume contract: a sweep resumed from on-disk checkpoints
 aggregates the identical floats an uninterrupted run would; any torn,
-corrupt or mismatched checkpoint reads as "not done" and the shard
-recomputes — resume never trades correctness for speed.
+corrupt or mismatched checkpoint reads as "not done" and the cells
+recompute — resume never trades correctness for speed.
 """
 
+import functools
 import json
 
 import pytest
 
 from repro.cache import SweepCache
 from repro.core import CONREP, make_policy, sweep_replication_degree
-from repro.datasets import synthetic_facebook
-from repro.experiments import BatchJournal, JOURNAL_FORMAT_VERSION, run_batch
+from repro.datasets import ShardedDataset, SyntheticSpec
+from repro.experiments import (
+    BatchJournal,
+    JOURNAL_FORMAT_VERSION,
+    load_result,
+    run_batch,
+)
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.onlinetime import SporadicModel
 from tests.experiments.test_config_and_registry import TINY
 from tests.oracle import oracle_sweeps
 
+SPEC = SyntheticSpec("facebook", 200, seed=3)
+
+
+@functools.lru_cache(maxsize=None)
+def _source(shards=None):
+    """The eager dataset for ``shards=None``, else a sharded source."""
+    return SPEC.eager() if shards is None else ShardedDataset(SPEC, shards)
+
 
 def _dataset():
-    return synthetic_facebook(200, seed=3)
+    return _source()
 
 
-def _cohort(dataset, n=8):
-    ranked = sorted(
-        dataset.graph.users(), key=lambda u: (dataset.graph.degree(u), u)
-    )
-    return ranked[-n:]
+def _cohort(n=8):
+    """``n`` evenly spaced users, so every shard of a 4-way split owns
+    two of them (one view per shard)."""
+    users = sorted(_dataset().graph.users())
+    return users[:: len(users) // n][:n]
 
 
-def _sweep(cache, **overrides):
-    ds = _dataset()
+def _sweep(cache, shards=4, **overrides):
     kwargs = dict(
         mode=CONREP,
         degrees=[0, 1, 2],
-        users=_cohort(ds),
+        users=_cohort(),
         seed=1,
         repeats=2,
-        shards=4,
         cache=cache,
     )
     kwargs.update(overrides)
     return sweep_replication_degree(
-        ds,
+        _source(shards),
         SporadicModel(),
         [make_policy(n) for n in ("maxav", "random")],
         **kwargs,
@@ -140,7 +152,7 @@ class TestSweepCheckpointStoreLoad:
     def _fixture(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path)
         ds = _dataset()
-        users = _cohort(ds)
+        users = _cohort()
         key = checkpoint.key_for(
             ds,
             SporadicModel(),
@@ -184,37 +196,37 @@ class TestSweepCheckpointStoreLoad:
             seed=1,
         )
         cells = evaluate_users_chunk(payload, users[:3])
-        checkpoint.store(key, 0, 0, users[:3], cells)
+        checkpoint.store(key, 0, users[:3], cells)
         assert checkpoint.stats()["stores"] == 1
-        loaded = checkpoint.load(key, 0, 0, users=users[:3])
+        loaded = checkpoint.load(key, 0, users=users[:3])
         assert loaded == cells  # UserMetrics dataclass equality, exact
-        # Wrong repeat/shard/cohort all miss.
-        assert checkpoint.load(key, 1, 0, users=users[:3]) is None
-        assert checkpoint.load(key, 0, 1, users=users[:3]) is None
-        assert checkpoint.load(key, 0, 0, users=users[:4]) is None
+        # Wrong key/repeat/cohort all miss.
+        assert checkpoint.load(key + "0", 0, users=users[:3]) is None
+        assert checkpoint.load(key, 1, users=users[:3]) is None
+        assert checkpoint.load(key, 0, users=users[:4]) is None
 
     def test_corrupt_checkpoint_reads_as_not_done(self, tmp_path):
         checkpoint, key, users = self._fixture(tmp_path)
-        path = checkpoint._path(key, 0, 0)
-        checkpoint.store(key, 0, 0, users[:2], [{}, {}])
+        path = checkpoint._path(key, 0)
+        checkpoint.store(key, 0, users[:2], [{}, {}])
         blob = path.read_text()
         path.write_text(blob[: len(blob) // 2])  # torn
-        assert checkpoint.load(key, 0, 0, users=users[:2]) is None
+        assert checkpoint.load(key, 0, users=users[:2]) is None
         assert checkpoint.stats()["stale"] == 1
         # A key echo mismatch also misses.
-        checkpoint.store(key, 0, 1, users[:2], [{}, {}])
-        shard_path = checkpoint._path(key, 0, 1)
-        wrong = json.loads(shard_path.read_text())
+        checkpoint.store(key, 1, users[:2], [{}, {}])
+        other_path = checkpoint._path(key, 1)
+        wrong = json.loads(other_path.read_text())
         wrong["key"] = "someone-else"
-        shard_path.write_text(json.dumps(wrong))
-        assert checkpoint.load(key, 0, 1, users=users[:2]) is None
+        other_path.write_text(json.dumps(wrong))
+        assert checkpoint.load(key, 1, users=users[:2]) is None
 
     def test_unwritable_directory_disables_silently(self, tmp_path):
         import shutil
 
         checkpoint = SweepCheckpoint(tmp_path / "ck")
         shutil.rmtree(tmp_path / "ck")
-        checkpoint.store("k", 0, 0, [1], [{}])  # must not raise
+        checkpoint.store("k", 0, [1], [{}])  # must not raise
         assert checkpoint.stats()["stores"] == 0
 
 
@@ -228,9 +240,9 @@ class TestMidSweepResume:
         first_cache = _checkpointed_cache(tmp_path)
         first = _sweep(first_cache)
         stored = first_cache.checkpoint.stats()["stores"]
-        assert stored == 8  # 2 repeats x 4 shards
+        assert stored == 8  # 2 repeats x 4 shard views
         # A fresh cache (cold memory) over the same checkpoint dir:
-        # every shard loads, nothing recomputes, floats identical.
+        # every view's cells load, nothing recomputes, floats identical.
         second_cache = _checkpointed_cache(tmp_path)
         second = _sweep(second_cache)
         assert second == first
@@ -241,10 +253,10 @@ class TestMidSweepResume:
     def test_partial_checkpoints_resume_mid_sweep(self, tmp_path):
         first_cache = _checkpointed_cache(tmp_path)
         first = _sweep(first_cache)
-        # Simulate a run killed mid-sweep: delete half the shard files.
-        shard_files = sorted(tmp_path.glob("*.shard.json"))
-        assert len(shard_files) == 8
-        for path in shard_files[4:]:
+        # Simulate a run killed mid-sweep: delete half the cell files.
+        cell_files = sorted(tmp_path.glob("*.cells.json"))
+        assert len(cell_files) == 8
+        for path in cell_files[4:]:
             path.unlink()
         resumed_cache = _checkpointed_cache(tmp_path)
         resumed = _sweep(resumed_cache)
@@ -254,10 +266,9 @@ class TestMidSweepResume:
         assert stats["stores"] == 4  # the missing half was recomputed
 
     def test_checkpoints_are_execution_knob_independent(self, tmp_path):
-        # Checkpoints written by a 4-shard run serve... only a 4-shard
-        # run of the same sweep (the shard slice is part of the
-        # identity), but sweeping through the per-degree oracle doesn't
-        # fragment them.
+        # Checkpoints are keyed by the view they were computed over, so
+        # a 4-shard run's serve any run that builds the same views;
+        # sweeping through the per-degree oracle doesn't fragment them.
         first_cache = _checkpointed_cache(tmp_path)
         first = _sweep(first_cache, shards=4)
         other_cache = _checkpointed_cache(tmp_path)
@@ -266,17 +277,44 @@ class TestMidSweepResume:
         assert other == first
         assert other_cache.checkpoint.stats()["loads"] == 8
 
+    def test_other_shard_counts_find_nothing_stale(self, tmp_path):
+        # Each shard count keys its own views and the eager sweep is one
+        # view, so no count ever finds a checkpoint it must discard —
+        # and every count sweeps to the identical series.
+        first = _sweep(_checkpointed_cache(tmp_path), shards=4)
+        for shards in (3, 2, None, 4):
+            cache = _checkpointed_cache(tmp_path)
+            assert _sweep(cache, shards=shards) == first, shards
+            assert cache.checkpoint.stats()["stale"] == 0, shards
+
+    def test_batch_rerun_at_another_shard_count_reads_nothing_stale(
+        self, tmp_path
+    ):
+        outputs = []
+        for shards in (2, 3, 1, 2):
+            run_batch(tmp_path, scale=TINY, ids=["fig3"], shards=shards)
+            summary = json.loads(
+                (tmp_path / "batch_summary.json").read_text()
+            )
+            assert summary["checkpoints"]["stale"] == 0, shards
+            result = load_result(tmp_path / "fig3.json")
+            result.pop("timings")
+            outputs.append(result)
+        assert all(output == outputs[0] for output in outputs)
+        # The last run repeats the first one's views: all of them load.
+        assert summary["checkpoints"]["stores"] == 0
+
     def test_run_batch_wires_checkpoints_into_the_journal(self, tmp_path):
         run_batch(tmp_path, scale=TINY, ids=["fig3"])
         blob = json.loads((tmp_path / "journal.json").read_text())
         assert blob["format_version"] == JOURNAL_FORMAT_VERSION
         assert blob["checkpoints"]
-        shard_files = list((tmp_path / "checkpoints").glob("*.shard.json"))
-        assert len(shard_files) == len(blob["checkpoints"])
+        cell_files = list((tmp_path / "checkpoints").glob("*.cells.json"))
+        assert len(cell_files) == len(blob["checkpoints"])
         # Resume with lost outputs: the sweep serves from checkpoints.
         (tmp_path / "fig3.json").unlink()
         (tmp_path / "fig3.txt").unlink()
         run_batch(tmp_path, scale=TINY, ids=["fig3"], resume=True)
         summary = json.loads((tmp_path / "batch_summary.json").read_text())
-        assert summary["checkpoints"]["loads"] == len(shard_files)
+        assert summary["checkpoints"]["loads"] == len(cell_files)
         assert summary["checkpoints"]["stores"] == 0

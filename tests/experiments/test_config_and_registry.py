@@ -87,6 +87,30 @@ class TestSmokeRuns:
         result = run_experiment("fig2", TINY)
         assert sum(result.data["facebook"].values()) > 0
 
+    def test_fig2_renders_a_dataset_the_filter_empties(self):
+        # At this seed the §IV-A filter fixpoint removes every Twitter
+        # user (500 -> 463 -> ... -> 13 -> 3 -> 0 over 14 rounds): its
+        # column renders as zeros next to the Facebook counts.
+        scale = ExperimentScale(
+            name="e2e",
+            facebook_users=500,
+            twitter_users=500,
+            max_cohort_users=6,
+            repeats=2,
+            seed=401,
+        )
+        assert twitter_dataset(scale).graph.num_users == 0
+        result = run_experiment("fig2", scale)
+        assert result.data["twitter"] == {}
+        fb = result.data["facebook"]
+        (table,) = result.tables
+        assert [row[0] for row in table.rows] == list(
+            range(1, min(50, max(fb)) + 1)
+        )
+        assert all(row[1] == fb.get(row[0], 0) for row in table.rows)
+        assert all(row[2] == 0 for row in table.rows)
+        result.render()
+
     def test_fig4_structure(self):
         result = run_experiment("fig4", TINY)
         assert set(result.data) >= {"FixedLength-2h", "FixedLength-8h", "degrees"}

@@ -10,7 +10,6 @@ from repro.parallel import ParallelExecutor
 from tests.experiments.test_config_and_registry import TINY
 
 INVALID_KNOBS = [
-    {"shard_mode": "bogus"},
     {"shards": 0},
     {"shards": -3},
 ]
@@ -31,36 +30,45 @@ def test_invalid_knobs_rejected_by_batch(tmp_path, knobs):
 
 
 def test_execution_defaults_and_frozen():
-    from repro.experiments import COHORT_MODE, Execution
+    from repro.experiments import Execution
 
     ex = Execution()
-    assert (ex.executor, ex.cache) == (None, None)
-    assert (ex.shards, ex.shard_mode) == (1, COHORT_MODE)
+    assert (ex.executor, ex.cache, ex.shards) == (None, None, 1)
     assert [f.name for f in dataclasses.fields(Execution)] == [
         "executor",
         "cache",
         "shards",
-        "shard_mode",
     ]
     with pytest.raises(dataclasses.FrozenInstanceError):
         ex.shards = 2
 
 
-#: Callables the experiments hand execution knobs to, and the knobs each
-#: accepts (besides ``executor``).  Names absent from the module are
-#: skipped, so the spy covers whichever sweep entry points exist.
-_KNOBS = {"shards": 2}
+#: Callables the experiments hand execution knobs to, and whether each
+#: takes ``shards`` (besides ``executor``): a sweep as the shard count of
+#: its ShardedDataset source, the replay as a keyword.  Names absent
+#: from the module are skipped, so the spy covers whichever sweep entry
+#: points exist.
+_SHARDS = 2
+_SWEEPS = (
+    "sweep_grid",
+    "sweep_replication_degree",
+    "sweep_replication_degree_datasets",
+    "sweep_session_length",
+    "sweep_session_length_datasets",
+    "sweep_user_degree",
+    "sweep_user_degree_datasets",
+)
 _ACCEPTS = {
-    "sweep_grid": ("shards",),
-    "sweep_replication_degree": ("shards",),
-    "sweep_replication_degree_datasets": ("shards",),
-    "sweep_session_length": ("shards",),
-    "sweep_session_length_datasets": ("shards",),
-    "sweep_user_degree": ("shards",),
-    "sweep_user_degree_datasets": ("shards",),
-    "placement_sequences": (),
-    "replay_trace": ("shards",),
+    **{name: True for name in _SWEEPS},
+    "placement_sequences": False,
+    "replay_trace": True,
 }
+
+
+def _shards_of(name, args, kwargs):
+    if name in _SWEEPS:
+        return getattr(args[0], "num_shards", None)
+    return kwargs.get("shards")
 
 #: Experiments that only characterise the datasets (no sweep/placement).
 _NO_KNOB_CALLS = {"table1", "fig2"}
@@ -74,7 +82,7 @@ def test_every_experiment_forwards_the_knobs_it_accepts(monkeypatch):
             continue
 
         def spy(*args, _original=original, _name=name, **kwargs):
-            calls.append((_name, kwargs))
+            calls.append((_name, args, kwargs))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(figures, name, spy)
@@ -82,12 +90,12 @@ def test_every_experiment_forwards_the_knobs_it_accepts(monkeypatch):
     with ParallelExecutor() as executor:
         for eid in experiment_ids():
             calls.clear()
-            run_experiment(eid, TINY, executor=executor, **_KNOBS)
+            run_experiment(eid, TINY, executor=executor, shards=_SHARDS)
             assert bool(calls) != (eid in _NO_KNOB_CALLS), eid
-            for name, kwargs in calls:
-                missing = [
-                    k for k in _ACCEPTS[name] if kwargs.get(k) != _KNOBS[k]
-                ]
+            for name, args, kwargs in calls:
+                missing = []
+                if _ACCEPTS[name] and _shards_of(name, args, kwargs) != _SHARDS:
+                    missing.append("shards")
                 if kwargs.get("executor") is not executor:
                     missing.append("executor")
                 if missing:

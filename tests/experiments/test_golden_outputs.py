@@ -3,15 +3,14 @@
 The committed ``golden_outputs.json`` pins, at a tiny scale:
 
 * the SHA-256 of each experiment's canonical JSON ``data`` and of its
-  rendered text (timing foot excluded) in cohort shard mode;
-* the same two digests for the ten sweep experiments in dataset shard
-  mode with two dataset shards;
-* no further pins for the ten sweep experiments swept through the
-  per-degree oracle (``tests/oracle.py``): they must reproduce the
-  cohort-mode digests of the production engine;
+  rendered text (timing foot excluded) over the eager datasets;
+* no further digests for the ten sweep experiments run with
+  ``shards=2`` (streaming two-shard :class:`~repro.datasets.ShardedDataset`
+  sources) or swept through the per-degree oracle (``tests/oracle.py``):
+  both must reproduce the eager digests of the production engine;
 * the sorted file names the on-disk :class:`~repro.cache.SweepCache`
-  holds after each run, so refactors of the sweep plumbing provably keep
-  hitting caches written before them.
+  holds after the eager and the sharded runs, so refactors of the sweep
+  plumbing provably keep hitting caches written before them.
 
 Any change to a series, a table, or a cache key fails this test.  After
 an *intended* output change, re-record with::
@@ -45,7 +44,7 @@ GOLDEN = ExperimentScale(
     repeats=2,
 )
 
-#: The experiments that run a sweep (the ones ``shard_mode`` reaches).
+#: The experiments that run a sweep (the ones ``shards`` streams).
 SWEEP_IDS: Tuple[str, ...] = (
     "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
     "fig11", "x3",
@@ -77,15 +76,13 @@ def _run(cache_dir: Path, ids, **knobs) -> Tuple[Dict[str, dict], list]:
 
 def compute_golden(workdir: Path) -> dict:
     cohort, cohort_entries = _run(workdir / "cohort", experiment_ids())
-    dataset, dataset_entries = _run(
-        workdir / "dataset", SWEEP_IDS, shard_mode="dataset", shards=2
-    )
+    sharded, sharded_entries = _run(workdir / "sharded", SWEEP_IDS, shards=2)
     return {
         "cohort": cohort,
-        "dataset": dataset,
+        "sharded": sharded,
         "cache_entries": {
             "cohort": cohort_entries,
-            "dataset": dataset_entries,
+            "sharded": sharded_entries,
         },
     }
 
@@ -93,11 +90,14 @@ def compute_golden(workdir: Path) -> dict:
 def test_outputs_and_cache_layout_match_golden(tmp_path):
     expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     got = compute_golden(tmp_path)
-    for mode in ("cohort", "dataset"):
-        assert got[mode] == expected[mode], f"{mode}-mode outputs changed"
+    assert got["cohort"] == expected["cohort"], "outputs changed"
+    # Sharded sources pin no digests of their own: they must equal the
+    # eager ones for every sweep experiment.
+    assert got["sharded"] == {eid: got["cohort"][eid] for eid in SWEEP_IDS}
+    for source in ("cohort", "sharded"):
         assert (
-            got["cache_entries"][mode] == expected["cache_entries"][mode]
-        ), f"{mode}-mode sweep-cache entry names changed"
+            got["cache_entries"][source] == expected["cache_entries"][source]
+        ), f"{source} sweep-cache entry names changed"
 
 
 def test_oracle_reproduces_cohort_digests(tmp_path):
@@ -112,6 +112,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         golden = compute_golden(Path(tmp))
+    del golden["sharded"]  # asserted equal to the eager digests
     GOLDEN_PATH.write_text(
         json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )

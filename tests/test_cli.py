@@ -33,6 +33,14 @@ class TestParser:
             build_parser().parse_args(argv + ["--engine", "naive"])
 
     @pytest.mark.parametrize(
+        "argv", [["run", "fig3"], ["batch", "out"]], ids=lambda a: a[0]
+    )
+    def test_shard_mode_flag_is_gone(self, argv):
+        # One meaning of --shards: above 1 the sweeps stream shards.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--shard-mode", "dataset"])
+
+    @pytest.mark.parametrize(
         "argv",
         [["run", "fig3"], ["batch", "out"], ["query"]],
         ids=lambda argv: argv[0],
