@@ -16,18 +16,13 @@ Two entry points:
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from repro.datasets.filters import filter_dataset
 from repro.datasets.schema import Activity, ActivityTrace, Dataset
+from repro.datasets.sharding import SyntheticSpec
 from repro.datasets.synthesis import TraceParams, synthesize_wall_trace
-from repro.graph.generators import (
-    configuration_graph,
-    powerlaw_degree_sequence,
-)
 from repro.graph.io import PathOrFile, open_for_read, read_friendship_graph
-from repro.graph.stream import stream_social_graph
 
 #: Filtered-dataset statistics reported in the paper (§IV-A), used by the
 #: dataset-statistics bench as the reference column.
@@ -123,24 +118,18 @@ def synthetic_facebook(
     streams — the shard-native layout, whose rows any shard can rebuild
     without replaying other users).
     """
-    if params is None:
-        params = TraceParams(
-            trace_days=90,
-            activities_mean=PAPER_FACEBOOK_AVG_ACTIVITIES,
-        )
-    if graph_layout == "stream":
-        graph = stream_social_graph(
-            num_users, degree_alpha, seed, max_degree=max_degree
-        )
-    elif graph_layout == "legacy":
-        rng = random.Random(seed)
-        degrees = powerlaw_degree_sequence(
-            num_users, degree_alpha, rng, max_degree=max_degree
-        )
-        graph = configuration_graph(degrees, rng)
-    else:
-        raise ValueError(f"unknown graph_layout {graph_layout!r}")
-    trace = synthesize_wall_trace(graph, params, seed)
+    spec = SyntheticSpec(
+        "facebook",
+        num_users,
+        seed,
+        params,
+        min_activities,
+        degree_alpha,
+        max_degree,
+        graph_layout,
+    )
+    graph = spec.build_graph()
+    trace = synthesize_wall_trace(graph, spec.resolved_params(), seed)
     dataset = Dataset(
         name=f"synthetic-facebook-{num_users}",
         kind="facebook",

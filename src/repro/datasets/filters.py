@@ -10,14 +10,72 @@ Two rules are applied to the raw traces:
 
 Filtering is iterated to a fixed point, because removing a user can strip
 another user of his last follower or drop activities below the threshold
-(activities whose creator or receiver was removed no longer count).
+(activities whose creator or receiver was removed no longer count).  The
+rules only get harder to meet as users go, so the fixed point is unique;
+:func:`surviving_mask` computes it for the eager :func:`filter_dataset`
+and the sharded :class:`~repro.datasets.sharding.ShardedDataset` alike.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Optional
+
+import numpy as np
 
 from repro.datasets.schema import Dataset
+from repro.graph.stream import CsrRows
+
+#: Users per chunk of :func:`segment_counts` (bounds its transients).
+DEFAULT_WINDOW = 65536
+
+
+def segment_counts(
+    alive: np.ndarray, rows: CsrRows, window: int = DEFAULT_WINDOW
+) -> np.ndarray:
+    """Per-row count of entries ``v`` with ``alive[v]``, chunked.
+
+    Equivalent to a whole-array ``alive[indices]`` cumsum prefix differenced
+    at ``indptr``, but processed ``window`` rows at a time so the mask
+    and prefix transients stay bounded by one window's segment span.
+    """
+    flat, offsets = rows.indices, rows.indptr
+    n = len(offsets) - 1
+    counts = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, window):
+        hi = min(lo + window, n)
+        segment = alive[flat[offsets[lo] : offsets[hi]]]
+        prefix = np.zeros(len(segment) + 1, dtype=np.int64)
+        np.cumsum(segment, out=prefix[1:])
+        local = offsets[lo : hi + 1] - offsets[lo]
+        counts[lo:hi] = prefix[local[1:]] - prefix[local[:-1]]
+    return counts
+
+
+def surviving_mask(
+    receivers: CsrRows,
+    min_activities: int,
+    candidates: Optional[CsrRows] = None,
+    *,
+    window: int = DEFAULT_WINDOW,
+) -> np.ndarray:
+    """The §IV-A fixed point as a boolean alive mask over users ``0..N-1``.
+
+    ``receivers`` row ``u`` lists the receiver of every activity ``u``
+    created; ``candidates`` (Twitter) row ``u`` lists ``u``'s replica
+    candidates.  A user survives while at least ``min_activities`` of his
+    activities land on survivors and, when ``candidates`` is given, at
+    least one of his candidates survives.  Rounds repeat until one
+    removes nobody; there is no round cap.
+    """
+    alive = np.ones(receivers.num_users, dtype=bool)
+    while True:
+        counts = segment_counts(alive, receivers, window)
+        keep = alive & (counts >= min_activities)
+        if candidates is not None:
+            keep &= segment_counts(alive, candidates, window) > 0
+        if np.array_equal(keep, alive):
+            return alive
+        alive = keep
 
 
 def filter_dataset(
@@ -25,32 +83,43 @@ def filter_dataset(
     *,
     min_activities: int = 10,
     require_candidates: bool = False,
-    max_rounds: int = 50,
 ) -> Dataset:
     """Apply the activity (and optionally candidate) filters to fixpoint.
 
-    Returns a new :class:`Dataset` with the induced subgraph and the trace
-    restricted to surviving creator/receiver pairs.  The input is not
-    modified.
+    Builds the creator → receiver CSR (and, with ``require_candidates``,
+    the candidate CSR) once, resolves the survivors with
+    :func:`surviving_mask`, and restricts the graph and the trace once.
+    Only graph users take part: an activity whose creator or receiver is
+    not in the graph never counts and is dropped.  Returns a new
+    :class:`Dataset`; the input is not modified.
     """
     if min_activities < 0:
         raise ValueError("min_activities must be >= 0")
-
     graph = dataset.graph
     trace = dataset.trace
-    for _ in range(max_rounds):
-        keep: Set[int] = set()
-        for user in graph.users():
-            if trace.activity_count(user) < min_activities:
-                continue
-            if require_candidates and not graph.replica_candidates(user):
-                continue
-            keep.add(user)
-        if len(keep) == graph.num_users:
-            break
+    users = list(graph.users())
+    index = {user: i for i, user in enumerate(users)}
+    received: List[List[int]] = [[] for _ in users]
+    for act in trace:
+        creator = index.get(act.creator)
+        receiver = index.get(act.receiver)
+        if creator is not None and receiver is not None:
+            received[creator].append(receiver)
+    candidates = None
+    if require_candidates:
+        candidates = CsrRows.build(
+            lambda i: [index[c] for c in graph.replica_candidates(users[i])],
+            len(users),
+        )
+    alive = surviving_mask(
+        CsrRows.build(received.__getitem__, len(users)),
+        min_activities,
+        candidates,
+    )
+    keep = {users[i] for i in np.flatnonzero(alive)}
+    if len(keep) < len(users):
         graph = graph.subgraph(keep)
-        trace = trace.restricted_to(keep)
-
+    trace = trace.restricted_to(keep)
     return Dataset(
         name=dataset.name,
         kind=dataset.kind,

@@ -13,6 +13,7 @@ absolute timestamp in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     Dict,
     Iterable,
@@ -53,6 +54,10 @@ class Activity:
 class ActivityTrace:
     """An indexed, chronologically sorted collection of activities.
 
+    The constructor sorts once into the :class:`Activity` order
+    ``(timestamp, creator, receiver)``; ``window`` and ``restricted_to``
+    keep a subsequence of the sorted tuple and never sort again.
+
     The per-user creator/receiver indexes are built lazily on first
     access: a trace that is only iterated (streaming digests, sharded
     materialisation) never pays for them, which matters when millions of
@@ -60,9 +65,24 @@ class ActivityTrace:
     """
 
     def __init__(self, activities: Iterable[Activity]):
-        self._activities: Tuple[Activity, ...] = tuple(sorted(activities))
+        # Stable passes from the last field to the first give the
+        # dataclass order, equal activities in input order, without a
+        # Python ``__lt__`` call or a key tuple per activity.
+        ordered = sorted(activities, key=attrgetter("receiver"))
+        ordered.sort(key=attrgetter("creator"))
+        ordered.sort(key=attrgetter("timestamp"))
+        self._activities: Tuple[Activity, ...] = tuple(ordered)
         self._by_creator: Optional[Dict[UserId, List[Activity]]] = None
         self._by_receiver: Optional[Dict[UserId, List[Activity]]] = None
+
+    @classmethod
+    def _presorted(cls, activities: Iterable[Activity]) -> "ActivityTrace":
+        """A trace over ``activities``, which are already in trace order."""
+        trace = cls.__new__(cls)
+        trace._activities = tuple(activities)
+        trace._by_creator = None
+        trace._by_receiver = None
+        return trace
 
     def _index(self) -> None:
         if self._by_creator is not None:
@@ -141,14 +161,14 @@ class ActivityTrace:
     def window(self, begin: float, end: float) -> "ActivityTrace":
         """Activities with ``begin <= timestamp < end`` (the paper's
         'pre-defined time frame in the past')."""
-        return ActivityTrace(
+        return ActivityTrace._presorted(
             act for act in self._activities if begin <= act.timestamp < end
         )
 
     def restricted_to(self, users: Iterable[UserId]) -> "ActivityTrace":
         """Activities whose creator *and* receiver both survive filtering."""
         keep = set(users)
-        return ActivityTrace(
+        return ActivityTrace._presorted(
             act
             for act in self._activities
             if act.creator in keep and act.receiver in keep

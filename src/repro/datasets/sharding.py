@@ -62,10 +62,15 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.datasets.filters import (
+    DEFAULT_WINDOW,
+    segment_counts,
+    surviving_mask,
+)
 from repro.datasets.schema import ActivityTrace, Dataset
 from repro.datasets.synthesis import (
     STREAM_VERSION,
@@ -100,17 +105,10 @@ __all__ = [
 #: Matches the module-private default in facebook.py / twitter.py.
 _DEGREE_ALPHA = 1.35
 
-#: Mirrors ``filter_dataset``'s fixpoint round cap.
-_MAX_FILTER_ROUNDS = 50
-
 #: Graph layout names accepted by :class:`SyntheticSpec`.
 LEGACY_GRAPH = "legacy"
 STREAM_GRAPH = "stream"
 _GRAPH_LAYOUTS = (LEGACY_GRAPH, STREAM_GRAPH)
-
-#: Users per window for the streaming survey and the chunked segment
-#: counts — bounds the python-object and cumsum transients.
-_DEFAULT_SURVEY_WINDOW = 65536
 
 
 @dataclass(frozen=True)
@@ -271,26 +269,9 @@ class _LegacyPlane:
     def candidates(self, user: UserId) -> List[UserId]:
         return sorted(self.graph.replica_candidates(user))
 
-    def candidate_csr(self, window: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat CSR of every user's replica-candidate list (windowed)."""
-        n = self.num_users
-        counts = np.zeros(n, dtype=np.int64)
-        batches = []
-        for start in range(0, n, window):
-            chunk: List[UserId] = []
-            for user in range(start, min(start + window, n)):
-                candidates = self.candidates(user)
-                counts[user] = len(candidates)
-                chunk.extend(candidates)
-            batches.append(np.asarray(chunk, dtype=np.int64))
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        flat = (
-            np.concatenate(batches)
-            if batches
-            else np.empty(0, dtype=np.int64)
-        )
-        return flat, offsets
+    def candidate_csr(self, window: int) -> CsrRows:
+        """Every user's replica-candidate list as CSR rows (windowed)."""
+        return CsrRows.build(self.candidates, self.num_users, window=window)
 
     def subgraph(self, keep):
         return self.graph.subgraph(keep)
@@ -332,13 +313,8 @@ class _StreamPlane:
         rows = self._followers if self._directed else self._adjacency
         return rows.row_list(user)
 
-    @property
-    def candidate_rows(self) -> CsrRows:
+    def candidate_csr(self, window: int) -> CsrRows:
         return self._followers if self._directed else self._adjacency
-
-    def candidate_csr(self, window: int) -> Tuple[np.ndarray, np.ndarray]:
-        rows = self.candidate_rows
-        return rows.indices, rows.indptr
 
     def subgraph(self, keep):
         if self._directed:
@@ -362,7 +338,7 @@ class ShardedDataset:
         spec: SyntheticSpec,
         num_shards: int,
         *,
-        survey_window: int = _DEFAULT_SURVEY_WINDOW,
+        survey_window: int = DEFAULT_WINDOW,
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -402,73 +378,34 @@ class ShardedDataset:
 
     # -- filter fixpoint -------------------------------------------------
 
-    def _partners(self, user: UserId) -> List[UserId]:
-        """The user's full sorted partner list (stream-layout input)."""
-        return self._plane.partners(user)
-
-    @staticmethod
-    def _segment_counts(
-        alive: np.ndarray,
-        flat: np.ndarray,
-        offsets: np.ndarray,
-        window: int,
-    ) -> np.ndarray:
-        """Per-user count of alive entries in a flat CSR, chunked.
-
-        Equivalent to a whole-array ``alive[flat]`` cumsum prefix
-        differenced at ``offsets``, but processed one user window at a
-        time so the boolean mask and prefix transients stay bounded by
-        the window's segment span.
-        """
-        n = len(offsets) - 1
-        counts = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, window):
-            hi = min(lo + window, n)
-            segment = alive[flat[offsets[lo] : offsets[hi]]]
-            prefix = np.zeros(len(segment) + 1, dtype=np.int64)
-            np.cumsum(segment, out=prefix[1:])
-            local = offsets[lo : hi + 1] - offsets[lo]
-            counts[lo:hi] = prefix[local[1:]] - prefix[local[:-1]]
-        return counts
-
     def _resolve_survivors(self, n: int) -> np.ndarray:
         """The filter fixpoint as a boolean alive mask over 0..N-1.
 
-        Replays :func:`repro.datasets.filters.filter_dataset` exactly:
-        each round keeps users whose surviving-receiver activity count
-        meets the threshold (and, for Twitter, who retain at least one
-        surviving candidate), until the kept set stops shrinking or the
-        round cap is hit.  The receiver survey and the per-round segment
-        counts both stream over bounded user windows — no whole-graph
-        python list-of-lists is ever held.
+        Runs the §IV-A kernel :func:`~repro.datasets.filters.surviving_mask`
+        (the one :func:`~repro.datasets.filters.filter_dataset` runs) over
+        a streaming survey of per-user receiver lists.  The survey and the
+        kernel's segment counts both stream over bounded user windows — no
+        whole-graph python list-of-lists is ever held.
         """
-        alive = np.ones(n, dtype=bool)
         if self.spec.min_activities == 0 and not self.spec.require_candidates:
             # Every user passes a zero threshold on round one.
-            return alive
-        flat_recv, recv_offsets = survey_receiver_rows(
-            self._partners,
+            return np.ones(n, dtype=bool)
+        receivers = survey_receiver_rows(
+            self._plane.partners,
             self.params,
             self.spec.seed,
             n,
             window=self._window,
         )
+        candidates = None
         if self.spec.require_candidates:
-            cand_flat, cand_offsets = self._plane.candidate_csr(self._window)
-        for _ in range(_MAX_FILTER_ROUNDS):
-            counts = self._segment_counts(
-                alive, flat_recv, recv_offsets, self._window
-            )
-            keep = alive & (counts >= self.spec.min_activities)
-            if self.spec.require_candidates:
-                cand_alive = self._segment_counts(
-                    alive, cand_flat, cand_offsets, self._window
-                )
-                keep &= cand_alive > 0
-            if bool(np.array_equal(keep, alive)):
-                break
-            alive = keep
-        return alive
+            candidates = self._plane.candidate_csr(self._window)
+        return surviving_mask(
+            receivers,
+            self.spec.min_activities,
+            candidates,
+            window=self._window,
+        )
 
     # -- shard access ----------------------------------------------------
 
@@ -507,21 +444,9 @@ class ShardedDataset:
         cached = getattr(self, "_candidate_count_cache", None)
         if cached is not None:
             return cached
-        plane = self._plane
-        if isinstance(plane, _StreamPlane):
-            rows = plane.candidate_rows
-            counts = self._segment_counts(
-                self._alive, rows.indices, rows.indptr, self._window
-            )
-        else:
-            counts = np.zeros(plane.num_users, dtype=np.int64)
-            for user in range(plane.num_users):
-                if self._alive[user]:
-                    counts[user] = sum(
-                        1
-                        for c in plane.graph.replica_candidates(user)
-                        if self._alive[c]
-                    )
+        counts = segment_counts(
+            self._alive, self._plane.candidate_csr(self._window), self._window
+        )
         self._candidate_count_cache = counts
         return counts
 
@@ -600,7 +525,7 @@ class ShardedDataset:
         activities = []
         for creator in sorted(closure):
             for act in user_activities(
-                self._partners(creator), self.params, self.spec.seed, creator
+                self._plane.partners(creator), self.params, self.spec.seed, creator
             ):
                 if self._alive[act.receiver]:
                     activities.append(act)

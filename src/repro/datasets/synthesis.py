@@ -40,6 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.datasets.schema import Activity, ActivityTrace
 from repro.graph.social_graph import FollowerGraph, SocialGraph, UserId
+from repro.graph.stream import CsrRows
 from repro.seeding import derive_rng
 from repro.timeline.day import DAY_SECONDS, HOUR_SECONDS
 
@@ -247,7 +248,7 @@ def survey_receiver_rows(
     num_users: int,
     *,
     window: int = 65536,
-):
+) -> CsrRows:
     """Windowed CSR of every user's receiver list (streaming survey).
 
     The §IV-A activity filter only needs *who received* each user's
@@ -256,34 +257,18 @@ def survey_receiver_rows(
     users ``0..num_users-1`` in windows of at most ``window``, converting
     each window's receiver lists to a compact array before the next
     window starts, so the python-object working set is bounded by one
-    window regardless of trace size.  Returns ``(flat, offsets)`` numpy
-    arrays (``flat[offsets[u]:offsets[u+1]]`` is user ``u``'s receiver
-    list) identical to an unwindowed build.
+    window regardless of trace size.  Returns :class:`CsrRows` whose row
+    ``u`` is user ``u``'s receiver list, identical to an unwindowed
+    build.
 
     ``partners_of`` maps a user to his full sorted partner list (friends
     for wall traces, followees for tweet traces).
     """
-    import numpy as np
-
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    counts = np.zeros(num_users, dtype=np.int64)
-    batches = []
-    for start in range(0, num_users, window):
-        chunk: List[UserId] = []
-        for user in range(start, min(start + window, num_users)):
-            receivers = user_receivers(
-                partners_of(user), params, seed, user
-            )
-            counts[user] = len(receivers)
-            chunk.extend(receivers)
-        batches.append(np.asarray(chunk, dtype=np.int64))
-    offsets = np.zeros(num_users + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    flat = (
-        np.concatenate(batches) if batches else np.empty(0, dtype=np.int64)
+    return CsrRows.build(
+        lambda user: user_receivers(partners_of(user), params, seed, user),
+        num_users,
+        window=window,
     )
-    return flat, offsets
 
 
 def synthesize_wall_trace(

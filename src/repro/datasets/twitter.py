@@ -12,15 +12,13 @@ real files (an edge list of follows plus a tweet file), and
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from repro.datasets.filters import filter_dataset
 from repro.datasets.schema import Activity, ActivityTrace, Dataset
+from repro.datasets.sharding import SyntheticSpec
 from repro.datasets.synthesis import TraceParams, synthesize_tweet_trace
-from repro.graph.generators import powerlaw_follower_graph
 from repro.graph.io import PathOrFile, open_for_read, read_follower_graph
-from repro.graph.stream import stream_follower_graph
 
 #: Filtered-dataset statistics reported in the paper (§IV-A).
 PAPER_TWITTER_USERS = 14933
@@ -105,20 +103,18 @@ def synthetic_twitter(
     (sequential generator) or ``"stream"`` (per-user proposal streams —
     the shard-native layout).
     """
-    if params is None:
-        params = TraceParams(trace_days=14, activities_mean=30.0)
-    if graph_layout == "stream":
-        graph = stream_follower_graph(
-            num_users, degree_alpha, seed, max_degree=max_degree
-        )
-    elif graph_layout == "legacy":
-        rng = random.Random(seed)
-        graph = powerlaw_follower_graph(
-            num_users, degree_alpha, rng, max_followers=max_degree
-        )
-    else:
-        raise ValueError(f"unknown graph_layout {graph_layout!r}")
-    trace = synthesize_tweet_trace(graph, params, seed)
+    spec = SyntheticSpec(
+        "twitter",
+        num_users,
+        seed,
+        params,
+        min_activities,
+        degree_alpha,
+        max_degree,
+        graph_layout,
+    )
+    graph = spec.build_graph()
+    trace = synthesize_tweet_trace(graph, spec.resolved_params(), seed)
     dataset = Dataset(
         name=f"synthetic-twitter-{num_users}",
         kind="twitter",

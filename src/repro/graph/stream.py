@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,6 +148,39 @@ class CsrRows:
     def degree(self, user: UserId) -> int:
         return int(self.indptr[user + 1] - self.indptr[user])
 
+    @classmethod
+    def build(
+        cls,
+        row_of: Callable[[UserId], Sequence[UserId]],
+        num_users: int,
+        *,
+        window: int = _DEFAULT_WINDOW,
+        users: Optional[Sequence[UserId]] = None,
+        dtype: np.dtype = np.dtype(np.int64),
+    ) -> "CsrRows":
+        """The rows ``row_of(u)`` of ``users`` (default: ``0..num_users-1``;
+        absent users get empty rows).
+
+        Rows become arrays ``window`` users at a time, so the
+        python-object working set stays bounded by one window whatever
+        the total size; the result is identical for any window.
+        """
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        order = range(num_users) if users is None else users
+        counts = np.zeros(num_users, dtype=np.int64)
+        batches = [np.empty(0, dtype=dtype)]
+        for start in range(0, len(order), window):
+            chunk: List[UserId] = []
+            for user in order[start : start + window]:
+                row = row_of(user)
+                counts[user] = len(row)
+                chunk.extend(row)
+            batches.append(np.asarray(chunk, dtype=dtype))
+        indptr = np.zeros(num_users + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(indptr=indptr, indices=np.concatenate(batches))
+
 
 def _index_dtype(num_users: int) -> np.dtype:
     """The narrowest integer dtype that can hold every user id."""
@@ -177,34 +210,18 @@ def proposal_rows(
     ``users`` given, ``indptr`` still spans ``0..num_users`` and absent
     users simply have empty rows.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     support = PowerlawSupport(
         num_users, alpha, min_degree=min_degree, max_degree=max_degree
     )
-    dtype = _index_dtype(num_users)
-    counts = np.zeros(num_users, dtype=np.int64)
-    user_list = (
-        list(range(num_users)) if users is None else sorted(set(users))
+    return CsrRows.build(
+        lambda user: user_proposals(
+            num_users, support, seed, user, halve_target=halve_target
+        ),
+        num_users,
+        window=window,
+        users=None if users is None else sorted(set(users)),
+        dtype=_index_dtype(num_users),
     )
-    batches: List[np.ndarray] = []
-    for start in range(0, len(user_list), window):
-        chunk: List[UserId] = []
-        for user in user_list[start : start + window]:
-            proposals = user_proposals(
-                num_users, support, seed, user, halve_target=halve_target
-            )
-            counts[user] = len(proposals)
-            chunk.extend(proposals)
-        batches.append(np.asarray(chunk, dtype=dtype))
-    indptr = np.zeros(num_users + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = (
-        np.concatenate(batches)
-        if batches
-        else np.empty(0, dtype=dtype)
-    )
-    return CsrRows(indptr=indptr, indices=indices)
 
 
 def _edge_endpoints(rows: CsrRows) -> Tuple[np.ndarray, np.ndarray]:
@@ -233,7 +250,7 @@ def _rows_from_edges(
     """
     dtype = _index_dtype(num_users)
     counts = np.zeros(num_users, dtype=np.int64)
-    batches: List[np.ndarray] = []
+    batches = [np.empty(0, dtype=dtype)]
     for lo in range(0, num_users, window):
         hi = min(lo + window, num_users)
         picked_src: List[np.ndarray] = []
@@ -256,12 +273,7 @@ def _rows_from_edges(
         batches.append(d.astype(dtype, copy=False))
     indptr = np.zeros(num_users + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    indices = (
-        np.concatenate(batches)
-        if batches
-        else np.empty(0, dtype=dtype)
-    )
-    return CsrRows(indptr=indptr, indices=indices)
+    return CsrRows(indptr=indptr, indices=np.concatenate(batches))
 
 
 def symmetrized(rows: CsrRows) -> CsrRows:

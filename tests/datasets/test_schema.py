@@ -1,7 +1,10 @@
 """Unit tests for Activity / ActivityTrace / Dataset."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.datasets.schema as schema
 from repro.datasets import Activity, ActivityTrace, Dataset
 from repro.graph import FollowerGraph, SocialGraph
 from repro.timeline import DAY_SECONDS
@@ -72,6 +75,64 @@ class TestActivityTrace:
         restricted = trace.restricted_to({1, 2})
         assert len(restricted) == 1
         assert restricted.activities[0].creator == 1
+
+
+# Narrow ranges so timestamp ties, creator ties and exact duplicates are
+# common.
+_activities = st.lists(
+    st.builds(
+        Activity,
+        timestamp=st.sampled_from([0.0, 1.0, 1.5, 7.0]),
+        creator=st.integers(0, 3),
+        receiver=st.integers(0, 3),
+    ),
+    max_size=40,
+)
+
+
+class TestTraceOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(_activities)
+    def test_key_sort_is_the_dataclass_order(self, acts):
+        # Same total order and a stable sort: the same permutation, so
+        # even equal activities sit at the same positions.
+        want = sorted(acts)
+        got = ActivityTrace(acts).activities
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+    def test_ties_break_by_creator_then_receiver(self):
+        acts = [_act(5, 2, 1), _act(5, 1, 3), _act(5, 1, 2), _act(4, 9, 9)]
+        trace = ActivityTrace(acts)
+        assert [(a.timestamp, a.creator, a.receiver) for a in trace] == [
+            (4, 9, 9),
+            (5, 1, 2),
+            (5, 1, 3),
+            (5, 2, 1),
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_activities, st.sets(st.integers(0, 3)))
+    def test_restrictions_keep_order_without_sorting(self, acts, keep):
+        trace = ActivityTrace(acts)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a restriction sorted the trace again")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schema, "sorted", no_sort, raising=False)
+            restricted = trace.restricted_to(keep)
+            windowed = trace.window(1.0, 7.0)
+        assert restricted.activities == tuple(
+            a for a in trace if a.creator in keep and a.receiver in keep
+        )
+        assert windowed.activities == tuple(
+            a for a in trace if 1.0 <= a.timestamp < 7.0
+        )
+        for sub in (restricted, windowed):
+            assert list(sub) == sorted(sub)
+            created = [a for a in sub if a.creator == 0]
+            assert list(sub.created_by(0)) == created
 
 
 class TestDataset:
