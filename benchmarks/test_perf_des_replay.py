@@ -114,10 +114,13 @@ def test_des_replay_speedup_and_identity(benchmark):
 
     # Sharded multi-process replay: identical stats, recorded timing.
     start = perf_counter()
-    with ParallelExecutor(jobs=JOBS) as executor:
-        sharded = _replay(
-            setup, "numpy", packed=True, executor=executor, shards=SHARDS
-        )
+    sharded = _replay(
+        setup,
+        "numpy",
+        packed=True,
+        executor=ParallelExecutor(jobs=JOBS),
+        shards=SHARDS,
+    )
     sharded_seconds = perf_counter() - start
     assert sharded.stats.to_dict() == scalar.stats.to_dict()
 

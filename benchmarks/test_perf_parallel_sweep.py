@@ -86,7 +86,9 @@ def test_parallel_sweep_speedup(benchmark):
 
 
 def test_timings_written_to_result_json(tmp_path):
-    run_batch(tmp_path, scale=BENCH, ids=["fig3"], jobs=2)
+    run_batch(
+        tmp_path, scale=BENCH, ids=["fig3"], executor=ParallelExecutor(jobs=2)
+    )
     timings = json.loads((tmp_path / "fig3.json").read_text())["timings"]
     assert timings["jobs"] == 2
     assert timings["total_seconds"] > 0

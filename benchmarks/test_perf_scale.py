@@ -193,22 +193,17 @@ def _identity_grid():
     policies = [make_policy("maxav"), make_policy("random")]
 
     def sweep(source, *, jobs=1, oracle=False):
-        executor = ParallelExecutor(jobs=jobs) if jobs > 1 else None
-        try:
-            with oracle_sweeps(oracle):
-                return sweep_replication_degree(
-                    source,
-                    SporadicModel(),
-                    policies,
-                    degrees=list(range(4)),
-                    users=users,
-                    seed=0,
-                    repeats=2,
-                    executor=executor,
-                )
-        finally:
-            if executor is not None:
-                executor.close()
+        with oracle_sweeps(oracle):
+            return sweep_replication_degree(
+                source,
+                SporadicModel(),
+                policies,
+                degrees=list(range(4)),
+                users=users,
+                seed=0,
+                repeats=2,
+                executor=ParallelExecutor(jobs=jobs),
+            )
 
     baseline = sweep(ds)
     combos = [

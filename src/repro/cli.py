@@ -83,18 +83,31 @@ def _probability(value: str) -> float:
     return parsed
 
 
-def _fault_injector_from_args(args: argparse.Namespace):
-    """Build the soak-test fault injector from the hidden CLI knobs."""
-    from repro.parallel import FaultInjector
+def _executor_from_args(args: argparse.Namespace):
+    """The executor of ``run`` and ``batch``: ``--jobs``, the supervision
+    knobs, ``batch``'s ``--retry-attempts`` and the hidden soak-test
+    ``--fault-*`` plan."""
+    from repro.parallel import FaultInjector, ParallelExecutor, RetryPolicy
 
-    if not (args.fault_crash or args.fault_hang or args.fault_error):
-        return None
-    return FaultInjector.random_faults(
-        seed=args.fault_seed,
-        crash=args.fault_crash,
-        hang=args.fault_hang,
-        error=args.fault_error,
-        hang_seconds=args.fault_hang_seconds,
+    injector = None
+    if args.fault_crash or args.fault_hang or args.fault_error:
+        injector = FaultInjector.random_faults(
+            seed=args.fault_seed,
+            crash=args.fault_crash,
+            hang=args.fault_hang,
+            error=args.fault_error,
+            hang_seconds=args.fault_hang_seconds,
+        )
+    retry = RetryPolicy()
+    attempts = getattr(args, "retry_attempts", None)  # a ``batch`` flag
+    if attempts is not None:
+        retry = RetryPolicy(max_attempts=attempts)
+    return ParallelExecutor(
+        jobs=args.jobs,
+        chunk_timeout=args.chunk_timeout,
+        strict=args.strict,
+        retry=retry,
+        fault_injector=injector,
     )
 
 
@@ -107,41 +120,32 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.cache import SweepCache
-    from repro.parallel import ParallelExecutor
 
     scale = get_scale(args.scale)
     ids = experiment_ids() if args.experiment == "all" else [args.experiment]
     cache = None if args.no_cache else SweepCache(args.cache_dir)
+    ex = Execution(_executor_from_args(args), cache, args.shards)
     out = open(args.output, "w") if args.output else sys.stdout
     results = []
     try:
-        with ParallelExecutor(
-            jobs=args.jobs,
-            chunk_timeout=args.chunk_timeout,
-            strict=args.strict,
-            fault_injector=_fault_injector_from_args(args),
-        ) as executor:
-            ex = Execution(executor, cache, args.shards)
-            for eid in ids:
-                result = execute(eid, scale, ex)
-                results.append(result)
-                print(result.render(), file=out)
-                if args.plot:
-                    from repro.analysis import chart_from_table
+        for eid in ids:
+            result = execute(eid, scale, ex)
+            results.append(result)
+            print(result.render(), file=out)
+            if args.plot:
+                from repro.analysis import chart_from_table
 
-                    for table in result.tables:
-                        try:
-                            chart = chart_from_table(
-                                table.headers, table.rows, title=table.caption
-                            )
-                        except (TypeError, ValueError):
-                            continue  # non-numeric table (e.g. dataset names)
-                        print(file=out)
-                        print(chart, file=out)
-                print(file=out)
-            summary = summarize_batch(
-                results, scale=scale, ex=ex, jobs=executor.effective_jobs
-            )
+                for table in result.tables:
+                    try:
+                        chart = chart_from_table(
+                            table.headers, table.rows, title=table.caption
+                        )
+                    except (TypeError, ValueError):
+                        continue  # non-numeric table (e.g. dataset names)
+                    print(file=out)
+                    print(chart, file=out)
+            print(file=out)
+        summary = summarize_batch(results, scale=scale, ex=ex)
         print(render_batch_summary(summary), file=out)
     finally:
         if args.output:
@@ -154,29 +158,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
     from repro.experiments import run_batch
-    from repro.parallel import RetryPolicy
 
     scale = get_scale(args.scale)
-    ids = args.ids or None
-    retry = (
-        RetryPolicy(max_attempts=args.retry_attempts)
-        if args.retry_attempts is not None
-        else None
-    )
+    executor = _executor_from_args(args)
     try:
         run_batch(
             args.out_dir,
             scale=scale,
-            ids=ids,
-            jobs=args.jobs,
+            ids=args.ids or None,
             shards=args.shards,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
+            executor=executor,
             resume=args.resume,
-            chunk_timeout=args.chunk_timeout,
-            strict=args.strict,
-            retry=retry,
-            fault_injector=_fault_injector_from_args(args),
         )
     except KeyboardInterrupt:
         print(
@@ -280,20 +274,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else None
     )
     start = perf_counter()
-    with ParallelExecutor(jobs=args.jobs) as executor:
-        outcome = replay_trace(
-            dataset,
-            schedules,
-            sequences,
-            config=config,
-            tracked_profiles=users,
-            backend=args.backend,
-            shards=args.shards,
-            executor=executor,
-            packed=packed,
-            cache=cache,
-            cache_key=cache_key,
-        )
+    outcome = replay_trace(
+        dataset,
+        schedules,
+        sequences,
+        config=config,
+        tracked_profiles=users,
+        backend=args.backend,
+        shards=args.shards,
+        executor=ParallelExecutor(jobs=args.jobs),
+        packed=packed,
+        cache=cache,
+        cache_key=cache_key,
+    )
     elapsed = perf_counter() - start
     stats = outcome.stats
     print(

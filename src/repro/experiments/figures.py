@@ -1037,15 +1037,11 @@ def run_experiment(
     The keyword arguments are the :class:`Execution` knobs (invalid
     values raise :class:`ValueError` before any work); every combination
     gives bit-identical output.  Without an ``executor`` one with
-    ``jobs`` workers is built for this call and closed after it.
+    ``jobs`` workers is built for this call.
     """
-    ex = Execution(executor, cache, shards)
-    if executor is not None:
-        return execute(experiment_id, scale, ex)
-    with ParallelExecutor(jobs=jobs) as owned:
-        return execute(
-            experiment_id, scale, dataclasses.replace(ex, executor=owned)
-        )
+    if executor is None:
+        executor = ParallelExecutor(jobs=jobs)
+    return execute(experiment_id, scale, Execution(executor, cache, shards))
 
 
 def execute(
@@ -1067,10 +1063,7 @@ def execute(
             f"{experiment_ids()}"
         ) from None
     if ex.executor is None:
-        with ParallelExecutor() as owned:
-            return execute(
-                experiment_id, scale, dataclasses.replace(ex, executor=owned)
-            )
+        ex = dataclasses.replace(ex, executor=ParallelExecutor())
     executor, cache = ex.executor, ex.cache
     timing_mark = executor.snapshot_timings()
     pool_mark = executor.pool_stats.snapshot()

@@ -133,8 +133,8 @@ class ExperimentResult:
                 )
             )
         pool = self.timings.get("pool")
-        if pool and (pool.get("starts") or pool.get("reuses")):
-            line = f"pool: {pool['starts']} starts, {pool['reuses']} reuses"
+        if pool and pool.get("starts"):
+            line = f"pool: {pool['starts']} starts"
             for counter in ("retries", "rebuilds", "timeouts", "quarantined"):
                 if pool.get(counter):
                     line += f", {pool[counter]} {counter}"

@@ -7,14 +7,15 @@ raw series — the machine-readable counterpart the EXPERIMENTS.md numbers
 were taken from.
 
 The batch is one *compute plane*: a single content-addressed
-:class:`~repro.cache.SweepCache` and a single persistent
+:class:`~repro.cache.SweepCache` and a single
 :class:`~repro.parallel.ParallelExecutor` are threaded through every
 experiment, so figures that are views over the same degree sweep
-(fig3/5/6/7 on Facebook, fig10/11 on Twitter) compute it once and the
-worker pool survives across experiments while its shared payload is
-unchanged.  All output files are written atomically (temp file +
-``os.replace``), and a ``batch_summary.json`` rollup of per-experiment
-phase timings plus cache and pool counters is written alongside.
+(fig3/5/6/7 on Facebook, fig10/11 on Twitter) compute it once, and the
+executor's counters span the batch.  Each parallel phase forks its own
+worker pool and tears it down before it returns.  All output files are
+written atomically (temp file + ``os.replace``), and a
+``batch_summary.json`` rollup of per-experiment phase timings plus cache
+and pool counters is written alongside.
 
 Batches are *resumable*: a format-versioned ``journal.json`` in the
 output directory records each experiment's status
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.cache import SweepCache
-from repro.parallel import FaultInjector, ParallelExecutor, RetryPolicy
+from repro.parallel import ParallelExecutor
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.config import BENCH, ExperimentScale
 from repro.experiments.execution import Execution
@@ -264,12 +265,12 @@ def summarize_batch(
     *,
     scale: ExperimentScale,
     ex: Execution,
-    jobs: int,
     skipped: Optional[List[str]] = None,
 ) -> Dict[str, Any]:
     """The batch observability rollup written to ``batch_summary.json``.
 
-    The knobs of ``ex`` (``jobs`` as the caller reports it),
+    The knobs of ``ex`` (``jobs`` is the worker count its executor ran
+    with; 1 without one),
     per-experiment phase timings (each experiment's own deltas, as filled
     in by :func:`~repro.experiments.figures.execute`), phase totals
     aggregated across the batch, the batch-wide cache hit/miss and pool
@@ -293,9 +294,10 @@ def summarize_batch(
             total["items"] / total["seconds"] if total["seconds"] > 0 else 0.0,
             3,
         )
+    cache, executor = ex.cache, ex.executor
     summary: Dict[str, Any] = {
         "scale": scale.name,
-        "jobs": jobs,
+        "jobs": executor.effective_jobs if executor is not None else 1,
         "shards": ex.shards,
         "num_experiments": len(results),
         "total_seconds": round(
@@ -310,7 +312,6 @@ def summarize_batch(
         "failures": None,
         "skipped": sorted(skipped) if skipped else [],
     }
-    cache, executor = ex.cache, ex.executor
     if cache is not None:
         summary["cache"] = dict(
             cache.stats.as_dict(),
@@ -358,10 +359,8 @@ def render_batch_summary(summary: Dict[str, Any]) -> str:
             f"{checkpoints['stores']} stores, {checkpoints['stale']} stale"
         )
     pool = summary.get("pool")
-    if pool is not None and (pool.get("starts") or pool.get("reuses")):
-        line = (
-            f"[batch] pool: {pool['starts']} starts, {pool['reuses']} reuses"
-        )
+    if pool is not None and pool.get("starts"):
+        line = f"[batch] pool: {pool['starts']} starts"
         for counter in ("retries", "rebuilds", "timeouts", "quarantined"):
             if pool.get(counter):
                 line += f", {pool[counter]} {counter}"
@@ -402,21 +401,16 @@ def run_batch(
     *,
     scale: ExperimentScale = BENCH,
     ids: Optional[Iterable[str]] = None,
-    jobs: int = 1,
     shards: int = 1,
     cache: Optional[SweepCache] = None,
     cache_dir: Optional[Union[str, os.PathLike]] = None,
     use_cache: bool = True,
     executor: Optional[ParallelExecutor] = None,
     resume: bool = False,
-    chunk_timeout: Optional[float] = None,
-    strict: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_injector: Optional[FaultInjector] = None,
 ) -> List[Path]:
     """Run experiments and write ``<id>.txt`` + ``<id>.json`` per entry.
 
-    ``jobs`` and ``shards`` are the
+    ``executor``, the cache and ``shards`` are the
     :class:`~repro.experiments.execution.Execution` knobs (see
     :func:`~repro.experiments.figures.run_experiment`): every combination
     writes identical results, and invalid values raise ``ValueError``
@@ -426,11 +420,11 @@ def run_batch(
     ``cache`` to share one across batches, ``cache_dir`` for the
     persistent on-disk layer, or ``use_cache=False`` to disable caching
     entirely — the results are bit-identical in every case), and one
-    persistent :class:`~repro.parallel.ParallelExecutor` is threaded
-    through all experiments so the worker pool survives between them
-    (pass ``executor`` to supply your own; it is left open for you to
-    close — ``chunk_timeout``/``strict``/``retry``/``fault_injector``
-    configure the owned executor and are ignored when you pass one).
+    :class:`~repro.parallel.ParallelExecutor` runs every experiment
+    (serial by default; pass one with ``jobs`` and the supervision knobs
+    to fan the per-user work out).  Each of its parallel phases forks a
+    pool and tears it down before returning, so no worker process
+    outlives a phase.
 
     Progress is journalled to ``journal.json`` after every experiment
     transition; ``resume=True`` reloads it and skips experiments already
@@ -439,26 +433,15 @@ def run_batch(
     experiment raises — including ``KeyboardInterrupt`` and strict-mode
     worker loss — it is marked failed, the journal and a
     ``batch_summary.json`` covering the completed prefix are still
-    written, the executor is closed, and the exception propagates to the
-    caller.  Each experiment's JSON carries its own
-    phase/cache/pool/failure deltas, and the final ``batch_summary.json``
-    rollup includes the executor's quarantine report.  All writes are
-    atomic.  Returns the paths written.  The directory is created if
-    missing.
+    written, and the exception propagates to the caller.  Each
+    experiment's JSON carries its own phase/cache/pool/failure deltas,
+    and the final ``batch_summary.json`` rollup includes the executor's
+    quarantine report.  All writes are atomic.  Returns the paths
+    written.  The directory is created if missing.
     """
     if cache is None and use_cache:
         cache = SweepCache(cache_dir)
-    owns_executor = executor is None
-    if owns_executor:
-        kwargs: Dict[str, Any] = {"jobs": jobs, "strict": strict}
-        if chunk_timeout is not None:
-            kwargs["chunk_timeout"] = chunk_timeout
-        if retry is not None:
-            kwargs["retry"] = retry
-        if fault_injector is not None:
-            kwargs["fault_injector"] = fault_injector
-        executor = ParallelExecutor(**kwargs)
-    ex = Execution(executor, cache, shards)
+    ex = Execution(executor or ParallelExecutor(), cache, shards)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_ids = list(ids) if ids is not None else list(experiment_ids())
@@ -504,11 +487,7 @@ def run_batch(
             written.extend([txt_path, json_path])
             journal.mark(eid, DONE)
     finally:
-        if owns_executor:
-            executor.close()
-        summary = summarize_batch(
-            results, scale=scale, ex=ex, jobs=jobs, skipped=skipped
-        )
+        summary = summarize_batch(results, scale=scale, ex=ex, skipped=skipped)
         summary_path = out / "batch_summary.json"
         _atomic_write_text(
             summary_path,

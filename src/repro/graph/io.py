@@ -92,7 +92,11 @@ def read_follower_graph(source: PathOrFile) -> FollowerGraph:
 def write_graph(
     graph: Union[SocialGraph, FollowerGraph], target: PathOrFile, *, header: str = ""
 ) -> None:
-    """Write a graph as an edge list (undirected edges appear once)."""
+    """Write a graph as an edge list (undirected edges appear once).
+
+    Edges are written sorted, so equal graphs write equal files however
+    they were built.
+    """
     handle, owned = _open_for_write(target)
     try:
         if header:
@@ -102,12 +106,13 @@ def write_graph(
             f"# {'directed' if graph.directed else 'undirected'}; "
             f"{graph.num_users} users, {graph.num_edges} edges\n"
         )
-        for u, v in graph.edges():
+        edges = sorted(graph.edges())
+        for u, v in edges:
             handle.write(f"{u}\t{v}\n")
         # Isolated users still need to exist on reload; declare them with
         # 'v <id>' records (understood by the readers in this module).
         connected = set()
-        for u, v in graph.edges():
+        for u, v in edges:
             connected.add(u)
             connected.add(v)
         for u in sorted(u for u in graph.users() if u not in connected):

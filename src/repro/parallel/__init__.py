@@ -20,7 +20,6 @@ from repro.parallel.executor import (
     PhaseTiming,
     PoolStats,
     fork_available,
-    payload_fingerprint,
     resolve_jobs,
 )
 from repro.parallel.faults import (
@@ -82,7 +81,6 @@ __all__ = [
     "evaluate_users_chunk",
     "fork_available",
     "is_quarantined",
-    "payload_fingerprint",
     "resolve_jobs",
     "select_sequences_chunk",
 ]

@@ -5,13 +5,12 @@ repeat) cell over a cohort of users — per-user work with a large shared
 read-only context (dataset, schedules, policies).  :class:`ParallelExecutor`
 runs that shape over a process pool:
 
-* the shared context (*payload*) ships to each worker **once**, at pool
-  initialisation, never per task;
-* the forked pool is **persistent**: it stays alive across
-  :meth:`~ParallelExecutor.map_shared` calls and is re-initialised only
-  when the payload fingerprint changes, so a batch that maps many phases
-  over the same shared context pays the fork cost once (pool start /
-  reuse counts are tracked in :attr:`ParallelExecutor.pool_stats`);
+* the shared context (*payload*) reaches each worker **once**, by fork
+  at pool start, never per task;
+* a pool lives for one :meth:`~ParallelExecutor.map_shared` call: it is
+  forked when the call starts and torn down before the call returns, so
+  no worker process outlives the call (pool starts are counted in
+  :attr:`ParallelExecutor.pool_stats`);
 * items are split into contiguous chunks and results return in item
   order, so serial and parallel runs aggregate identically;
 * ``jobs=1`` (the default) runs everything inline in the calling process
@@ -43,12 +42,13 @@ workers.  Supervision events are counted in
 :attr:`ParallelExecutor.pool_stats` (rebuilds / retries / timeouts /
 quarantined) next to the lifecycle counters.
 
-Lifecycle: an executor is a context manager — ``with
-ParallelExecutor(jobs=8) as ex: ...`` shuts the persistent pool down on
-exit; :meth:`close` does the same explicitly, and an executor left to the
-garbage collector closes itself defensively.  A ``KeyboardInterrupt``
-mid-phase force-kills the workers (a graceful join could block on a hung
-fork) and propagates, leaving the executor safely closeable.
+Lifecycle: an executor holds no process between calls.  A call that
+succeeds shuts its pool down gracefully; a call that fails — a strict-mode
+raise, a ``KeyboardInterrupt``, any other exception — kills its workers
+(a graceful join could block on a hung fork) and reaps them before the
+exception propagates.  Crash rebuilds and retry rounds happen inside the
+call.  :meth:`close` and the context-manager protocol are no-ops, kept
+so that callers which close an executor or use it in ``with`` still work.
 
 Determinism contract: given a deterministic ``worker`` function, results
 are bit-identical for every ``jobs`` value — the engine only changes
@@ -56,11 +56,7 @@ are bit-identical for every ``jobs`` value — the engine only changes
 consumed.  Supervision preserves this: retries re-run pure per-item work
 with the same inputs (the attempt number is visible only to the fault
 injector), backoff schedules work but computes nothing, and results are
-placed by absolute item offset regardless of completion order.  Pool
-reuse preserves it too: a pool is only reused while the worker function,
-the payload fingerprint and the fault injector are unchanged, and equal
-fingerprints imply an equivalent payload by construction (see
-:meth:`repro.parallel.worker.SweepPayload.fingerprint`).
+placed by absolute item offset regardless of completion order.
 """
 
 from __future__ import annotations
@@ -153,20 +149,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def payload_fingerprint(payload: Any) -> Tuple[object, ...]:
-    """The reuse fingerprint of a shared payload.
-
-    Payload classes that want pool reuse implement ``fingerprint()``
-    returning a stable, hashable token; anything else falls back to
-    object identity (the executor keeps the payload alive while its pool
-    does, so the id cannot be recycled underneath the comparison).
-    """
-    method = getattr(payload, "fingerprint", None)
-    if callable(method):
-        return ("fingerprint", method())
-    return ("object", id(payload))
-
-
 @dataclass
 class PhaseTiming:
     """Accumulated wall-clock/throughput numbers for one named phase."""
@@ -192,8 +174,8 @@ class PhaseTiming:
 class PoolStats:
     """Pool lifecycle and supervision counters.
 
-    ``starts``/``reuses`` track the persistent-pool amortisation;
-    ``rebuilds`` counts fault-triggered teardowns (dead or hung
+    ``starts`` counts pool forks (one per parallel call plus one per
+    rebuild); ``rebuilds`` counts fault-triggered teardowns (dead or hung
     workers), ``retries`` chunk re-dispatches after a failure (backoff
     retries and bisections), ``timeouts`` chunks that exceeded the
     per-chunk deadline, and ``quarantined`` poison items permanently
@@ -201,7 +183,6 @@ class PoolStats:
     """
 
     starts: int = 0
-    reuses: int = 0
     rebuilds: int = 0
     retries: int = 0
     timeouts: int = 0
@@ -228,7 +209,7 @@ _PENDING = object()
 
 @dataclass
 class ParallelExecutor:
-    """Shared-payload chunked map over a supervised persistent pool.
+    """Shared-payload chunked map over a supervised per-call pool.
 
     ``jobs`` — worker processes; ``1`` runs serial (default), ``0`` or
     ``None`` uses every CPU.  ``chunk_size`` — items per task; the default
@@ -254,15 +235,8 @@ class ParallelExecutor:
     timings: Dict[str, PhaseTiming] = field(default_factory=dict)
     pool_stats: PoolStats = field(default_factory=PoolStats)
     failures: FailureReport = field(default_factory=FailureReport)
+    #: The current call's pool; ``None`` between calls.
     _pool: Optional[ProcessPoolExecutor] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _pool_key: Optional[Tuple[object, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Strong reference keeping the current pool's payload (and hence the
-    #: ids inside its fingerprint) alive for the pool's whole lifetime.
-    _pool_payload: Any = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -293,59 +267,27 @@ class ParallelExecutor:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except BaseException:
-            pass  # interpreter teardown: nothing sensible left to do
-
     def close(self) -> None:
-        """Shut the persistent pool down gracefully (idempotent).
+        """A no-op: every pool is torn down by the call that forked it."""
 
-        Safe during interpreter shutdown: a ``__del__``-triggered close
-        can run after module globals (including ``concurrent.futures``
-        internals) were torn down, where attribute access and calls
-        raise ``AttributeError``/``TypeError`` — those are swallowed so
-        a leaked executor never prints teardown noise.
-        """
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            try:
-                pool.shutdown(wait=True)
-            except (AttributeError, TypeError):
-                pass  # shutdown raced interpreter teardown
-        self._pool = None
-        self._pool_key = None
-        self._pool_payload = None
+    def _shutdown_pool(self, *, kill: bool, rebuild: bool = False) -> None:
+        """Tear the current pool down; no worker survives the return.
 
-    def _abandon_pool(self, *, rebuild: bool) -> None:
-        """Forcefully discard the pool: kill the workers, don't wait.
-
-        Used when workers are dead (pool broken) or wedged (deadline
-        exceeded, interrupt) — a graceful :meth:`close` would block on
-        them.  ``rebuild=True`` counts the teardown as fault-triggered.
+        ``kill=False`` waits for idle workers to exit.  ``kill=True`` is
+        for workers that are dead (pool broken) or may be wedged
+        (deadline exceeded, failed call), where a graceful shutdown could
+        block on them: they are killed first, then reaped.
+        ``rebuild=True`` counts the teardown as fault-triggered.
         """
         pool, self._pool = self._pool, None
-        self._pool_key = None
-        self._pool_payload = None
         if pool is None:
             return
         if rebuild:
             self.pool_stats.rebuilds += 1
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
+        if kill:
+            for proc in list((pool._processes or {}).values()):
                 proc.kill()
-            except Exception:
-                pass  # already reaped
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass  # a broken pool may refuse; the workers are dead anyway
-
-    @property
-    def pool_alive(self) -> bool:
-        """Whether a persistent worker pool is currently running."""
-        return self._pool is not None
+        pool.shutdown(wait=True, cancel_futures=kill)
 
     # -- mapping -----------------------------------------------------------
 
@@ -480,10 +422,11 @@ class ParallelExecutor:
                 )
                 if failures:
                     self._handle_failures(failures, pending, out, phase)
-        except KeyboardInterrupt:
-            # Never wait on possibly-wedged workers during an interrupt.
-            self._abandon_pool(rebuild=False)
+        except BaseException:
+            # Never wait on possibly-wedged workers when the call fails.
+            self._shutdown_pool(kill=True)
             raise
+        self._shutdown_pool(kill=False)
         assert all(slot is not _PENDING for slot in out)
         return out
 
@@ -501,7 +444,7 @@ class ParallelExecutor:
         Returns this round's failures as ``(task, kind, error,
         traceback, original_exception)`` tuples.  When the round ends
         with a broken pool (worker death) or an expired chunk deadline,
-        the wedged pool has already been torn down on return; tasks that
+        the wedged pool has already been killed on return; tasks that
         were merely *victims* of the teardown are left in ``pending`` at
         unchanged attempt counts and simply run again next round.
         """
@@ -520,7 +463,7 @@ class ParallelExecutor:
                     )
                 ] = task
         except BrokenExecutor as exc:
-            self._abandon_pool(rebuild=True)
+            self._shutdown_pool(kill=True, rebuild=True)
             return [
                 (task, KIND_WORKER_LOST, _describe(exc), "", None)
                 for _, task in sorted(pending.items())
@@ -562,7 +505,7 @@ class ParallelExecutor:
                 # A worker process died.  The break fails every in-flight
                 # future indiscriminately, so attribution is impossible:
                 # every unfinished task of this round must retry.
-                self._abandon_pool(rebuild=True)
+                self._shutdown_pool(kill=True, rebuild=True)
                 recorded = {task.start for task, *_ in failures}
                 for start, task in sorted(pending.items()):
                     if start not in recorded:
@@ -590,7 +533,7 @@ class ParallelExecutor:
                     # Hung worker(s): the only recovery is to kill the
                     # pool.  Unexpired in-flight tasks are victims and
                     # retry at unchanged attempt counts.
-                    self._abandon_pool(rebuild=True)
+                    self._shutdown_pool(kill=True, rebuild=True)
                     for fut in expired:
                         task = futures[fut]
                         failures.append(
@@ -669,27 +612,15 @@ class ParallelExecutor:
     def _ensure_pool(
         self, worker: Callable, payload: Any, jobs: int
     ) -> ProcessPoolExecutor:
-        """The persistent pool for ``(worker, payload, injector)``.
-
-        Reused while the worker function, the payload fingerprint and the
-        fault injector are unchanged; any change forks a fresh pool (the
-        workers' inherited copy of the payload would otherwise be stale).
-        """
-        key = (worker, payload_fingerprint(payload), self.fault_injector)
-        if self._pool is not None and self._pool_key == key:
-            self.pool_stats.reuses += 1
-            return self._pool
-        self.close()
-        ctx = multiprocessing.get_context("fork")
-        self._pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(worker, payload, self.fault_injector),
-        )
-        self._pool_key = key
-        self._pool_payload = payload
-        self.pool_stats.starts += 1
+        """This call's pool, forked on first use and after a rebuild."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=jobs,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(worker, payload, self.fault_injector),
+            )
+            self.pool_stats.starts += 1
         return self._pool
 
     def _chunk_size_for(self, num_items: int, jobs: int) -> int:
@@ -697,10 +628,6 @@ class ParallelExecutor:
         if size is None:
             size = max(1, -(-num_items // (jobs * 4)))
         return size
-
-    def _chunk(self, items: List[Any], jobs: int) -> List[List[Any]]:
-        size = self._chunk_size_for(len(items), jobs)
-        return [items[i : i + size] for i in range(0, len(items), size)]
 
     # -- timing ------------------------------------------------------------
 

@@ -13,9 +13,9 @@ evaluation.  The results equal the per-degree
 :func:`~repro.core.metrics.evaluate_user` oracle float for float — the
 tests sweep through that oracle (``tests/oracle.py``) and compare.
 
-Both kernels are top-level functions over a frozen payload, so a process
-pool can ship them to workers by reference (the payload itself travels
-once, at pool initialisation).
+The kernels are top-level functions over a frozen payload, so a process
+pool can ship them to workers by reference (the payload itself reaches
+each worker once, by fork at pool start).
 """
 
 from __future__ import annotations
@@ -48,29 +48,6 @@ class SweepPayload:
     degrees: Tuple[int, ...]
     max_degree: int
     seed: int
-
-    def fingerprint(self) -> Tuple[object, ...]:
-        """Pool-reuse token: equal fingerprints ⇒ equivalent payloads.
-
-        The big shared components (dataset, schedules) enter by object
-        identity — they are memoised upstream (LRU datasets and the
-        per-``(model, seed)`` schedule memo), so the same
-        configuration presents the same objects across figures, and the
-        executor pins the payload while its pool lives, so the ids
-        cannot be recycled underneath a comparison.  Policies enter by
-        value (:meth:`~repro.core.placement.base.PlacementPolicy.cache_key`)
-        because fresh-but-equal policy objects are built per sweep call.
-        """
-        return (
-            type(self).__qualname__,
-            id(self.dataset),
-            id(self.schedules),
-            tuple(p.cache_key() for p in self.policies),
-            self.mode,
-            self.degrees,
-            self.max_degree,
-            self.seed,
-        )
 
 
 def _sequence_for(
@@ -164,18 +141,6 @@ class PlacementPayload:
     max_degree: int = 0
     seed: int = 0
 
-    def fingerprint(self) -> Tuple[object, ...]:
-        """Pool-reuse token (see :meth:`SweepPayload.fingerprint`)."""
-        return (
-            type(self).__qualname__,
-            id(self.dataset),
-            id(self.schedules),
-            self.policy.cache_key(),
-            self.mode,
-            self.max_degree,
-            self.seed,
-        )
-
 
 def select_sequences_chunk(
     payload: PlacementPayload, users: Sequence[UserId]
@@ -218,35 +183,6 @@ class ReplayPayload:
     tracked: Optional[Tuple[UserId, ...]] = None
     #: Packed schedules for the numpy replay engine.
     packed: Optional[PackedSchedules] = None
-
-    def fingerprint(self) -> Tuple[object, ...]:
-        """Pool-reuse token (see :meth:`SweepPayload.fingerprint`).
-
-        The replay config enters by value — fresh-but-equal configs are
-        built per call — with the latency model identified by its
-        parameter-carrying ``describe()`` string; the packed schedules,
-        like the dataset, enter by object identity.
-        """
-        config = self.config
-        latency = getattr(config, "latency", None)
-        return (
-            type(self).__qualname__,
-            id(self.dataset),
-            id(self.schedules),
-            id(self.placements),
-            self.shard_owners,
-            self.tracked,
-            (
-                config.days,
-                config.sample_every,
-                config.use_cdn,
-                config.replay_reads,
-                latency.describe() if latency is not None else None,
-                config.latency_seed,
-            ),
-            self.backend,
-            id(self.packed),
-        )
 
 
 def replay_shards_chunk(

@@ -15,6 +15,7 @@ from repro.experiments import (
     run_batch,
 )
 from repro.experiments.report import ExperimentResult
+from repro.parallel import ParallelExecutor
 from tests.experiments.test_config_and_registry import TINY
 
 
@@ -128,7 +129,7 @@ class TestRunBatch:
         assert not _contains(loaded, "inf")
 
     def test_load_result_includes_timings(self, tmp_path):
-        run_batch(tmp_path, scale=TINY, ids=["table1"], jobs=1)
+        run_batch(tmp_path, scale=TINY, ids=["table1"])
         loaded = load_result(tmp_path / "table1.json")
         timings = loaded["timings"]
         assert timings["jobs"] == 1
@@ -137,6 +138,14 @@ class TestRunBatch:
             set(phase) == {"seconds", "items", "calls", "items_per_second"}
             for phase in timings["phases"].values()
         )
+
+    @pytest.mark.parametrize("jobs", [2, 0])
+    def test_summary_jobs_is_the_executor_that_ran(self, tmp_path, jobs):
+        executor = ParallelExecutor(jobs=jobs)
+        run_batch(tmp_path, scale=TINY, ids=["table1"], executor=executor)
+        summary = json.loads((tmp_path / "batch_summary.json").read_text())
+        timings = load_result(tmp_path / "table1.json")["timings"]
+        assert summary["jobs"] == timings["jobs"] == executor.effective_jobs
 
     def test_atomic_writes_leave_no_temp_files(self, tmp_path):
         run_batch(tmp_path, scale=TINY, ids=["fig3"])
@@ -157,7 +166,6 @@ class TestRunBatch:
         assert fig5["cache"]["misses"] == 0
         assert summary["pool"] == {  # jobs=1: no pool activity at all
             "starts": 0,
-            "reuses": 0,
             "rebuilds": 0,
             "retries": 0,
             "timeouts": 0,

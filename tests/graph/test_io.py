@@ -76,3 +76,31 @@ def test_written_header_is_commented(tmp_path):
     assert "# line one" in text
     assert "# line two" in text
     assert "undirected" in text
+
+
+def _built(cls, edges, isolated):
+    graph = cls()
+    add = graph.add_edge if cls is SocialGraph else graph.add_follow
+    for user in isolated:
+        graph.add_user(user)
+    for u, v in edges:
+        add(u, v)
+    return graph
+
+
+@pytest.mark.parametrize("cls", [SocialGraph, FollowerGraph])
+def test_written_bytes_depend_only_on_the_edge_set(cls):
+    # 1/9/17 share a slot in a small set, so insertion order alone
+    # changes set iteration order; reversing also changes dict order.
+    edges = [(1, 9), (1, 17), (9, 17), (40, 1), (33, 9), (5, 6), (6, 7)]
+    isolated = [99, 50]
+    forward = _built(cls, edges, isolated)
+    backward = _built(cls, edges[::-1], isolated[::-1])
+    assert sorted(forward.edges()) == sorted(backward.edges())
+    assert list(forward.edges()) != list(backward.edges())
+    texts = []
+    for graph in (forward, backward):
+        buf = io.StringIO()
+        write_graph(graph, buf, header="h")
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]

@@ -1,11 +1,15 @@
 """Tests for the shared-payload process-pool executor."""
 
+import multiprocessing
+
 import pytest
 
 from repro.parallel import (
+    FaultInjector,
+    InjectedFault,
     ParallelExecutor,
+    RetryPolicy,
     fork_available,
-    payload_fingerprint,
     resolve_jobs,
 )
 
@@ -84,81 +88,86 @@ class TestParallelPath:
         assert ex.map_shared(_square_chunk, 1, [1, 2, 3]) == [1, 4, 9]
 
 
-class _TokenPayload:
-    """A payload with an explicit reuse fingerprint."""
-
-    def __init__(self, token):
-        self.token = token
-
-    def fingerprint(self):
-        return ("token", self.token)
-
-    def __mul__(self, other):  # lets _square_chunk use it as the factor
-        return self.token * other
-
-
-class TestPayloadFingerprint:
-    def test_fingerprint_method_used(self):
-        assert payload_fingerprint(_TokenPayload(3)) == (
-            "fingerprint",
-            ("token", 3),
-        )
-        # Equal tokens on distinct objects fingerprint identically.
-        assert payload_fingerprint(_TokenPayload(3)) == payload_fingerprint(
-            _TokenPayload(3)
-        )
-
-    def test_fallback_is_object_identity(self):
-        payload = object()
-        assert payload_fingerprint(payload) == ("object", id(payload))
-
-
 @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 class TestPersistentPool:
-    def test_pool_reused_while_fingerprint_unchanged(self):
-        with ParallelExecutor(jobs=2) as ex:
-            ex.map_shared(_square_chunk, _TokenPayload(2), [1, 2, 3])
-            assert ex.pool_alive
-            ex.map_shared(_square_chunk, _TokenPayload(2), [4, 5])
-            ex.map_shared(_square_chunk, _TokenPayload(2), [6])
-            assert ex.pool_stats.starts == 1
-            assert ex.pool_stats.reuses == 2
+    """Pool starts: one per parallel call, since no pool outlives one."""
 
     def test_pool_restarted_on_payload_change(self):
         with ParallelExecutor(jobs=2) as ex:
-            assert ex.map_shared(_square_chunk, _TokenPayload(1), [2]) == [4]
-            assert ex.map_shared(_square_chunk, _TokenPayload(3), [2]) == [12]
+            assert ex.map_shared(_square_chunk, 1, [2]) == [4]
+            assert ex.map_shared(_square_chunk, 3, [2]) == [12]
             assert ex.pool_stats.starts == 2
-            assert ex.pool_stats.reuses == 0
 
     def test_pool_restarted_on_worker_change(self):
         with ParallelExecutor(jobs=2) as ex:
-            ex.map_shared(_square_chunk, _TokenPayload(1), [1])
+            ex.map_shared(_square_chunk, 1, [1])
             with pytest.raises(RuntimeError):
-                ex.map_shared(_bad_chunk, _TokenPayload(1), [1, 2])
+                ex.map_shared(_bad_chunk, 1, [1, 2])
             assert ex.pool_stats.starts == 2
-
-    def test_context_manager_closes_pool(self):
-        with ParallelExecutor(jobs=2) as ex:
-            ex.map_shared(_square_chunk, _TokenPayload(1), [1])
-            assert ex.pool_alive
-        assert not ex.pool_alive
 
     def test_close_is_idempotent_and_allows_restart(self):
         ex = ParallelExecutor(jobs=2)
-        ex.map_shared(_square_chunk, _TokenPayload(1), [3])
+        ex.map_shared(_square_chunk, 1, [3])
         ex.close()
         ex.close()
-        assert not ex.pool_alive
-        assert ex.map_shared(_square_chunk, _TokenPayload(1), [3]) == [9]
+        assert ex.map_shared(_square_chunk, 1, [3]) == [9]
         assert ex.pool_stats.starts == 2
         ex.close()
 
     def test_serial_path_never_starts_a_pool(self):
         ex = ParallelExecutor(jobs=1)
-        ex.map_shared(_square_chunk, _TokenPayload(2), [1, 2])
-        assert not ex.pool_alive
+        ex.map_shared(_square_chunk, 2, [1, 2])
         assert ex.pool_stats.starts == 0
+
+
+#: No real sleeping between retries.
+_FAST = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0, jitter=0.0)
+_ITEMS = list(range(12))
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+class TestPoolLifecycle:
+    """No worker process outlives a ``map_shared`` call, however it ends."""
+
+    def test_no_worker_outlives_a_call(self):
+        ex = ParallelExecutor(jobs=2)
+        assert ex.map_shared(_square_chunk, 2, _ITEMS) == [
+            2 * i * i for i in _ITEMS
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_consecutive_calls_start_one_pool_each(self):
+        ex = ParallelExecutor(jobs=2)
+        ex.map_shared(_square_chunk, 2, _ITEMS)
+        ex.map_shared(_square_chunk, 2, _ITEMS)
+        assert ex.pool_stats.starts == 2
+        assert ex.pool_stats.rebuilds == 0
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_strict_raise(self):
+        ex = ParallelExecutor(
+            jobs=2,
+            strict=True,
+            retry=_FAST,
+            fault_injector=FaultInjector.once(error={4}),
+        )
+        with pytest.raises(InjectedFault):
+            ex.map_shared(_square_chunk, 2, _ITEMS)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_crash_recovery(self):
+        ex = ParallelExecutor(
+            jobs=2,
+            chunk_size=3,
+            retry=_FAST,
+            fault_injector=FaultInjector.once(crash={5}),
+        )
+        assert ex.map_shared(_square_chunk, 2, _ITEMS) == [
+            2 * i * i for i in _ITEMS
+        ]
+        assert ex.pool_stats.rebuilds >= 1
+        assert ex.pool_stats.starts == 1 + ex.pool_stats.rebuilds
+        assert multiprocessing.active_children() == []
 
 
 class TestTimingDeltas:
@@ -179,11 +188,9 @@ class TestTimingDeltas:
         ex = ParallelExecutor(jobs=1)
         mark = ex.pool_stats.snapshot()
         ex.pool_stats.starts += 2
-        ex.pool_stats.reuses += 5
         ex.pool_stats.retries += 1
         assert ex.pool_stats.since(mark) == {
             "starts": 2,
-            "reuses": 5,
             "rebuilds": 0,
             "retries": 1,
             "timeouts": 0,
