@@ -62,11 +62,11 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _shards_arg(value: str) -> int:
-    shards = int(value)
-    if shards < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {shards}")
-    return shards
+def _positive_int(value: str) -> int:
+    parsed = int(value)
+    if parsed < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
+    return parsed
 
 
 def _positive_float(value: str) -> float:
@@ -496,7 +496,7 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shards",
-        type=_shards_arg,
+        type=_positive_int,
         default=1,
         help=(
             "process the data in this many pieces: above 1 the sweeps "
@@ -584,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--retry-attempts",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--shards",
-        type=_shards_arg,
+        type=_positive_int,
         default=1,
         help=(
             "partition the tracked profiles into this many disjoint "

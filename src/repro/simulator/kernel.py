@@ -11,17 +11,29 @@ more than throughput here.  The replay keeps the queue small instead:
 :class:`~repro.simulator.osn.DecentralizedOSN` queues only the
 transitions of nodes a measurement can observe, none past the horizon,
 and counts every other node's transitions in closed form.
+
+Firing order is the total order of ``(time, priority, seq)``, and
+``seq`` is unique, so it does not depend on the heap's layout: the
+initial events of a replay are queued by one :meth:`Simulator.
+schedule_many` call on the empty queue (one heap build) and fire
+exactly as the same :meth:`Simulator.schedule_at` calls would.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+import math
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 #: Queue entries are plain ``(time, priority, seq, handle)`` tuples —
 #: ``seq`` is unique per entry, so comparisons never reach the handle.
 _QueueEntry = Tuple[float, int, int, "EventHandle"]
+
+#: An event for :meth:`Simulator.schedule_many`: ``(time, priority, fn,
+#: args)``.
+Event = Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
 
 
 class EventHandle:
@@ -95,6 +107,35 @@ class Simulator:
         )
         return handle
 
+    def schedule_many(self, events: Iterable[Event]) -> None:
+        """Queue ``(time, priority, fn, args)`` events.
+
+        Sequence numbers are taken in iteration order, so the events
+        fire exactly as the same :meth:`schedule_at` calls would.  On an
+        empty queue the entries are appended in place and the heap is
+        built once; otherwise each is pushed, so attaching many sources
+        one call at a time never rebuilds the heap per call.  No handles
+        are returned: these events cannot be cancelled.
+        """
+        queue = self._queue
+        counter = self._counter
+        now = self._now
+        fresh = not queue
+        if fresh:
+            push = queue.append
+        else:
+            push = functools.partial(heapq.heappush, queue)
+        try:
+            for time, priority, fn, args in events:
+                if time < now:
+                    raise SimulationError(
+                        f"cannot schedule at {time} before now ({now})"
+                    )
+                push((time, priority, next(counter), EventHandle(fn, args)))
+        finally:
+            if fresh:
+                heapq.heapify(queue)
+
     def schedule_in(
         self,
         delay: float,
@@ -123,18 +164,29 @@ class Simulator:
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> None:
         """Run until the queue drains, ``until`` is passed, or
-        ``max_events`` more events have executed."""
+        ``max_events`` more events have executed.
+
+        Cancelled events at the head are dropped even when the run stops
+        there; the first live event past a limit stays queued.
+        """
+        queue = self._queue
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         executed = 0
-        while self._queue:
-            head = self._queue[0]
-            if head[3].cancelled:
-                heapq.heappop(self._queue)
+        while queue:
+            entry = heappop(queue)
+            handle = entry[3]
+            if handle.cancelled:
                 continue
-            if until is not None and head[0] > until:
+            if entry[0] > horizon or executed >= budget:
+                # Pop order is the total order of the unique keys, so
+                # pushing the entry back leaves the firing order as it was.
+                heapq.heappush(queue, entry)
                 break
-            if max_events is not None and executed >= max_events:
-                break
-            self.step()
+            self._now = entry[0]
+            handle.fn(*handle.args)
+            self._events_executed += 1
             executed += 1
         if until is not None and self._now < until:
             self._now = until

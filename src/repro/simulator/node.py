@@ -6,7 +6,9 @@ kernel.Simulator`, fires *online*/*offline* transitions at every interval
 boundary of every simulated day.  Observers (the OSN runtime's anti-
 entropy and read replay) subscribe to the transitions.  The OSN runtime
 attaches only the nodes a measurement observes and counts the
-transitions of the others with :func:`transition_event_count`.
+transitions of the others with :func:`transition_event_count`.  It
+queues the attached nodes' :meth:`PeerNode.transition_events` together
+with the rest of its initial events in one heap build.
 
 Transition priorities are arranged so that at an instant where a node
 goes online and an activity is delivered, the transition runs first —
@@ -15,10 +17,10 @@ half-open ``[start, end)`` semantics match ``IntervalSet.contains``.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Iterator, List
 
 from repro.graph.social_graph import UserId
-from repro.simulator.kernel import Simulator
+from repro.simulator.kernel import Event, Simulator
 from repro.timeline.day import DAY_SECONDS
 from repro.timeline.intervals import IntervalSet
 
@@ -107,27 +109,31 @@ class PeerNode:
         Transitions past the end of the last day are not queued: a run of
         ``days`` days stops there, so they would never fire.
         """
-        start = sim.now
+        sim.schedule_many(self.transition_events(sim.now, days))
+
+    def transition_events(self, start: float, days: int) -> Iterator[Event]:
+        """The ``(time, priority, fn, args)`` events :meth:`attach` queues
+        for a kernel standing at ``start``, in scheduling order.
+
+        The OSN runtime chains these for every active node into one
+        :meth:`~repro.simulator.kernel.Simulator.schedule_many` call, so
+        the whole initial queue costs one heap build.
+        """
         base_day = int(start // DAY_SECONDS)
         horizon = (base_day + days) * DAY_SECONDS
+        go_online, go_offline = self._go_online, self._go_offline
         for t_on, t_off in day_transitions(self.schedule, days, base_day):
             if t_on > horizon:
                 break
             if t_off <= start:
                 continue
             if t_on >= start:
-                sim.schedule_at(
-                    t_on, self._go_online, priority=PRIORITY_ONLINE
-                )
+                yield t_on, PRIORITY_ONLINE, go_online, ()
             elif not self.online:
                 # Interval already in progress at attach time.
-                sim.schedule_at(
-                    start, self._go_online, priority=PRIORITY_ONLINE
-                )
+                yield start, PRIORITY_ONLINE, go_online, ()
             if t_off <= horizon:
-                sim.schedule_at(
-                    t_off, self._go_offline, priority=PRIORITY_OFFLINE
-                )
+                yield t_off, PRIORITY_OFFLINE, go_offline, ()
 
     def _go_online(self) -> None:
         if self.online:

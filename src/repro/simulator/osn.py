@@ -39,6 +39,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -51,19 +52,26 @@ from repro.datasets.schema import Activity, Dataset
 from repro.graph.social_graph import UserId
 from repro.onlinetime.base import Schedules, schedule_of
 from repro.seeding import derive_rng
-from repro.simulator.kernel import Simulator
+from repro.simulator.kernel import Event, Simulator
 from repro.simulator.network import LatencyModel, NoLatency
 from repro.simulator.node import (
     PRIORITY_DEFAULT,
     PeerNode,
     transition_event_count,
 )
-from repro.simulator.replication import ProfileReplication, Update
+from repro.simulator.replication import (
+    ProfileReplication,
+    ReplicaStore,
+    Update,
+)
 from repro.simulator.stats import Counter2, SimulationStats
 from repro.timeline.day import DAY_SECONDS, HOUR_SECONDS
 from repro.timeline.intervals import IntervalSet
 
 Placements = Mapping[UserId, Sequence[UserId]]
+
+#: A replica group's ``(node, store)`` pairs, in sorted-host order.
+Members = Tuple[Tuple[PeerNode, ReplicaStore], ...]
 
 
 def latency_rng(latency_seed: int, profile: UserId) -> random.Random:
@@ -236,6 +244,19 @@ class DecentralizedOSN:
         #: The idle users' transitions up to the horizon (set by run).
         self._counted_events = 0
 
+        #: profile → its group's members: one pass over them answers
+        #: "which hosts are online and what do they hold".
+        self._members: Dict[UserId, Members] = {
+            profile: tuple(
+                (self.nodes[host], group.stores[host]) for host in group.hosts
+            )
+            for profile, group in self.replication.items()
+        }
+        #: The profiles availability is sampled for, in sampling order.
+        self._sampled: Tuple[UserId, ...] = tuple(
+            p for p in self._tracked if p in self.replication
+        )
+
         #: CDN shadow store: profile → updates uploaded so far.
         self._cdn: Dict[UserId, Dict[Tuple[UserId, int], Update]] = {
             owner: {} for owner in self.replication
@@ -257,9 +278,9 @@ class DecentralizedOSN:
             group = self.replication[profile]
             if self.config.use_cdn:
                 self._sync_with_cdn(group, user, now)
-            for other in group.hosts:
-                if other != user and self.nodes[other].online:
-                    self._sync_hosts(group, user, other)
+            for host, _store in self._members[profile]:
+                if host is not node and host.online:
+                    self._sync_hosts(group, user, host.user)
         self._replay_reads(node)
 
     def _replay_reads(self, node: PeerNode) -> None:
@@ -271,18 +292,27 @@ class DecentralizedOSN:
         updates it is missing — is the feed-freshness the reader
         experiences (driven by the propagation delay, §II-C3).
         """
+        reads = self.stats.reads
+        staleness = self.stats.staleness_by_profile
         for profile in self._reads.get(node.user, ()):
-            group = self.replication[profile]
-            online = [h for h in group.hosts if self.nodes[h].online]
-            self.stats.reads.setdefault(profile, Counter2()).record(
-                bool(online)
-            )
-            if online:
-                best = max(online, key=lambda h: len(group.store_of(h)))
-                created = self.created_updates.get(profile, 0)
-                self.stats.add_staleness(
-                    profile, created - len(group.store_of(best))
-                )
+            # Size of the fullest online replica; -1 when none is online.
+            best = -1
+            for host, store in self._members[profile]:
+                if host.online:
+                    held = len(store)
+                    if held > best:
+                        best = held
+            counter = reads.get(profile)
+            if counter is None:
+                counter = reads[profile] = Counter2()
+            counter.total += 1
+            if best < 0:
+                continue
+            counter.hits += 1
+            samples = staleness.get(profile)
+            if samples is None:
+                samples = staleness[profile] = []
+            samples.append(self.created_updates.get(profile, 0) - best)
 
     def _sync_hosts(self, group: ProfileReplication, a: UserId, b: UserId) -> None:
         """Anti-entropy between two online hosts, through the network."""
@@ -333,10 +363,6 @@ class DecentralizedOSN:
         for update in store.updates:
             cloud.setdefault(update.uid, update)
 
-    def _profile_reachable(self, profile: UserId) -> bool:
-        group = self.replication[profile]
-        return any(self.nodes[h].online for h in group.hosts)
-
     # -- write path ---------------------------------------------------------------
 
     def post_activity(self, activity: Activity) -> None:
@@ -374,32 +400,40 @@ class DecentralizedOSN:
     def run(self) -> SimulationStats:
         """Replay the trace and return the collected statistics."""
         days = self.config.days
-        for node in self.nodes.values():
-            node.attach(self.sim, days)
         self._counted_events = sum(
             transition_event_count(schedule, days)
             for schedule in self._idle_schedules
         )
-        for act in self.dataset.trace:
-            if act.receiver in self.replication:
-                self.sim.schedule_at(
-                    act.second_of_day,
-                    self.post_activity,
-                    act,
-                    priority=PRIORITY_DEFAULT,
-                )
-        if self.config.sample_every > 0:
-            self.sim.schedule_at(0.0, self._sample_availability, priority=1)
+        self.sim.schedule_many(self._initial_events())
         self.sim.run(until=days * DAY_SECONDS)
         self._finalize()
         return self.stats
 
+    def _initial_events(self) -> Iterator[Event]:
+        """Every event queued before the run starts, in scheduling order:
+        each active node's transitions, each activity on a replicated
+        profile, then the first availability sample."""
+        start, days = self.sim.now, self.config.days
+        for node in self.nodes.values():
+            yield from node.transition_events(start, days)
+        post, replication = self.post_activity, self.replication
+        for act in self.dataset.trace:
+            if act.receiver in replication:
+                yield act.second_of_day, PRIORITY_DEFAULT, post, (act,)
+        if self.config.sample_every > 0:
+            yield 0.0, 1, self._sample_availability, ()
+
     def _sample_availability(self) -> None:
-        for profile in self._tracked:
-            if profile in self.replication:
-                self.stats.availability.setdefault(
-                    profile, Counter2()
-                ).record(self._profile_reachable(profile))
+        availability = self.stats.availability
+        for profile in self._sampled:
+            counter = availability.get(profile)
+            if counter is None:
+                counter = availability[profile] = Counter2()
+            counter.total += 1
+            for host, _store in self._members[profile]:
+                if host.online:
+                    counter.hits += 1
+                    break
         next_time = self.sim.now + self.config.sample_every
         if next_time < self.config.days * DAY_SECONDS:
             self.sim.schedule_at(

@@ -3,10 +3,13 @@
 :class:`DecentralizedOSN` attaches only the nodes a measurement can
 observe (replica hosts, plus readers of tracked profiles when reads are
 replayed), queues no transition past the horizon and counts every idle
-user's transitions in closed form.  The reference below is a verbatim
-copy of the replay it replaced — one :class:`PeerNode` per user attached
-for a full extra day, a full neighbour scan per arrival — and the
-contract is bit identity: the same ``json.dumps(to_dict())``
+user's transitions in closed form; it queues the initial events with one
+heap build, skips anti-entropy between converged replicas and reads
+replica state in one pass per group.  The reference below is a verbatim
+copy of the replay all that replaced — one :class:`PeerNode` per user
+attached for a full extra day, one ``schedule_at`` per event, a full
+neighbour scan per arrival, a set-difference scan per anti-entropy
+round — and the contract is bit identity: the same ``json.dumps(to_dict())``
 *without* ``sort_keys`` (per-profile insertion order is part of the
 output) and the same logical ``events_replayed``.
 """
@@ -38,7 +41,7 @@ from repro.simulator.node import (
     PRIORITY_ONLINE,
     day_transitions,
 )
-from repro.simulator.replication import ProfileReplication
+from repro.simulator.replication import ProfileReplication, ReplicaStore
 from repro.simulator.stats import Counter2
 from repro.timeline import DAY_SECONDS
 
@@ -57,6 +60,46 @@ def _reference_attach(node: PeerNode, sim: Simulator, days: int) -> None:
             # Interval already in progress at attach time.
             sim.schedule_at(start, node._go_online, priority=PRIORITY_ONLINE)
         sim.schedule_at(t_off, node._go_offline, priority=PRIORITY_OFFLINE)
+
+
+class _NaiveStore(ReplicaStore):
+    """``ReplicaStore`` with its pre-skip write and scan paths."""
+
+    def apply(self, update, now: float) -> bool:
+        if update.profile != self.profile:
+            raise ValueError(
+                f"update for profile {update.profile} offered to store of "
+                f"profile {self.profile}"
+            )
+        if update.uid in self._updates:
+            return False
+        self._updates[update.uid] = update
+        self.arrival_times[update.uid] = now
+        return True
+
+    def missing_from(self, other: "ReplicaStore") -> List:
+        return [
+            u for uid, u in other._updates.items() if uid not in self._updates
+        ]
+
+
+class _NaiveReplication(ProfileReplication):
+    """``ProfileReplication`` whose anti-entropy always scans both ways."""
+
+    def __init__(self, profile, hosts):
+        super().__init__(profile, hosts)
+        self.stores = {host: _NaiveStore(profile, host) for host in hosts}
+
+    def sync_pair(self, a, b, now: float) -> int:
+        sa, sb = self.stores[a], self.stores[b]
+        moved = 0
+        for update in sa.missing_from(sb):
+            sa.apply(update, now)
+            moved += 1
+        for update in sb.missing_from(sa):
+            sb.apply(update, now)
+            moved += 1
+        return moved
 
 
 class AttachEverythingOSN(DecentralizedOSN):
@@ -99,7 +142,7 @@ class AttachEverythingOSN(DecentralizedOSN):
         self._hosted: Dict[object, List] = {u: [] for u in self.nodes}
         for owner, replicas in placements.items():
             hosts = [owner] + [r for r in replicas if r in self.nodes]
-            self.replication[owner] = ProfileReplication(owner, hosts)
+            self.replication[owner] = _NaiveReplication(owner, hosts)
             for host in hosts:
                 self._hosted[host].append(owner)
 
@@ -161,6 +204,22 @@ class AttachEverythingOSN(DecentralizedOSN):
         self.sim.run(until=days * DAY_SECONDS)
         self._finalize()
         return self.stats
+
+    def _profile_reachable(self, profile) -> bool:
+        group = self.replication[profile]
+        return any(self.nodes[h].online for h in group.hosts)
+
+    def _sample_availability(self) -> None:
+        for profile in self._tracked:
+            if profile in self.replication:
+                self.stats.availability.setdefault(
+                    profile, Counter2()
+                ).record(self._profile_reachable(profile))
+        next_time = self.sim.now + self.config.sample_every
+        if next_time < self.config.days * DAY_SECONDS:
+            self.sim.schedule_at(
+                next_time, self._sample_availability, priority=1
+            )
 
 
 @functools.lru_cache(maxsize=None)

@@ -111,6 +111,13 @@ class TestParser:
             == 8
         )
 
+    @pytest.mark.parametrize("attempts", ["0", "-2", "two"])
+    def test_retry_attempts_below_one_is_a_usage_error(self, attempts, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "out", "--retry-attempts", attempts])
+        assert exc.value.code == 2
+        assert "--retry-attempts" in capsys.readouterr().err
+
     def test_shards_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3", "--shards", "0"])
