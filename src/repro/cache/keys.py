@@ -22,9 +22,8 @@ identical across processes, platforms, and ``PYTHONHASHSEED`` values.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from repro.core.placement.base import PlacementPolicy
 from repro.datasets.schema import Dataset
@@ -40,59 +39,7 @@ CACHE_FORMAT_VERSION = 1
 _FINGERPRINT_ATTR = "_repro_content_fingerprint"
 
 
-#: Rows encoded per hash update: bounds the joined buffer's size.
-_CHUNK_ROWS = 1 << 14
-
 _pack_double = struct.Struct("<d").pack
-
-
-def _chunks(rows: Iterable) -> Iterator[list]:
-    it = iter(rows)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK_ROWS))
-        if not chunk:
-            return
-        yield chunk
-
-
-def _edge_bytes(edges: list) -> bytes:
-    """``canonical_key_bytes("e", a, b)`` of each edge, concatenated.
-
-    For ``int`` ids that encoding is ``b"e:%d:%d"``, built here in bulk;
-    any other id type goes through :func:`canonical_key_bytes` itself.
-    """
-    if all(type(a) is int and type(b) is int for a, b in edges):
-        return b"".join([b"e:%d:%d" % (a, b) for a, b in edges])
-    return b"".join([canonical_key_bytes("e", a, b) for a, b in edges])
-
-
-def _activity_bytes(activities: list) -> bytes:
-    """Each activity's timestamp bits followed by
-    ``canonical_key_bytes("a", creator, receiver)``, concatenated.
-
-    Timestamps hash by their exact float bits: two traces are equal iff
-    every instant is the identical double.  ``int`` ids take the bulk
-    ``b"a:%d:%d"`` form of the canonical encoding, as in
-    :func:`_edge_bytes`.
-    """
-    if all(
-        type(act.creator) is int and type(act.receiver) is int
-        for act in activities
-    ):
-        return b"".join(
-            [
-                _pack_double(act.timestamp)
-                + b"a:%d:%d" % (act.creator, act.receiver)
-                for act in activities
-            ]
-        )
-    return b"".join(
-        [
-            _pack_double(act.timestamp)
-            + canonical_key_bytes("a", act.creator, act.receiver)
-            for act in activities
-        ]
-    )
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
@@ -115,10 +62,23 @@ def dataset_fingerprint(dataset: Dataset) -> str:
             "dataset", dataset.kind, dataset.graph.directed
         )
     )
-    for chunk in _chunks(sorted(dataset.graph.edges())):
-        h.update(_edge_bytes(chunk))
-    for chunk in _chunks(dataset.trace):
-        h.update(_activity_bytes(chunk))
+    update = h.update
+    # ``int`` ids take the canonical encoding's ``b"x:%d:%d"`` form
+    # directly; any other id type goes through canonical_key_bytes.
+    for a, b in sorted(dataset.graph.edges()):
+        if type(a) is int and type(b) is int:
+            update(b"e:%d:%d" % (a, b))
+        else:
+            update(canonical_key_bytes("e", a, b))
+    for act in dataset.trace:
+        # Timestamps hash by their exact float bits: two traces are
+        # equal iff every instant is the identical double.
+        update(_pack_double(act.timestamp))
+        creator, receiver = act.creator, act.receiver
+        if type(creator) is int and type(receiver) is int:
+            update(b"a:%d:%d" % (creator, receiver))
+        else:
+            update(canonical_key_bytes("a", creator, receiver))
     fingerprint = h.hexdigest()
     setattr(dataset, _FINGERPRINT_ATTR, fingerprint)
     return fingerprint

@@ -15,13 +15,12 @@ and counts every other node's transitions in closed form.
 Firing order is the total order of ``(time, priority, seq)``, and
 ``seq`` is unique, so it does not depend on the heap's layout: the
 initial events of a replay are queued by one :meth:`Simulator.
-schedule_many` call on the empty queue (one heap build) and fire
-exactly as the same :meth:`Simulator.schedule_at` calls would.
+schedule_many` call (one heap build) and fire exactly as the same
+:meth:`Simulator.schedule_at` calls would.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -108,33 +107,28 @@ class Simulator:
         return handle
 
     def schedule_many(self, events: Iterable[Event]) -> None:
-        """Queue ``(time, priority, fn, args)`` events.
+        """Queue ``(time, priority, fn, args)`` events with one heap build.
 
         Sequence numbers are taken in iteration order, so the events
-        fire exactly as the same :meth:`schedule_at` calls would.  On an
-        empty queue the entries are appended in place and the heap is
-        built once; otherwise each is pushed, so attaching many sources
-        one call at a time never rebuilds the heap per call.  No handles
-        are returned: these events cannot be cancelled.
+        fire exactly as the same :meth:`schedule_at` calls would.  The
+        heap is rebuilt once over the whole queue, so this suits one
+        large batch, not a few events at a time.  No handles are
+        returned: these events cannot be cancelled.
         """
         queue = self._queue
         counter = self._counter
         now = self._now
-        fresh = not queue
-        if fresh:
-            push = queue.append
-        else:
-            push = functools.partial(heapq.heappush, queue)
         try:
             for time, priority, fn, args in events:
                 if time < now:
                     raise SimulationError(
                         f"cannot schedule at {time} before now ({now})"
                     )
-                push((time, priority, next(counter), EventHandle(fn, args)))
+                queue.append(
+                    (time, priority, next(counter), EventHandle(fn, args))
+                )
         finally:
-            if fresh:
-                heapq.heapify(queue)
+            heapq.heapify(queue)
 
     def schedule_in(
         self,

@@ -109,7 +109,8 @@ class PeerNode:
         Transitions past the end of the last day are not queued: a run of
         ``days`` days stops there, so they would never fire.
         """
-        sim.schedule_many(self.transition_events(sim.now, days))
+        for time, priority, fn, _args in self.transition_events(sim.now, days):
+            sim.schedule_at(time, fn, priority=priority)
 
     def transition_events(self, start: float, days: int) -> Iterator[Event]:
         """The ``(time, priority, fn, args)`` events :meth:`attach` queues

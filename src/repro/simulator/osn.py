@@ -292,27 +292,17 @@ class DecentralizedOSN:
         updates it is missing — is the feed-freshness the reader
         experiences (driven by the propagation delay, §II-C3).
         """
-        reads = self.stats.reads
-        staleness = self.stats.staleness_by_profile
         for profile in self._reads.get(node.user, ()):
             # Size of the fullest online replica; -1 when none is online.
             best = -1
             for host, store in self._members[profile]:
-                if host.online:
-                    held = len(store)
-                    if held > best:
-                        best = held
-            counter = reads.get(profile)
-            if counter is None:
-                counter = reads[profile] = Counter2()
-            counter.total += 1
-            if best < 0:
-                continue
-            counter.hits += 1
-            samples = staleness.get(profile)
-            if samples is None:
-                samples = staleness[profile] = []
-            samples.append(self.created_updates.get(profile, 0) - best)
+                if host.online and len(store) > best:
+                    best = len(store)
+            self.stats.reads.setdefault(profile, Counter2()).record(best >= 0)
+            if best >= 0:
+                self.stats.add_staleness(
+                    profile, self.created_updates.get(profile, 0) - best
+                )
 
     def _sync_hosts(self, group: ProfileReplication, a: UserId, b: UserId) -> None:
         """Anti-entropy between two online hosts, through the network."""
@@ -363,6 +353,12 @@ class DecentralizedOSN:
         for update in store.updates:
             cloud.setdefault(update.uid, update)
 
+    def _profile_reachable(self, profile: UserId) -> bool:
+        for host, _store in self._members[profile]:
+            if host.online:
+                return True
+        return False
+
     # -- write path ---------------------------------------------------------------
 
     def post_activity(self, activity: Activity) -> None:
@@ -372,7 +368,9 @@ class DecentralizedOSN:
             return
         now = self.sim.now
         group = self.replication[profile]
-        online_hosts = [h for h in group.hosts if self.nodes[h].online]
+        online_hosts = [
+            host.user for host, _store in self._members[profile] if host.online
+        ]
         served = bool(online_hosts)
         if profile in self._tracked:
             self.stats.writes.setdefault(profile, Counter2()).record(served)
@@ -424,16 +422,10 @@ class DecentralizedOSN:
             yield 0.0, 1, self._sample_availability, ()
 
     def _sample_availability(self) -> None:
-        availability = self.stats.availability
         for profile in self._sampled:
-            counter = availability.get(profile)
-            if counter is None:
-                counter = availability[profile] = Counter2()
-            counter.total += 1
-            for host, _store in self._members[profile]:
-                if host.online:
-                    counter.hits += 1
-                    break
+            self.stats.availability.setdefault(profile, Counter2()).record(
+                self._profile_reachable(profile)
+            )
         next_time = self.sim.now + self.config.sample_every
         if next_time < self.config.days * DAY_SECONDS:
             self.sim.schedule_at(

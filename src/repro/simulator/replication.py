@@ -44,16 +44,20 @@ class Update:
 class ReplicaStore:
     """One node's copy of one profile."""
 
-    def __init__(self, profile: UserId, host: UserId):
+    def __init__(
+        self,
+        profile: UserId,
+        host: UserId,
+        admitted: Optional[Set[Tuple[UserId, int]]] = None,
+    ):
         self.profile = profile
         self.host = host
         self._updates: Dict[Tuple[UserId, int], Update] = {}
         #: When each update arrived at this store (simulation time).
         self.arrival_times: Dict[Tuple[UserId, int], float] = {}
-        #: Ids of every update admitted by any store of this store's
-        #: group; :class:`ProfileReplication` shares one set among its
-        #: stores.
-        self._admitted: Set[Tuple[UserId, int]] = set()
+        #: Ids of every update admitted by any store sharing this set:
+        #: :class:`ProfileReplication` passes one set to all its stores.
+        self._admitted = set() if admitted is None else admitted
 
     def __len__(self) -> int:
         return len(self._updates)
@@ -113,16 +117,14 @@ class ProfileReplication:
 
     def __init__(self, profile: UserId, hosts: Iterable[UserId]):
         self.profile = profile
-        self.stores: Dict[UserId, ReplicaStore] = {
-            host: ReplicaStore(profile, host) for host in hosts
-        }
-        self._hosts_sorted = sorted(self.stores)
-        self._seq = itertools.count(1)
         #: Every update id any store has admitted.  A store of this
         #: size holds them all, which is what :meth:`sync_pair` checks.
         self._admitted: Set[Tuple[UserId, int]] = set()
-        for store in self.stores.values():
-            store._admitted = self._admitted
+        self.stores: Dict[UserId, ReplicaStore] = {
+            host: ReplicaStore(profile, host, self._admitted) for host in hosts
+        }
+        self._hosts_sorted = sorted(self.stores)
+        self._seq = itertools.count(1)
 
     @property
     def hosts(self) -> List[UserId]:

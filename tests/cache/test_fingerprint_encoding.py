@@ -1,7 +1,7 @@
-"""The dataset fingerprint's bulk byte stream equals the per-part one.
+"""The dataset fingerprint's fast byte stream equals the per-part one.
 
-:func:`dataset_fingerprint` builds the edge and activity encodings of
-``int`` ids in bulk (``b"e:%d:%d"``, the timestamp's double bits plus
+:func:`dataset_fingerprint` formats the edge and activity encodings of
+``int`` ids directly (``b"e:%d:%d"``, the timestamp's double bits plus
 ``b"a:%d:%d"``) and sends any other id through
 :func:`canonical_key_bytes`.  The reference below hashes every part with
 its own :func:`canonical_key_bytes` call, as the cache format defines
@@ -14,7 +14,6 @@ import struct
 import numpy as np
 import pytest
 
-import repro.cache.keys as keys
 from repro.cache.keys import dataset_fingerprint
 from repro.datasets import synthetic_facebook, synthetic_twitter
 from repro.datasets.schema import Activity, ActivityTrace, Dataset
@@ -48,7 +47,7 @@ def _handmade(ids, kind="facebook") -> Dataset:
 
 @pytest.mark.parametrize("make", [synthetic_facebook, synthetic_twitter])
 @pytest.mark.parametrize("seed", [3, 301])
-def test_bulk_digest_equals_per_part_encoding(make, seed):
+def test_fast_digest_equals_per_part_encoding(make, seed):
     dataset = make(300, seed=seed)
     assert dataset_fingerprint(dataset) == _per_part_fingerprint(dataset)
 
@@ -67,8 +66,8 @@ def test_non_int_ids_keep_the_per_part_encoding(ids, kind):
     assert dataset_fingerprint(dataset) == _per_part_fingerprint(dataset)
 
 
-def test_chunks_mixing_both_paths_hash_one_stream(monkeypatch):
-    # Three rows per chunk: some chunks hold only ints, one holds a bool.
-    monkeypatch.setattr(keys, "_CHUNK_ROWS", 3)
+def test_rows_mixing_both_paths_hash_one_stream():
+    # One bool among int ids: its rows take the per-part path, the rest
+    # the formatted one, into the same hash.
     dataset = _handmade([3, 8, 5, 9, 4, 6, True, 11, 12, 13])
     assert dataset_fingerprint(dataset) == _per_part_fingerprint(dataset)

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import synthetic_facebook, synthetic_twitter
+from repro.datasets.schema import Activity
 from repro.onlinetime import FixedLengthModel, SporadicModel, compute_schedules
 from repro.onlinetime.base import schedule_of
 from repro.simulator import (
@@ -41,7 +42,11 @@ from repro.simulator.node import (
     PRIORITY_ONLINE,
     day_transitions,
 )
-from repro.simulator.replication import ProfileReplication, ReplicaStore
+from repro.simulator.replication import (
+    ProfileReplication,
+    ReplicaStore,
+    Update,
+)
 from repro.simulator.stats import Counter2
 from repro.timeline import DAY_SECONDS
 
@@ -185,6 +190,36 @@ class AttachEverythingOSN(DecentralizedOSN):
                     self.stats.add_staleness(
                         profile, created - len(group.store_of(best))
                     )
+
+    def post_activity(self, activity: Activity) -> None:
+        """Deliver one trace activity as a profile write."""
+        profile = activity.receiver
+        if profile not in self.replication:
+            return
+        now = self.sim.now
+        group = self.replication[profile]
+        online_hosts = [h for h in group.hosts if self.nodes[h].online]
+        served = bool(online_hosts)
+        if profile in self._tracked:
+            self.stats.writes.setdefault(profile, Counter2()).record(served)
+        if not served:
+            return
+        update = Update(
+            profile=profile,
+            origin=activity.creator,
+            seq=group.next_seq(),
+            created_at=now,
+        )
+        self.created_updates[profile] = self.created_updates.get(profile, 0) + 1
+        # Prefer the owner's own node as entry point when online.
+        entry = profile if profile in online_hosts else online_hosts[0]
+        group.store_of(entry).apply(update, now)
+        # Gossip among currently-online replicas (through the network).
+        for host in online_hosts:
+            if host != entry:
+                self._sync_hosts(group, entry, host)
+        if self.config.use_cdn:
+            self._sync_with_cdn(group, entry, now)
 
     def run(self) -> SimulationStats:
         """Replay the trace and return the collected statistics."""
