@@ -13,6 +13,12 @@ entry serves every combination.  A
 :class:`~repro.datasets.sharding.ShardedDataset` source is addressed by
 its spec, not by its shard count, so its entries serve every count.
 
+The same key space addresses the store's other entries: DES replay
+outcomes (:func:`replay_cache_key`), point-query metrics
+(:func:`point_query_key`) and the partial entries of a sweep still
+running (:func:`partial_cells_key`).  Each hashes its own domain tag
+first, so no two kinds of entry can share an address.
+
 Keys are SHA-256 hex digests over the canonical part encoding of
 :func:`repro.seeding.canonical_key_bytes` — the same fixed, versioned
 hashing style as the seed derivation, never ``hash()``, so keys are
@@ -194,5 +200,45 @@ def sweep_cache_key(
         int(repeats),
         tuple(int(d) for d in degrees),
         tuple(users),
+    )
+    return hashlib.sha256(canonical_key_bytes(*parts)).hexdigest()
+
+
+def partial_cells_key(
+    dataset: Dataset,
+    model: OnlineTimeModel,
+    policies: Sequence[PlacementPolicy],
+    *,
+    mode: str,
+    degrees: Sequence[int],
+    users: Sequence[UserId],
+    seed: int,
+    repeats: int,
+    repeat: int,
+) -> str:
+    """The content address of one repeat's per-user cells of one sweep
+    point over one view: a partial entry of a sweep still running.
+
+    ``dataset`` is the view (the eager dataset, or a shard's cohort
+    view) and ``users`` its slice of the point's cohort.  Unlike the
+    per-policy series keys, a partial entry covers the whole *policy
+    set* computed together — each cell interleaves every policy's
+    metrics — so the key hashes the ordered tuple of policy keys.  A view
+    is addressed by its content, so an eager sweep's partial keys do not
+    depend on ``shards``, and a shard view's entries serve any run that
+    builds the same view.
+    """
+    parts = (
+        "sweep-partial",
+        CACHE_FORMAT_VERSION,
+        dataset_fingerprint(dataset),
+        tuple(model.cache_key()),
+        tuple(tuple(p.cache_key()) for p in policies),
+        mode,
+        int(seed),
+        int(repeats),
+        tuple(int(d) for d in degrees),
+        tuple(users),
+        int(repeat),
     )
     return hashlib.sha256(canonical_key_bytes(*parts)).hexdigest()

@@ -10,24 +10,36 @@ columns, fig10/11 likewise for Twitter — so with the cache threaded
 through, each shared sweep runs exactly once per batch and the sibling
 figures slice their columns from the stored series.
 
-Two layers:
+Three kinds of entry share the key space, the directory and the
+counters:
 
-* **in-memory** — a plain dict of key → tuple of
-  :class:`~repro.core.evaluation.AggregateMetrics`; hits return the very
-  objects the first computation produced, so identity is trivial;
-* **on-disk** (optional, ``cache_dir``) — per entry a ``<key>.json``
-  metadata stamp (format version, field names, row count) plus a
-  ``<key>.npy`` float64 matrix of the metric fields.  ``float64``
-  round-trips every finite value, ``inf`` and ``nan`` bit-exactly, so a
-  reloaded series is field-for-field identical to the stored one.
-  Writes are atomic (temp file + ``os.replace``, array before stamp) and
-  loads are corruption-tolerant: any unreadable, truncated,
-  wrong-version or wrong-shape entry counts as ``stale`` and misses —
-  the sweep recomputes and overwrites it.
+* **series** — one policy's finished sweep series.  In memory a tuple
+  of :class:`~repro.core.evaluation.AggregateMetrics` (hits return the
+  very objects the first computation produced); on disk a ``<key>.json``
+  stamp plus a ``<key>.npy`` float64 matrix of the metric fields.
+  ``float64`` round-trips every finite value, ``inf`` and ``nan``
+  bit-exactly, so a reloaded series is field-for-field identical.
+* **payloads** — JSON blobs (DES replay outcomes, point-query metrics)
+  in memory and as ``<key>.payload.json``.
+* **partial entries** — disk only: one repeat's per-user cells of one
+  (view, sweep point), as ``<key>.cells.json`` under
+  :func:`~repro.cache.keys.partial_cells_key`, so a sweep killed
+  mid-way resumes from the views it finished.  Cells round-trip through
+  :func:`~repro.core.metrics.metrics_to_payload`'s JSON-exact encoding,
+  so a resumed sweep aggregates the identical floats.  The sweep deletes
+  ("seals") a point's partial entries once all its series are on disk,
+  so a finished sweep leaves none behind.
+
+Every on-disk entry is stamped with ``CACHE_FORMAT_VERSION`` and echoes
+its key.  Writes are atomic (temp file + ``os.replace``, a series' array
+before its stamp) and loads are corruption-tolerant: any unreadable,
+truncated, wrong-version, wrong-key or wrong-shape entry counts as
+``stale`` and misses — the sweep recomputes and overwrites it.
 
 Counters (:class:`CacheStats`) track hits / misses / stale loads /
-stores; the experiment runner surfaces per-experiment deltas in every
-report and the batch rollup aggregates them into ``batch_summary.json``.
+stores and the partial entries loaded and stored; the experiment runner
+surfaces per-experiment deltas in every report and the batch rollup
+aggregates them into ``batch_summary.json``.
 """
 
 from __future__ import annotations
@@ -39,13 +51,31 @@ import os
 import time
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.core.evaluation import AggregateMetrics
 from repro.core.placement.base import PlacementPolicy
-from repro.cache.keys import CACHE_FORMAT_VERSION, sweep_cache_key
+from repro.cache.keys import (
+    CACHE_FORMAT_VERSION,
+    partial_cells_key,
+    sweep_cache_key,
+)
+from repro.core.metrics import (
+    UserMetrics,
+    metrics_from_payload,
+    metrics_to_payload,
+)
 from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
 from repro.onlinetime.base import OnlineTimeModel
@@ -66,6 +96,10 @@ _INT_FIELDS = frozenset(
 #: One policy's sweep series: one aggregate per swept degree.
 Series = Tuple[AggregateMetrics, ...]
 
+#: One user's cell of a partial entry: ``{policy_name: metrics}`` with
+#: one metrics object per swept degree.
+Cell = Dict[str, Tuple[UserMetrics, ...]]
+
 
 @dataclasses.dataclass
 class CacheStats:
@@ -80,6 +114,10 @@ class CacheStats:
     #: Disk writes that failed (``OSError``/``ENOSPC``/``PermissionError``);
     #: the first failure degrades the cache to memory-only writes.
     disk_errors: int = 0
+    #: Partial sweep entries served from disk (mid-sweep resume).
+    partial_loads: int = 0
+    #: Partial sweep entries written whole to disk.
+    partial_stores: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -134,6 +172,13 @@ def _atomic_write_bytes(path: Path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _entry_bytes(key: str, **fields) -> bytes:
+    """One on-disk JSON entry: ``fields`` stamped with the format version
+    and the entry's own key."""
+    blob = dict(fields, format_version=CACHE_FORMAT_VERSION, key=key)
+    return (json.dumps(blob, sort_keys=True) + "\n").encode("utf-8")
+
+
 class SweepCache:
     """Batch-scoped content-addressed cache of sweep series.
 
@@ -169,60 +214,47 @@ class SweepCache:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
         self.fault_injector = fault_injector
-        #: Hung here by the batch runner: a
-        #: :class:`~repro.experiments.checkpoint.SweepCheckpoint` the
-        #: sweeps consult for per-view mid-sweep resume.  The
-        #: cache is the batch's memory plane, already threaded through
-        #: every sweep, so the checkpoint rides it rather than growing
-        #: every experiment signature.
-        self.checkpoint = None
         self._disk_disabled = False
         self._disk_attempts: Dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._memory)
+        """Entries held in memory: series plus payloads."""
+        return len(self._memory) + len(self._payloads)
 
     # -- raw key/value layer ------------------------------------------------
 
     def get_series(self, key: str) -> Optional[Series]:
         """The stored series for ``key``, or ``None`` (counted a miss)."""
-        series = self._memory.get(key)
-        if series is not None:
-            self.stats.hits += 1
-            return series
-        series = self._load_disk(key)
-        if series is not None:
-            self._memory[key] = series
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            return series
-        self.stats.misses += 1
-        return None
+        return self._get(self._memory, key, ".json", self._decode_series)
 
-    def put_series(self, key: str, series: Sequence[AggregateMetrics]) -> None:
-        """Store a computed series in memory (and on disk when enabled)."""
+    def put_series(self, key: str, series: Sequence[AggregateMetrics]) -> bool:
+        """Store a computed series in memory (and on disk when enabled);
+        whether it is now whole on disk."""
         series = tuple(series)
         self._memory[key] = series
         self.stats.stores += 1
-        if self._disk_writable():
-            self._store_disk(key, series)
+        if not self._disk_writable():
+            return False
+        buffer = io.BytesIO()
+        np.save(buffer, _series_to_matrix(series), allow_pickle=False)
+        # Array first, stamp second: a crash between the two leaves no
+        # valid stamp, so the half-written entry reads as a clean miss.
+        return self._write_entry(
+            key,
+            [
+                (self._path(key, ".npy"), buffer.getvalue()),
+                (
+                    self._path(key, ".json"),
+                    _entry_bytes(key, fields=list(_FIELDS), rows=len(series)),
+                ),
+            ],
+        )
 
     # -- JSON-payload layer (DES replay outcomes) ---------------------------
 
     def get_payload(self, key: str) -> Optional[dict]:
         """The stored JSON payload for ``key``, or ``None`` (a miss)."""
-        payload = self._payloads.get(key)
-        if payload is not None:
-            self.stats.hits += 1
-            return payload
-        payload = self._load_payload_disk(key)
-        if payload is not None:
-            self._payloads[key] = payload
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            return payload
-        self.stats.misses += 1
-        return None
+        return self._get(self._payloads, key, ".payload.json", _decode_payload)
 
     def put_payload(self, key: str, payload: dict) -> None:
         """Store a JSON-serialisable payload (exact under round trips:
@@ -230,45 +262,82 @@ class SweepCache:
         self._payloads[key] = payload
         self.stats.stores += 1
         if self._disk_writable():
-            blob = {
-                "format_version": CACHE_FORMAT_VERSION,
-                "key": key,
-                "payload": payload,
-            }
             self._write_entry(
                 key,
                 [
                     (
-                        self._payload_path(key),
-                        (json.dumps(blob, sort_keys=True) + "\n").encode(
-                            "utf-8"
-                        ),
+                        self._path(key, ".payload.json"),
+                        _entry_bytes(key, payload=payload),
                     )
                 ],
             )
 
-    def _payload_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.payload.json"
+    # -- partial sweep entries (disk only: mid-sweep resume) ----------------
 
-    def _load_payload_disk(self, key: str) -> Optional[dict]:
-        if self.cache_dir is None:
-            return None
-        path = self._payload_path(key)
-        if not path.exists():
-            return None
-        try:
-            blob = json.loads(path.read_text(encoding="utf-8"))
-            if blob.get("format_version") != CACHE_FORMAT_VERSION:
-                raise ValueError("incompatible cache entry format")
-            payload = blob["payload"]
-            if not isinstance(payload, dict):
-                raise ValueError("malformed cache payload")
-            return payload
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            # Torn, corrupted or out-of-date entries miss cleanly.
-            del exc
-            self.stats.stale += 1
-            return None
+    def partial_key(
+        self,
+        dataset: Dataset,
+        model: OnlineTimeModel,
+        policies: Sequence[PlacementPolicy],
+        **key_kwargs,
+    ) -> str:
+        """:func:`~repro.cache.keys.partial_cells_key`, reachable from the
+        sweep driver, which cannot import this package."""
+        return partial_cells_key(dataset, model, policies, **key_kwargs)
+
+    def get_cells(
+        self, key: str, users: Sequence[UserId]
+    ) -> Optional[List[Cell]]:
+        """The stored cells of the cohort slice ``users``, or ``None`` to
+        recompute; a cohort mismatch reads as stale."""
+
+        def decode(blob: dict) -> List[Cell]:
+            if blob["users"] != [int(u) for u in users]:
+                raise ValueError("partial entry cohort mismatch")
+            # Tuples, matching evaluate_users_chunk's cell shape exactly.
+            cells = [
+                {
+                    name: tuple(metrics_from_payload(p) for p in series)
+                    for name, series in cell.items()
+                }
+                for cell in blob["cells"]
+            ]
+            if len(cells) != len(users):
+                raise ValueError("partial entry size mismatch")
+            return cells
+
+        cells = self._read_entry(key, ".cells.json", decode)
+        if cells is not None:
+            self.stats.partial_loads += 1
+        return cells
+
+    def put_cells(
+        self, key: str, users: Sequence[UserId], cells: Sequence[Cell]
+    ) -> None:
+        """Write one repeat's completed cells of one view (best-effort)."""
+        if not self._disk_writable():
+            return
+        blob = _entry_bytes(
+            key,
+            users=[int(u) for u in users],
+            cells=[
+                {
+                    name: [metrics_to_payload(m) for m in series]
+                    for name, series in cell.items()
+                }
+                for cell in cells
+            ],
+        )
+        if self._write_entry(key, [(self._path(key, ".cells.json"), blob)]):
+            self.stats.partial_stores += 1
+
+    def seal(self, keys: Iterable[str]) -> None:
+        """Delete partial entries whose point's series are all on disk."""
+        for key in keys:
+            try:
+                self._path(key, ".cells.json").unlink(missing_ok=True)
+            except OSError:
+                pass  # a leftover entry is only disk space
 
     # -- sweep-level interface (used by sweep_replication_degree) -----------
 
@@ -321,25 +390,39 @@ class SweepCache:
         policy: PlacementPolicy,
         series: Sequence[AggregateMetrics],
         **key_kwargs,
-    ) -> None:
+    ) -> bool:
+        """Store one policy's series; whether it is now whole on disk."""
         key = self.sweep_key(dataset, model, policy, **key_kwargs)
-        self.put_series(key, series)
+        return self.put_series(key, series)
 
     # -- on-disk layer ------------------------------------------------------
 
-    def _paths(self, key: str) -> Tuple[Path, Path]:
-        return (
-            self.cache_dir / f"{key}.json",
-            self.cache_dir / f"{key}.npy",
-        )
+    def _get(self, memory: dict, key: str, suffix: str, decode):
+        """``memory[key]``, else the decoded disk entry (kept in memory);
+        counted a hit or a miss."""
+        value = memory.get(key)
+        if value is None:
+            value = self._read_entry(key, suffix, decode)
+            if value is not None:
+                memory[key] = value
+                self.stats.disk_hits += 1
+        if value is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return value
+
+    def _path(self, key: str, suffix: str) -> Path:
+        return self.cache_dir / f"{key}{suffix}"
 
     def _disk_writable(self) -> bool:
         return self.cache_dir is not None and not self._disk_disabled
 
     def _write_entry(
         self, key: str, blobs: Sequence[Tuple[Path, bytes]]
-    ) -> None:
-        """Write one entry's files, with fault injection and degradation.
+    ) -> bool:
+        """Write one entry's files, with fault injection and degradation;
+        whether every file landed whole.
 
         Any ``OSError`` (``ENOSPC``, ``PermissionError``, a vanished
         directory, ...) counts one ``disk_errors``, warns once, and
@@ -362,7 +445,7 @@ class SweepCache:
             for path, blob in blobs:
                 if injected == TORN_WRITE:
                     path.write_bytes(blob[: max(1, len(blob) // 2)])
-                    return
+                    return False
                 if injected == ENOSPC:
                     self.fault_injector.raise_enospc(str(path))
                 _atomic_write_bytes(path, blob)
@@ -376,57 +459,57 @@ class SweepCache:
                     RuntimeWarning,
                     stacklevel=3,
                 )
+            return False
+        return True
 
-    def _store_disk(self, key: str, series: Series) -> None:
-        json_path, npy_path = self._paths(key)
-        matrix = _series_to_matrix(series)
-        buffer = io.BytesIO()
-        np.save(buffer, matrix, allow_pickle=False)
-        stamp = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "key": key,
-            "fields": list(_FIELDS),
-            "rows": len(series),
-        }
-        # Array first, stamp second: a crash between the two leaves no
-        # valid stamp, so the half-written entry reads as a clean miss.
-        self._write_entry(
-            key,
-            [
-                (npy_path, buffer.getvalue()),
-                (
-                    json_path,
-                    (
-                        json.dumps(stamp, indent=1, sort_keys=True) + "\n"
-                    ).encode("utf-8"),
-                ),
-            ],
-        )
+    def _read_entry(
+        self, key: str, suffix: str, decode: Callable[[dict], object]
+    ):
+        """``decode`` of the JSON entry ``<key><suffix>``, or ``None``.
 
-    def _load_disk(self, key: str) -> Optional[Series]:
+        The one reader of every on-disk entry: the blob must carry this
+        build's format version and echo ``key``.  Torn, corrupt,
+        out-of-date, foreign or undecodable entries count ``stale`` and
+        miss cleanly; the recomputed result overwrites them.
+        """
         if self.cache_dir is None:
             return None
-        json_path, npy_path = self._paths(key)
-        if not json_path.exists():
+        path = self._path(key, suffix)
+        if not path.exists():
             return None
         try:
-            stamp = json.loads(json_path.read_text(encoding="utf-8"))
+            blob = json.loads(path.read_text(encoding="utf-8"))
             if (
-                stamp.get("format_version") != CACHE_FORMAT_VERSION
-                or stamp.get("fields") != list(_FIELDS)
+                blob.get("format_version") != CACHE_FORMAT_VERSION
+                or blob.get("key") != key
             ):
-                raise ValueError("incompatible cache entry format")
-            matrix = np.load(npy_path, allow_pickle=False)
-            if matrix.dtype != np.float64 or matrix.shape != (
-                int(stamp["rows"]),
-                len(_FIELDS),
-            ):
-                raise ValueError("cache entry shape mismatch")
-            return _matrix_to_series(matrix)
-        except (OSError, ValueError, KeyError, TypeError, EOFError) as exc:
-            # Truncated, corrupted or out-of-date entries miss cleanly;
-            # the recomputed series overwrites them.  EOFError is np.load
-            # on a zero-length .npy — the torn-write worst case.
-            del exc
+                raise ValueError("incompatible cache entry")
+            return decode(blob)
+        except (
+            OSError,
+            ValueError,
+            KeyError,
+            TypeError,
+            AttributeError,
+            EOFError,  # np.load on a zero-length .npy: a torn write
+        ):
             self.stats.stale += 1
             return None
+
+    def _decode_series(self, stamp: dict) -> Series:
+        if stamp["fields"] != list(_FIELDS):
+            raise ValueError("incompatible cache entry fields")
+        matrix = np.load(self._path(stamp["key"], ".npy"), allow_pickle=False)
+        if matrix.dtype != np.float64 or matrix.shape != (
+            int(stamp["rows"]),
+            len(_FIELDS),
+        ):
+            raise ValueError("cache entry shape mismatch")
+        return _matrix_to_series(matrix)
+
+
+def _decode_payload(blob: dict) -> dict:
+    payload = blob["payload"]
+    if not isinstance(payload, dict):
+        raise ValueError("malformed cache payload")
+    return payload

@@ -566,12 +566,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_execution_args(p_batch)
     p_batch.add_argument(
-        "--cache-dir", help="directory for the persistent sweep-result cache"
+        "--cache-dir",
+        help=(
+            "directory for the persistent sweep-result cache, which also "
+            "holds the partial entries a killed sweep resumes from "
+            "(default: OUT_DIR/cache)"
+        ),
     )
     p_batch.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the sweep cache (results are identical either way)",
+        help=(
+            "disable the sweep cache (results are identical either way; "
+            "--resume then restarts interrupted experiments from scratch)"
+        ),
     )
     p_batch.add_argument(
         "--resume",

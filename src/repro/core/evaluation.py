@@ -387,8 +387,11 @@ def sweep_grid(
     fans the per-user work over worker processes, and ``cache`` (a
     :class:`repro.cache.SweepCache`) serves finished series by content
     address before any view is built.  Neither is part of a cache key.
+    A cache with a directory also keeps each (view, point, repeat)'s
+    cells as a partial entry until the point's series are on disk, so a
+    killed sweep resumes from the views it finished.
     """
-    # Each point's content-key fields (cache and checkpoint).
+    # Each point's content-key fields (series and partial entries).
     keys = [
         dict(
             mode=mode,
@@ -431,7 +434,10 @@ def sweep_grid(
         [] for _ in points
     ]
     executor = executor or ParallelExecutor()
-    checkpoint = getattr(cache, "checkpoint", None)
+    # Partial entries live only on disk: a memory-only cache computes no
+    # partial key.  Per point, the keys to seal once its series land.
+    disk = cache if cache is not None and cache.cache_dir else None
+    partials: List[List[str]] = [[] for _ in points]
     for v, (build, cohorts) in enumerate(views):
         dataset = build()
         for i, cohort in enumerate(cohorts):
@@ -439,6 +445,12 @@ def sweep_grid(
                 continue
             view_key = {**keys[i], "users": cohort}
             for r, by_user in enumerate(cells[i]):
+                partial = None
+                if disk is not None:
+                    partial = disk.partial_key(
+                        dataset, points[i].model, todo[i], repeat=r, **view_key
+                    )
+                    partials[i].append(partial)
                 view_cells = _view_cells(
                     dataset,
                     points[i].model,
@@ -446,7 +458,8 @@ def sweep_grid(
                     view_key,
                     repeat=r,
                     executor=executor,
-                    checkpoint=checkpoint,
+                    disk=disk,
+                    partial=partial,
                 )
                 by_user.update(zip(cohort, view_cells))
                 if v == last[i]:
@@ -456,18 +469,21 @@ def sweep_grid(
                         _aggregate(points[i], todo[i], by_user)
                     )
                     by_user.clear()
-    for point, key, missing, runs, series in zip(
-        points, keys, todo, finished, results
+    for point, key, missing, runs, series, sealable in zip(
+        points, keys, todo, finished, results, partials
     ):
+        on_disk = True
         for policy in missing:
             series[policy.name] = [
                 AggregateMetrics.mean([run[policy.name][d] for run in runs])
                 for d in range(len(point.degrees))
             ]
             if cache is not None:
-                cache.store(
+                on_disk &= cache.store(
                     source, point.model, policy, series[policy.name], **key
                 )
+        if sealable and on_disk:
+            disk.seal(sealable)
     return [
         None
         if found is None
@@ -484,21 +500,21 @@ def _view_cells(
     *,
     repeat: int,
     executor: ParallelExecutor,
-    checkpoint,
+    disk: Optional["SweepCache"],
+    partial: Optional[str],
 ) -> List[UserCell]:
     """One repeat's per-user cells for the cohort slice ``key["users"]``
     of one view.
 
-    With a :class:`~repro.experiments.checkpoint.SweepCheckpoint` (hung
-    on the cache by the batch runner) each completed (view, point,
-    repeat) is persisted, keyed by the view's content and its cohort
-    slice, so an interrupted sweep resumes mid-flight.
+    With a disk-backed cache (``disk``) the cells are a partial entry of
+    it under the key ``partial``: read back if a killed run already
+    computed them, else computed and written, so an interrupted sweep
+    resumes mid-flight.  :func:`sweep_grid` seals the entries once the
+    point's finished series are on disk.
     """
     users = key["users"]
-    ck_key = None
-    if checkpoint is not None:
-        ck_key = checkpoint.key_for(dataset, model, policies, **key)
-        stored = checkpoint.load(ck_key, repeat, users=users)
+    if partial is not None:
+        stored = disk.get_cells(partial, users)
         if stored is not None:
             return stored
     run_seed = key["seed"] + repeat
@@ -522,11 +538,11 @@ def _view_cells(
             phase=f"sweep[{model.name}]",
         )
     )
-    if ck_key is not None and not any(is_quarantined(c) for c in cells):
+    if partial is not None and not any(is_quarantined(c) for c in cells):
         # Quarantine decisions belong to the run that made them: cells
-        # with excluded users are never checkpointed, so a resume
-        # re-judges them afresh.
-        checkpoint.store(ck_key, repeat, users, cells)
+        # with excluded users are never stored, so a resume re-judges
+        # them afresh.
+        disk.put_cells(partial, users, cells)
     return cells
 
 

@@ -63,6 +63,49 @@ class UserMetrics:
         return len(self.replicas)
 
 
+#: Float fields of :class:`UserMetrics`, in declaration order.
+_METRIC_FLOAT_FIELDS = (
+    "availability",
+    "max_achievable_availability",
+    "aod_time",
+    "aod_activity",
+    "expected_activity_fraction",
+    "aod_activity_expected",
+    "aod_activity_unexpected",
+    "delay_hours_actual",
+    "delay_hours_observed",
+)
+
+
+def metrics_to_payload(metrics: UserMetrics) -> dict:
+    """A :class:`UserMetrics` as a JSON-exact payload dict.
+
+    Ints stay ints, floats stay floats (JSON renders them by shortest
+    round-trip repr, and ``inf`` — a legal delay — survives via the
+    default non-strict JSON mode), so the round trip through the sweep
+    cache's JSON entries (point-query payloads, partial sweep cells) is
+    bit-identical.
+    """
+    payload = {
+        "user": int(metrics.user),
+        "allowed_degree": int(metrics.allowed_degree),
+        "replicas": [int(r) for r in metrics.replicas],
+    }
+    for name in _METRIC_FLOAT_FIELDS:
+        payload[name] = float(getattr(metrics, name))
+    return payload
+
+
+def metrics_from_payload(payload: dict) -> UserMetrics:
+    """Inverse of :func:`metrics_to_payload`."""
+    return UserMetrics(
+        user=payload["user"],
+        allowed_degree=int(payload["allowed_degree"]),
+        replicas=tuple(payload["replicas"]),
+        **{name: float(payload[name]) for name in _METRIC_FLOAT_FIELDS},
+    )
+
+
 def profile_schedule(
     user: UserId, replicas: Sequence[UserId], schedules: Schedules
 ) -> IntervalSet:

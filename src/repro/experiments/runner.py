@@ -24,8 +24,10 @@ transition.  A batch killed mid-run — Ctrl-C, OOM, a lost worker in
 strict mode — leaves a valid journal behind; re-running with
 ``resume=True`` (CLI ``--resume``) skips the experiments already marked
 done whose output files still exist and recomputes only the rest.
-Because every experiment derives its randomness from absolute seeds,
-the resumed outputs are bit-identical to an uninterrupted run.
+Within an experiment, a sweep resumes from the partial entries its
+killed run left in the batch's disk-backed cache (``out/cache`` by
+default).  Because every experiment derives its randomness from absolute
+seeds, the resumed outputs are bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.cache import SweepCache
 from repro.parallel import ParallelExecutor
-from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.config import BENCH, ExperimentScale
 from repro.experiments.execution import Execution
 from repro.experiments.figures import execute, experiment_ids
@@ -124,12 +125,13 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 #: Version stamp of the journal schema; bumped on incompatible changes.
-#: v2 added the ``checkpoints`` ledger (mid-sweep resume);
-#: v1 journals are still accepted on resume — they simply carry none.
-JOURNAL_FORMAT_VERSION = 2
+#: v3 dropped v2's ``checkpoints`` ledger: mid-sweep progress lives in
+#: the batch's cache as partial entries.  v1 and v2 journals still
+#: resume; a v2 ledger is ignored.
+JOURNAL_FORMAT_VERSION = 3
 
 #: Journal versions :meth:`BatchJournal.open` can resume from.
-_READABLE_JOURNAL_VERSIONS = frozenset({1, JOURNAL_FORMAT_VERSION})
+_READABLE_JOURNAL_VERSIONS = frozenset({1, 2, JOURNAL_FORMAT_VERSION})
 
 #: Journal statuses an experiment moves through.
 PENDING = "pending"
@@ -154,11 +156,6 @@ class BatchJournal:
     path: Path
     scale: str
     statuses: Dict[str, str]
-    #: Completed sweep checkpoints
-    #: (:meth:`~repro.experiments.checkpoint.SweepCheckpoint.entry_id`
-    #: strings).  Content-addressed, so they survive resume unchanged
-    #: and a re-run of the same sweep skips straight past them.
-    checkpoints: List[str] = dataclasses.field(default_factory=list)
 
     @classmethod
     def open(
@@ -180,7 +177,6 @@ class BatchJournal:
         """
         path = Path(path)
         statuses = {eid: PENDING for eid in ids}
-        checkpoints: List[str] = []
         if resume and path.exists():
             blob = json.loads(path.read_text(encoding="utf-8"))
             version = blob.get("format_version")
@@ -189,14 +185,6 @@ class BatchJournal:
                     f"journal {path} has format_version {version!r}; "
                     f"this build writes {JOURNAL_FORMAT_VERSION}"
                 )
-            recorded = blob.get("checkpoints", [])
-            if not isinstance(recorded, list) or any(
-                not isinstance(c, str) for c in recorded
-            ):
-                raise ValueError(
-                    f"journal {path} has a malformed checkpoints ledger"
-                )
-            checkpoints = list(recorded)
             if blob.get("scale") != scale:
                 raise ValueError(
                     f"journal {path} records scale {blob.get('scale')!r} "
@@ -214,12 +202,7 @@ class BatchJournal:
                 # A 'running' entry means the previous run died mid-way
                 # through this experiment; its outputs are suspect.
                 statuses[eid] = FAILED if status == RUNNING else status
-        journal = cls(
-            path=path,
-            scale=scale,
-            statuses=statuses,
-            checkpoints=checkpoints,
-        )
+        journal = cls(path=path, scale=scale, statuses=statuses)
         journal.write()
         return journal
 
@@ -232,16 +215,6 @@ class BatchJournal:
         self.statuses[experiment_id] = status
         self.write()
 
-    def mark_checkpoint(self, entry_id: str) -> None:
-        """Record one completed sweep checkpoint (idempotent, persisted)."""
-        if entry_id in self.checkpoints:
-            return
-        self.checkpoints.append(entry_id)
-        self.write()
-
-    def has_checkpoint(self, entry_id: str) -> bool:
-        return entry_id in self.checkpoints
-
     def done_ids(self) -> List[str]:
         return [e for e, s in self.statuses.items() if s == DONE]
 
@@ -250,7 +223,6 @@ class BatchJournal:
             "format_version": JOURNAL_FORMAT_VERSION,
             "scale": self.scale,
             "experiments": dict(self.statuses),
-            "checkpoints": sorted(self.checkpoints),
         }
 
     def write(self) -> None:
@@ -318,9 +290,6 @@ def summarize_batch(
             entries=len(cache),
             cache_dir=str(cache.cache_dir) if cache.cache_dir else None,
         )
-        checkpoint = getattr(cache, "checkpoint", None)
-        if checkpoint is not None:
-            summary["checkpoints"] = checkpoint.stats()
     if executor is not None:
         summary["pool"] = executor.pool_stats.as_dict()
         if executor.failures:
@@ -344,20 +313,17 @@ def render_batch_summary(summary: Dict[str, Any]) -> str:
             f"{cache['stale']} stale, {cache['stores']} stores "
             f"({cache['entries']} entries{where})"
         )
+        if cache.get("partial_loads") or cache.get("partial_stores"):
+            line += (
+                f"; partial entries: {cache['partial_loads']} loads, "
+                f"{cache['partial_stores']} stores"
+            )
         if cache.get("disk_errors"):
             line += (
                 f"; {cache['disk_errors']} disk errors (degraded to "
                 f"memory-only)"
             )
         lines.append(line)
-    checkpoints = summary.get("checkpoints")
-    if checkpoints is not None and (
-        checkpoints.get("loads") or checkpoints.get("stores")
-    ):
-        lines.append(
-            f"[batch] checkpoints: {checkpoints['loads']} loads, "
-            f"{checkpoints['stores']} stores, {checkpoints['stale']} stale"
-        )
     pool = summary.get("pool")
     if pool is not None and pool.get("starts"):
         line = f"[batch] pool: {pool['starts']} starts"
@@ -416,10 +382,14 @@ def run_batch(
     writes identical results, and invalid values raise ``ValueError``
     before the batch starts.
 
-    One :class:`~repro.cache.SweepCache` spans the whole batch (pass
-    ``cache`` to share one across batches, ``cache_dir`` for the
-    persistent on-disk layer, or ``use_cache=False`` to disable caching
-    entirely — the results are bit-identical in every case), and one
+    One :class:`~repro.cache.SweepCache` spans the whole batch, and the
+    results are bit-identical however it is set up.  The cache
+    ``run_batch`` builds persists under ``cache_dir`` (default
+    ``out_dir/cache``): the finished series, plus the partial entries a
+    killed batch's sweeps resume from.  A ``cache`` passed in is used as
+    is, to share one across batches; without a directory, as with
+    ``use_cache=False`` (no cache at all), a batch resumes per
+    experiment only.  One
     :class:`~repro.parallel.ParallelExecutor` runs every experiment
     (serial by default; pass one with ``jobs`` and the supervision knobs
     to fan the per-user work out).  Each of its parallel phases forks a
@@ -439,23 +409,16 @@ def run_batch(
     quarantine report.  All writes are atomic.  Returns the paths
     written.  The directory is created if missing.
     """
-    if cache is None and use_cache:
-        cache = SweepCache(cache_dir)
     ex = Execution(executor or ParallelExecutor(), cache, shards)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if cache is None and use_cache:
+        cache = SweepCache(out / "cache" if cache_dir is None else cache_dir)
+        ex = dataclasses.replace(ex, cache=cache)
     all_ids = list(ids) if ids is not None else list(experiment_ids())
     journal = BatchJournal.open(
         out / "journal.json", scale=scale.name, ids=all_ids, resume=resume
     )
-    checkpoint: Optional[SweepCheckpoint] = None
-    if cache is not None:
-        # Mid-sweep checkpoints ride on the cache plane (the
-        # cache is already threaded through every sweep); with
-        # use_cache=False there is no plane to hang them on, and the
-        # batch resumes at experiment granularity only.
-        checkpoint = SweepCheckpoint(out / "checkpoints", journal=journal)
-        cache.checkpoint = checkpoint
     skipped = [
         eid
         for eid in all_ids

@@ -19,11 +19,8 @@ Answers are bit-identical to the batch path by construction: every
 query routes through the same per-user kernel the sweeps fan out.
 """
 
-from repro.query.plane import (
-    QueryPlane,
-    metrics_from_payload,
-    metrics_to_payload,
-)
+from repro.core.metrics import metrics_from_payload, metrics_to_payload
+from repro.query.plane import QueryPlane
 
 __all__ = [
     "QueryPlane",

@@ -387,6 +387,8 @@ class TestStoreLayer:
             "stores": 0,
             "disk_hits": 0,
             "disk_errors": 0,
+            "partial_loads": 0,
+            "partial_stores": 0,
         }
 
 

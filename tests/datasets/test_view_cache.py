@@ -1,10 +1,10 @@
-"""Sharded sources compose with the sweep cache and mid-sweep checkpoints.
+"""Sharded sources compose with the sweep cache and its partial entries.
 
 A sweep over a ShardedDataset caches its finished series under the
 source's spec-derived fingerprint, so a rerun — in another process,
 under another string-hash salt, at another shard count — must hit every
 entry before building any view; and an interrupted sharded batch must
-resume from the per-view checkpoints it wrote.
+resume from the per-view partial entries it wrote.
 """
 
 import json
@@ -15,9 +15,9 @@ import sys
 import pytest
 
 import repro
+from repro.cache import SweepCache
 from repro.cache.keys import dataset_fingerprint
 from repro.experiments import facebook_sharded, load_result, run_batch
-from repro.experiments.checkpoint import SweepCheckpoint
 from tests.experiments.test_config_and_registry import TINY
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -107,20 +107,20 @@ def test_dataset_mode_resume_reloads_view_checkpoints(
 ):
     kwargs = dict(scale=TINY, ids=["fig3"], shards=2)
     fingerprints = []
-    key_for = SweepCheckpoint.key_for
-    store = SweepCheckpoint.store
+    partial_key = SweepCache.partial_key
+    put_cells = SweepCache.put_cells
 
-    def recording_key_for(self, dataset, *args, **kw):
+    def recording_partial_key(self, dataset, *args, **kw):
         fingerprints.append(dataset_fingerprint(dataset))
-        return key_for(self, dataset, *args, **kw)
+        return partial_key(self, dataset, *args, **kw)
 
-    def interrupting_store(self, *args, **kw):
-        store(self, *args, **kw)
-        if self.stores == 3:
+    def interrupting_put_cells(self, *args, **kw):
+        put_cells(self, *args, **kw)
+        if self.stats.partial_stores == 3:
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(SweepCheckpoint, "key_for", recording_key_for)
-    monkeypatch.setattr(SweepCheckpoint, "store", interrupting_store)
+    monkeypatch.setattr(SweepCache, "partial_key", recording_partial_key)
+    monkeypatch.setattr(SweepCache, "put_cells", interrupting_put_cells)
     interrupted = tmp_path / "interrupted"
     with pytest.raises(KeyboardInterrupt):
         run_batch(interrupted, **kwargs)
@@ -128,13 +128,15 @@ def test_dataset_mode_resume_reloads_view_checkpoints(
     sharded = facebook_sharded(TINY, 2)
     whole = {sharded.shard_fingerprint(k) for k in range(2)}
     assert fingerprints and not set(fingerprints) & whole
-    monkeypatch.setattr(SweepCheckpoint, "store", store)
+    monkeypatch.setattr(SweepCache, "put_cells", put_cells)
 
     run_batch(interrupted, resume=True, **kwargs)
     summary = json.loads((interrupted / "batch_summary.json").read_text())
-    assert summary["checkpoints"]["loads"] == 3
-    assert summary["checkpoints"]["stale"] == 0
-    assert summary["checkpoints"]["stores"] > 0
+    assert summary["cache"]["partial_loads"] == 3
+    assert summary["cache"]["stale"] == 0
+    assert summary["cache"]["partial_stores"] > 0
+    # The finished sweep sealed every partial entry it wrote.
+    assert not list((interrupted / "cache").glob("*.cells.json"))
     clean = tmp_path / "clean"
     run_batch(clean, **kwargs)
     a = load_result(interrupted / "fig3.json")

@@ -13,6 +13,7 @@ from repro.experiments import (
     render_batch_summary,
     result_to_dict,
     run_batch,
+    run_experiment,
 )
 from repro.experiments.report import ExperimentResult
 from repro.parallel import ParallelExecutor
@@ -201,6 +202,26 @@ class TestRunBatch:
         one.pop("timings")
         two.pop("timings")
         assert one == two
+
+    def test_finished_batch_leaves_nothing_on_a_shared_cache(self, tmp_path):
+        # A batch hangs no resume state on a caller's cache: reusing the
+        # cache afterwards must not write into the finished batch.
+        cache = SweepCache()
+        out = tmp_path / "out"
+        run_batch(out, scale=TINY, ids=["fig8"], cache=cache)
+        files = sorted(p.relative_to(out) for p in out.rglob("*"))
+        journal = (out / "journal.json").read_bytes()
+        run_experiment("fig3", TINY, cache=cache)
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == files
+        assert (out / "journal.json").read_bytes() == journal
+
+    def test_entries_count_series_and_payloads(self, tmp_path):
+        # fig3 stores sweep series, x6 a DES replay payload: both are
+        # entries of the batch's cache.
+        run_batch(tmp_path, scale=TINY, ids=["fig3", "x6"])
+        summary = json.loads((tmp_path / "batch_summary.json").read_text())
+        assert summary["cache"]["entries"] == summary["cache"]["stores"]
+        assert summary["experiments"]["x6"]["cache"]["stores"] == 1
 
     def test_render_batch_summary_foot(self, tmp_path):
         run_batch(tmp_path, scale=TINY, ids=["fig3"])
