@@ -8,10 +8,14 @@ policy (via :meth:`~repro.core.placement.base.PlacementPolicy.cache_key`),
 the regime, the cohort, the swept degrees, and the seed/repeat protocol.
 Deliberately *excluded* are the execution knobs — ``jobs`` and
 ``shards`` — because parallel runs and sharded sources are bit-identical
-to the serial eager reference (the determinism contract), so one cache
-entry serves every combination.  A
-:class:`~repro.datasets.sharding.ShardedDataset` source is addressed by
-its spec, not by its shard count, so its entries serve every count.
+to the serial eager reference (the determinism contract).  The dataset
+part is not one address for both kinds of source, though: an eager
+dataset is addressed by its content fingerprint, and a
+:class:`~repro.datasets.sharding.ShardedDataset` by its spec, not by its
+shard count.  So one series entry serves every ``jobs`` value and every
+shard count above one, but a ``--shards 1`` run and a sharded run of
+the same sweep store separate entries (with equal floats) until eager
+datasets are addressed by their spec too.
 
 The same key space addresses the store's other entries: DES replay
 outcomes (:func:`replay_cache_key`), point-query metrics

@@ -59,19 +59,16 @@ from repro.simulator.node import (
     PeerNode,
     transition_event_count,
 )
-from repro.simulator.replication import (
-    ProfileReplication,
-    ReplicaStore,
-    Update,
-)
+from repro.simulator.replication import ProfileReplication, Update
 from repro.simulator.stats import Counter2, SimulationStats
 from repro.timeline.day import DAY_SECONDS, HOUR_SECONDS
 from repro.timeline.intervals import IntervalSet
 
 Placements = Mapping[UserId, Sequence[UserId]]
 
-#: A replica group's ``(node, store)`` pairs, in sorted-host order.
-Members = Tuple[Tuple[PeerNode, ReplicaStore], ...]
+#: A replica group's members in sorted-host order: each host's node and
+#: its store's arrival-time map, which has one entry per held update.
+Members = Tuple[Tuple[PeerNode, Mapping[Tuple[UserId, int], float]], ...]
 
 
 def latency_rng(latency_seed: int, profile: UserId) -> random.Random:
@@ -101,43 +98,60 @@ def finalize_replication_stats(
     visited in sorted-profile order — the canonical ordering of
     :class:`SimulationStats` — so shard-merged output matches a
     whole-cohort pass bit-for-bit.
+
+    One pass per group.  The group's updates are the union of its
+    stores' updates, each store taken in creation order
+    (:attr:`~repro.simulator.replication.ReplicaStore.updates`): an
+    update sits where it is first seen, and if hand-made updates share
+    an id, the last store's object is the one measured.  Each update's
+    arrival in every store is read once; that row gives the owner
+    delay, completeness (every store holds it), the full-replication
+    time (the row's max) and the per-host observed delays.  A group is
+    consistent when every update is complete, since then every store
+    holds the whole union.
     """
     for profile in sorted(replication):
         group = replication[profile]
+        stores = group.stores
         is_tracked = profile in tracked
         all_updates = {}
-        for store in group.stores.values():
+        for store in stores.values():
             for update in store.updates:
                 all_updates[update.uid] = update
-        owner_store = group.stores.get(profile)
+        hosts = list(stores)
+        arrival_maps = [store.arrival_times for store in stores.values()]
+        owner = -1
+        if is_tracked and profile in stores:
+            owner = hosts.index(profile)
+        spans = None
+        incomplete = 0
         for uid, update in all_updates.items():
-            if is_tracked and owner_store is not None:
-                owner_arrival = owner_store.arrival_times.get(uid)
+            created = update.created_at
+            row = [times.get(uid) for times in arrival_maps]
+            if owner >= 0:
+                owner_arrival = row[owner]
                 if owner_arrival is None:
                     stats.undelivered_to_owner += 1
                 else:
                     stats.add_owner_delay(
-                        profile,
-                        (owner_arrival - update.created_at) / HOUR_SECONDS,
+                        profile, (owner_arrival - created) / HOUR_SECONDS
                     )
-            done_at = group.full_replication_time(uid)
-            if done_at is None:
-                stats.incomplete_updates += 1
+            if None in row:
+                incomplete += 1
                 continue
             if not is_tracked:
                 continue
-            delay = done_at - update.created_at
-            stats.add_propagation(profile, delay / HOUR_SECONDS)
-            for host, store in group.stores.items():
-                arrived = store.arrival_times.get(uid)
-                if arrived is None or arrived == update.created_at:
-                    continue
-                online_inside = schedule_of(host).measure_in_span(
-                    update.created_at, arrived
-                )
-                stats.add_observed(profile, online_inside / HOUR_SECONDS)
+            stats.add_propagation(profile, (max(row) - created) / HOUR_SECONDS)
+            if spans is None:
+                spans = [schedule_of(host).measure_in_span for host in hosts]
+            for span, arrived in zip(spans, row):
+                if arrived != created:
+                    stats.add_observed(
+                        profile, span(created, arrived) / HOUR_SECONDS
+                    )
+        stats.incomplete_updates += incomplete
         stats.tracked_profiles += 1
-        if group.is_consistent():
+        if not incomplete:
             stats.consistent_profiles += 1
 
 
@@ -245,10 +259,11 @@ class DecentralizedOSN:
         self._counted_events = 0
 
         #: profile → its group's members: one pass over them answers
-        #: "which hosts are online and what do they hold".
+        #: "which hosts are online and how many updates they hold".
         self._members: Dict[UserId, Members] = {
             profile: tuple(
-                (self.nodes[host], group.stores[host]) for host in group.hosts
+                (self.nodes[host], group.stores[host].arrival_times)
+                for host in group.hosts
             )
             for profile, group in self.replication.items()
         }
@@ -278,7 +293,7 @@ class DecentralizedOSN:
             group = self.replication[profile]
             if self.config.use_cdn:
                 self._sync_with_cdn(group, user, now)
-            for host, _store in self._members[profile]:
+            for host, _held in self._members[profile]:
                 if host is not node and host.online:
                     self._sync_hosts(group, user, host.user)
         self._replay_reads(node)
@@ -292,13 +307,17 @@ class DecentralizedOSN:
         updates it is missing — is the feed-freshness the reader
         experiences (driven by the propagation delay, §II-C3).
         """
+        reads = self.stats.reads
         for profile in self._reads.get(node.user, ()):
             # Size of the fullest online replica; -1 when none is online.
             best = -1
-            for host, store in self._members[profile]:
-                if host.online and len(store) > best:
-                    best = len(store)
-            self.stats.reads.setdefault(profile, Counter2()).record(best >= 0)
+            for host, held in self._members[profile]:
+                if host.online and len(held) > best:
+                    best = len(held)
+            counter = reads.get(profile)
+            if counter is None:
+                counter = reads[profile] = Counter2()
+            counter.record(best >= 0)
             if best >= 0:
                 self.stats.add_staleness(
                     profile, self.created_updates.get(profile, 0) - best
@@ -354,7 +373,7 @@ class DecentralizedOSN:
             cloud.setdefault(update.uid, update)
 
     def _profile_reachable(self, profile: UserId) -> bool:
-        for host, _store in self._members[profile]:
+        for host, _held in self._members[profile]:
             if host.online:
                 return True
         return False
@@ -369,11 +388,15 @@ class DecentralizedOSN:
         now = self.sim.now
         group = self.replication[profile]
         online_hosts = [
-            host.user for host, _store in self._members[profile] if host.online
+            host.user for host, _held in self._members[profile] if host.online
         ]
         served = bool(online_hosts)
         if profile in self._tracked:
-            self.stats.writes.setdefault(profile, Counter2()).record(served)
+            writes = self.stats.writes
+            counter = writes.get(profile)
+            if counter is None:
+                counter = writes[profile] = Counter2()
+            counter.record(served)
         if not served:
             return
         update = Update(
@@ -422,10 +445,12 @@ class DecentralizedOSN:
             yield 0.0, 1, self._sample_availability, ()
 
     def _sample_availability(self) -> None:
+        availability = self.stats.availability
         for profile in self._sampled:
-            self.stats.availability.setdefault(profile, Counter2()).record(
-                self._profile_reachable(profile)
-            )
+            counter = availability.get(profile)
+            if counter is None:
+                counter = availability[profile] = Counter2()
+            counter.record(self._profile_reachable(profile))
         next_time = self.sim.now + self.config.sample_every
         if next_time < self.config.days * DAY_SECONDS:
             self.sim.schedule_at(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.social_graph import UserId
@@ -39,6 +40,10 @@ class Update:
     def uid(self) -> Tuple[UserId, int]:
         """Identity of the update within its profile's log."""
         return (self.origin, self.seq)
+
+
+#: Creation order of updates: by time, then identity ``(origin, seq)``.
+_CREATION_ORDER = attrgetter("created_at", "origin", "seq")
 
 
 class ReplicaStore:
@@ -68,9 +73,7 @@ class ReplicaStore:
     @property
     def updates(self) -> List[Update]:
         """All stored updates, ordered by creation time then identity."""
-        return sorted(
-            self._updates.values(), key=lambda u: (u.created_at, u.uid)
-        )
+        return sorted(self._updates.values(), key=_CREATION_ORDER)
 
     def version_vector(self) -> Dict[UserId, int]:
         """origin → number of updates held from that origin.
@@ -163,13 +166,3 @@ class ProfileReplication:
             sb.apply(update, now)
             moved += 1
         return moved
-
-    def full_replication_time(self, uid: Tuple[UserId, int]) -> Optional[float]:
-        """When the update reached *all* replicas (None if it hasn't)."""
-        times = []
-        for store in self.stores.values():
-            t = store.arrival_times.get(uid)
-            if t is None:
-                return None
-            times.append(t)
-        return max(times)

@@ -28,7 +28,7 @@ def _reference_run(
     executed = 0
     while sim._queue:
         head = sim._queue[0]
-        if head[3].cancelled:
+        if head[4].cancelled:
             heapq.heappop(sim._queue)
             continue
         if until is not None and head[0] > until:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import ProfileReplication, ReplicaStore, Update
+from repro.simulator import (
+    ProfileReplication,
+    ReplicaStore,
+    SimulationStats,
+    Update,
+    finalize_replication_stats,
+)
+from repro.timeline import DAY_SECONDS, IntervalSet
 
 
 def _update(profile=1, origin=2, seq=1, t=0.0):
@@ -76,16 +83,45 @@ class TestProfileReplication:
         assert moved == 2
         assert group.is_consistent()
 
-    def test_full_replication_time(self):
-        group = ProfileReplication(1, hosts=[1, 2])
-        u = _update(seq=1, t=0.0)
-        group.store_of(1).apply(u, now=0.0)
-        assert group.full_replication_time(u.uid) is None
-        group.sync_pair(1, 2, now=7.0)
-        assert group.full_replication_time(u.uid) == 7.0
-
     def test_is_consistent_initially(self):
         assert ProfileReplication(1, hosts=[1, 2, 3]).is_consistent()
+
+
+def test_finalize_duplicate_id_takes_last_store_object_at_first_position():
+    """Two stores hold different updates with one ``(origin, seq)``.
+
+    Finalize lists the update where the first store (the owner's) holds
+    it in creation order, but measures it from the last store's object:
+    its ``created_at`` is the one every delay is taken from.
+    """
+    group = ProfileReplication(1, hosts=[1, 2])
+    early, late = _update(seq=2, t=3.0), _update(seq=1, t=5.0)
+    # Store 1 orders (2, 2)@3 before (2, 1)@5; store 2's (2, 1) is
+    # created at 1.0, so the creation order of its object alone would
+    # put it first.
+    group.store_of(1).apply(early, now=4.0)
+    group.store_of(1).apply(late, now=6.0)
+    group.store_of(2).apply(_update(seq=1, t=1.0), now=2.0)
+    group.store_of(2).apply(early, now=8.0)
+    stats = SimulationStats()
+    always = IntervalSet([(0, DAY_SECONDS)])
+    finalize_replication_stats(stats, {1: group}, {1}, lambda host: always)
+    hour = 3600.0
+    assert stats.owner_delay_by_profile[1] == [
+        (4.0 - 3.0) / hour,
+        (6.0 - 1.0) / hour,
+    ]
+    assert stats.propagation_by_profile[1] == [
+        (8.0 - 3.0) / hour,
+        (6.0 - 1.0) / hour,
+    ]
+    assert stats.observed_by_profile[1] == [
+        (4.0 - 3.0) / hour,
+        (8.0 - 3.0) / hour,
+        (6.0 - 1.0) / hour,
+        (2.0 - 1.0) / hour,
+    ]
+    assert (stats.incomplete_updates, stats.consistent_profiles) == (0, 1)
 
 
 class TestEventualConsistency:
