@@ -24,11 +24,30 @@ materialised on demand, in any order, in any process, without replaying
 the streams of the users before them.  That property is what the sharded
 dataset path (:mod:`repro.datasets.sharding`) is built on.
 
+Draw-order contract.  The RNG calls this module makes on a user's
+stream, and their order, *are* stream layout v2.  Per user, in order:
+
+1. :meth:`DiurnalMixture.draw_peak` — ``random()`` for the component,
+   then ``gauss`` for the personal peak;
+2. ``shuffle`` of the full sorted partner list (the favourite ranking);
+3. ``lognormvariate`` for the activity count;
+4. ``choices(ranked, weights, k=count)`` for every receiver at once;
+5. per activity, in receiver order: ``randrange(trace_days)`` for the
+   day, then ``gauss(peak, diurnal_std_hours * HOUR_SECONDS)`` for the
+   time of day.
+
+:func:`user_receivers` stops after step 4; :func:`user_activities` runs
+all five.  Changing a call, its arguments or its place in this order
+changes every trace and must bump :data:`STREAM_VERSION`; hoisting a
+lookup, binding a method or building the :class:`Activity` another way
+does not, because the streams and the floats stay the same.
+
 .. note::
    Stream layout v2 (``STREAM_VERSION = 2``) replaced the original
    single-``random.Random`` sequential generator.  Traces generated under
    v2 differ from v1 traces for the same seed; the v2 streams are pinned
-   as canonical by ``tests/datasets/test_synthesis.py``.
+   as canonical by ``tests/datasets/test_synthesis.py`` and, digest for
+   digest, by ``tests/datasets/test_build_pins.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +57,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.datasets.schema import Activity, ActivityTrace
+from repro.datasets.schema import Activity, ActivityTrace, new_activity
 from repro.graph.social_graph import FollowerGraph, SocialGraph, UserId
 from repro.graph.stream import CsrRows
 from repro.seeding import derive_rng
@@ -175,12 +194,16 @@ def _zipf_partner_weights(
     return ranked, weights
 
 
-def _draw_timestamp(
-    peak: float, params: TraceParams, rng: random.Random
-) -> float:
-    day = rng.randrange(params.trace_days)
-    tod = rng.gauss(peak, params.diurnal_std_hours * HOUR_SECONDS) % DAY_SECONDS
-    return day * DAY_SECONDS + tod
+def _draw_receivers(
+    partners: Sequence[UserId], params: TraceParams, rng: random.Random
+) -> Tuple[float, List[UserId]]:
+    """Steps 1-4 of the draw order: the user's peak and receiver list."""
+    peak = params.mixture.draw_peak(rng)
+    ranked, weights = _zipf_partner_weights(
+        partners, params.partner_zipf_alpha, rng
+    )
+    count = _draw_activity_count(params, rng)
+    return peak, rng.choices(ranked, weights=weights, k=count)
 
 
 def user_receivers(
@@ -199,13 +222,7 @@ def user_receivers(
     """
     if not partners:
         return []
-    rng = user_stream(seed, user)
-    params.mixture.draw_peak(rng)
-    ranked, weights = _zipf_partner_weights(
-        partners, params.partner_zipf_alpha, rng
-    )
-    count = _draw_activity_count(params, rng)
-    return rng.choices(ranked, weights=weights, k=count)
+    return _draw_receivers(partners, params, user_stream(seed, user))[1]
 
 
 def user_activities(
@@ -225,20 +242,24 @@ def user_activities(
     if not partners:
         return []
     rng = user_stream(seed, user)
-    peak = params.mixture.draw_peak(rng)
-    ranked, weights = _zipf_partner_weights(
-        partners, params.partner_zipf_alpha, rng
-    )
-    count = _draw_activity_count(params, rng)
-    receivers = rng.choices(ranked, weights=weights, k=count)
-    return [
-        Activity(
-            timestamp=_draw_timestamp(peak, params, rng),
-            creator=user,
-            receiver=receiver,
-        )
-        for receiver in receivers
-    ]
+    peak, receivers = _draw_receivers(partners, params, rng)
+    # Step 5 runs once per activity, so everything it reads is a local:
+    # the two bound RNG methods, the constants, and the slot-writing
+    # constructor.  The timestamp is ``day * DAY + (gauss % DAY)``,
+    # drawing the day first, as the draw order requires.
+    randrange = rng.randrange
+    gauss = rng.gauss
+    make = new_activity
+    trace_days = params.trace_days
+    std = params.diurnal_std_hours * HOUR_SECONDS
+    day_seconds = DAY_SECONDS
+    activities: List[Activity] = []
+    append = activities.append
+    for receiver in receivers:
+        day = randrange(trace_days)
+        timestamp = day * day_seconds + gauss(peak, std) % day_seconds
+        append(make(timestamp, user, receiver))
+    return activities
 
 
 def survey_receiver_rows(

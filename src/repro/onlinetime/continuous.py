@@ -17,6 +17,7 @@ fixes its centre.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 from repro.datasets.schema import Dataset
@@ -40,11 +41,12 @@ _FALLBACK_CENTER = 20 * HOUR_SECONDS
 def best_window_start(instants: Sequence[float], length: float) -> float:
     """Start of the window of ``length`` seconds covering the most instants.
 
-    Instants are seconds-of-day; the day is circular.  Runs the classic
-    two-pointer sweep over candidate windows anchored at each instant
-    (some optimal window can always be shifted left until its start hits an
-    instant).  Ties resolve to the earliest anchored window; an empty
-    instant list yields a window centred on the evening fallback.
+    Instants are seconds-of-day; the day is circular.  Scores the
+    candidate windows anchored at each instant (some optimal window can
+    always be shifted left until its start hits an instant), counting
+    each window's instants with one bisection of the unrolled circle.
+    Ties resolve to the earliest anchored window; an empty instant list
+    yields a window centred on the evening fallback.
     """
     if not instants:
         return (_FALLBACK_CENTER - length / 2) % DAY_SECONDS
@@ -52,19 +54,30 @@ def best_window_start(instants: Sequence[float], length: float) -> float:
     n = len(points)
     # Unroll the circle: a window starting at points[i] covers points in
     # [points[i], points[i] + length], where indices j >= n wrap by +DAY.
+    # ``extended`` is sorted, so the covered indices run from i up to the
+    # bisection point of the window's end, capped at one full turn.
     extended = points + [p + DAY_SECONDS for p in points]
     best_start, best_count = points[0], 0
-    j = 0
-    for i in range(n):
-        if j < i:
-            j = i
-        while j < i + n and extended[j] <= points[i] + length:
-            j += 1
-        count = j - i
+    for i, start in enumerate(points):
+        count = bisect_right(extended, start + length, i, i + n) - i
         if count > best_count:
             best_count = count
-            best_start = points[i]
+            best_start = start
     return best_start
+
+
+def _window_schedule(user: UserId, dataset: Dataset, length: float) -> IntervalSet:
+    """The daily window of ``length`` seconds covering the most of
+    ``user``'s created activities (the whole day from one day up)."""
+    if length >= DAY_SECONDS:
+        return IntervalSet.full_day()
+    # ``timestamp % DAY_SECONDS`` is ``Activity.second_of_day`` without
+    # the property call.
+    instants = [
+        act.timestamp % DAY_SECONDS for act in dataset.trace.created_by(user)
+    ]
+    start = best_window_start(instants, length)
+    return IntervalSet.from_interval(start, start + length)
 
 
 class FixedLengthModel(OnlineTimeModel):
@@ -77,12 +90,7 @@ class FixedLengthModel(OnlineTimeModel):
         self.name = f"fixedlength-{hours:g}h"
 
     def schedule(self, user: UserId, dataset: Dataset, seed: int) -> IntervalSet:
-        length = self.hours * HOUR_SECONDS
-        if length >= DAY_SECONDS:
-            return IntervalSet.full_day()
-        instants = [a.second_of_day for a in dataset.trace.created_by(user)]
-        start = best_window_start(instants, length)
-        return IntervalSet.from_interval(start, start + length)
+        return _window_schedule(user, dataset, self.hours * HOUR_SECONDS)
 
     def describe(self) -> str:
         return f"fixedlength({self.hours:g}h)"
@@ -105,12 +113,7 @@ class RandomLengthModel(OnlineTimeModel):
     def schedule(self, user: UserId, dataset: Dataset, seed: int) -> IntervalSet:
         rng = user_rng(seed, user)
         hours = rng.uniform(self.min_hours, self.max_hours)
-        length = hours * HOUR_SECONDS
-        if length >= DAY_SECONDS:
-            return IntervalSet.full_day()
-        instants = [a.second_of_day for a in dataset.trace.created_by(user)]
-        start = best_window_start(instants, length)
-        return IntervalSet.from_interval(start, start + length)
+        return _window_schedule(user, dataset, hours * HOUR_SECONDS)
 
     def describe(self) -> str:
         return f"randomlength([{self.min_hours:g}, {self.max_hours:g}]h)"

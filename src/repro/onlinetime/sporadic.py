@@ -37,13 +37,18 @@ class SporadicModel(OnlineTimeModel):
         self.name = "sporadic"
 
     def schedule(self, user: UserId, dataset: Dataset, seed: int) -> IntervalSet:
-        rng = user_rng(seed, user)
+        # One uniform offset per created activity, in trace order.  The
+        # activity's second of day is read as ``timestamp % DAY_SECONDS``,
+        # the float operation ``Activity.second_of_day`` performs, without
+        # the property call.
+        random = user_rng(seed, user).random
         length = self.session_seconds
+        day = DAY_SECONDS
         sessions = []
+        append = sessions.append
         for act in dataset.trace.created_by(user):
-            offset = rng.random() * length
-            start = act.second_of_day - offset
-            sessions.append((start, start + length))
+            start = act.timestamp % day - random() * length
+            append((start, start + length))
         return IntervalSet(sessions)
 
     def describe(self) -> str:

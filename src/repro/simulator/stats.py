@@ -100,17 +100,33 @@ class SimulationStats:
 
     # -- recording ---------------------------------------------------------
 
+    # Each recorder makes a profile's list on its first sample only
+    # (``setdefault(profile, [])`` would build and drop an empty list on
+    # every call after it).
+
     def add_propagation(self, profile: UserId, hours: float) -> None:
-        self.propagation_by_profile.setdefault(profile, []).append(hours)
+        try:
+            self.propagation_by_profile[profile].append(hours)
+        except KeyError:
+            self.propagation_by_profile[profile] = [hours]
 
     def add_observed(self, profile: UserId, hours: float) -> None:
-        self.observed_by_profile.setdefault(profile, []).append(hours)
+        try:
+            self.observed_by_profile[profile].append(hours)
+        except KeyError:
+            self.observed_by_profile[profile] = [hours]
 
     def add_staleness(self, profile: UserId, missing: int) -> None:
-        self.staleness_by_profile.setdefault(profile, []).append(missing)
+        try:
+            self.staleness_by_profile[profile].append(missing)
+        except KeyError:
+            self.staleness_by_profile[profile] = [missing]
 
     def add_owner_delay(self, profile: UserId, hours: float) -> None:
-        self.owner_delay_by_profile.setdefault(profile, []).append(hours)
+        try:
+            self.owner_delay_by_profile[profile].append(hours)
+        except KeyError:
+            self.owner_delay_by_profile[profile] = [hours]
 
     # -- flat views (canonical sorted-profile order) -----------------------
 

@@ -1,5 +1,8 @@
 """Unit tests for Activity / ActivityTrace / Dataset."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,52 @@ class TestActivity:
         act = _act(1, 2, 3)
         with pytest.raises(AttributeError):
             act.timestamp = 5
+
+
+class TestNewActivity:
+    """``new_activity`` must build exactly what ``Activity(...)`` builds."""
+
+    CASES = [
+        (1.5, 3, 4),
+        (0.0, 0, 0),
+        (-0.0, 7, 7),
+        (86399.99999999999, 12, 1),
+        (42, 2, 9),  # an int timestamp is stored as given, as __init__ does
+        (float("inf"), -1, 2**70),
+    ]
+
+    @pytest.mark.parametrize("args", CASES)
+    def test_equals_dataclass_construction(self, args):
+        fast, slow = schema.new_activity(*args), Activity(*args)
+        assert type(fast) is Activity
+        assert fast == slow
+        for name in ("timestamp", "creator", "receiver"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert type(a) is type(b)
+            assert repr(a) == repr(b)
+        assert hash(fast) == hash(slow)
+        assert repr(fast) == repr(slow)
+        assert not fast < slow and not slow < fast and fast <= slow
+        clone = pickle.loads(pickle.dumps(fast))
+        assert clone == slow and type(clone) is Activity
+        assert pickle.dumps(fast) == pickle.dumps(slow)
+
+    def test_orders_like_dataclass(self):
+        args = [(5.0, 2, 1), (5.0, 1, 9), (1.0, 9, 9), (5.0, 1, 3)]
+        fast = sorted(schema.new_activity(*a) for a in args)
+        slow = sorted(Activity(*a) for a in args)
+        assert fast == slow
+        assert [repr(a) for a in fast] == [repr(a) for a in slow]
+
+    def test_stays_frozen_and_slotted(self):
+        act = schema.new_activity(1.0, 2, 3)
+        for name in ("timestamp", "creator", "receiver"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(act, name, 5)
+        with pytest.raises(FrozenInstanceError):
+            del act.creator
+        assert not hasattr(act, "__dict__")
+        assert act == Activity(1.0, 2, 3)
 
 
 class TestActivityTrace:

@@ -1,5 +1,7 @@
 """Tests for the three online-time models."""
 
+import random
+
 import pytest
 
 from repro.datasets import Activity, ActivityTrace, Dataset
@@ -15,7 +17,7 @@ from repro.onlinetime import (
     model_names,
     user_rng,
 )
-from repro.timeline import DAY_SECONDS, HOUR_SECONDS
+from repro.timeline import DAY_SECONDS, HOUR_SECONDS, IntervalSet
 
 
 def _dataset(activities):
@@ -107,6 +109,27 @@ class TestSporadic:
         with pytest.raises(ValueError):
             SporadicModel(DAY_SECONDS + 1)
 
+    def test_matches_second_of_day_sessions(self):
+        # The schedule reads ``timestamp % DAY_SECONDS`` directly; it must
+        # equal sessions built from ``second_of_day``, negative and
+        # multi-day timestamps included, endpoint types too.
+        times = [-0.25, -DAY_SECONDS - 7, 0, 10, 3 * DAY_SECONDS + 3599.5,
+                 DAY_SECONDS - 1e-9, 45000.125, 45000.125]
+        ds = _dataset([_act(t) for t in times])
+        for length in (100, 1200.0, 7 * HOUR_SECONDS, DAY_SECONDS):
+            for seed in range(5):
+                rng = user_rng(seed, 1)
+                sessions = []
+                for act in ds.trace.created_by(1):
+                    start = act.second_of_day - rng.random() * length
+                    sessions.append((start, start + length))
+                want = IntervalSet(sessions)
+                got = SporadicModel(length).schedule(1, ds, seed)
+                assert got == want
+                assert [tuple(map(type, p)) for p in got] == [
+                    tuple(map(type, p)) for p in want
+                ]
+
     def test_deterministic_per_seed(self):
         ds = _dataset([_act(5000), _act(60000)])
         model = SporadicModel()
@@ -137,6 +160,54 @@ class TestBestWindowStart:
     def test_single_instant(self):
         assert best_window_start([42.0], 100) == 42.0
 
+    @staticmethod
+    def _two_pointer(instants, length):
+        """The classic two-pointer sweep the bisection replaced."""
+        if not instants:
+            return (20 * HOUR_SECONDS - length / 2) % DAY_SECONDS
+        points = sorted(x % DAY_SECONDS for x in instants)
+        n = len(points)
+        extended = points + [p + DAY_SECONDS for p in points]
+        best_start, best_count = points[0], 0
+        j = 0
+        for i in range(n):
+            if j < i:
+                j = i
+            while j < i + n and extended[j] <= points[i] + length:
+                j += 1
+            if j - i > best_count:
+                best_count = j - i
+                best_start = points[i]
+        return best_start
+
+    def test_matches_two_pointer_sweep(self):
+        # Clustered, duplicated, integer, boundary and negative instants,
+        # with lengths from zero to a full day: same start, same type,
+        # the same earliest window on every tie.
+        rng = random.Random(11)
+        lengths = (0, 1, 100, 0.5, 2 * HOUR_SECONDS, 7.25 * HOUR_SECONDS,
+                   DAY_SECONDS - 1, DAY_SECONDS)
+        for trial in range(300):
+            n = rng.randrange(1, 40)
+            instants = []
+            for _ in range(n):
+                kind = rng.randrange(5)
+                if kind == 0:
+                    instants.append(rng.randrange(DAY_SECONDS))
+                elif kind == 1:
+                    instants.append(rng.choice((0, 0.0, DAY_SECONDS - 1e-9)))
+                elif kind == 2 and instants:
+                    instants.append(rng.choice(instants))
+                elif kind == 3:
+                    instants.append(rng.uniform(-3 * DAY_SECONDS, 0))
+                else:
+                    instants.append(rng.gauss(20 * HOUR_SECONDS, 3600))
+            for length in lengths:
+                got = best_window_start(instants, length)
+                want = self._two_pointer(instants, length)
+                assert type(got) is type(want)
+                assert got == want, (trial, length)
+
 
 class TestFixedLength:
     def test_measure_is_window_length(self):
@@ -160,6 +231,24 @@ class TestFixedLength:
     def test_24h_window_is_full_day(self):
         ds = _dataset([_act(100)])
         assert FixedLengthModel(24).schedule(1, ds, 0).measure == DAY_SECONDS
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            # -1e-12 % DAY_SECONDS rounds to DAY_SECONDS itself; its second
+            # of day must still anchor the earliest of the tied windows.
+            [-1e-12, 50000],
+            [-0.25, -DAY_SECONDS - 7, 10, 3 * DAY_SECONDS + 3599.5, 45000.125],
+        ],
+    )
+    def test_matches_second_of_day_window(self, times):
+        ds = _dataset([_act(t) for t in times])
+        instants = [act.second_of_day for act in ds.trace.created_by(1)]
+        for hours in (0.01, 2, 8):
+            length = hours * HOUR_SECONDS
+            start = best_window_start(instants, length)
+            want = IntervalSet.from_interval(start, start + length)
+            assert FixedLengthModel(hours).schedule(1, ds, 0) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ A replay queues its transitions, activities and first availability
 sample in bulk, as bare heap entries; only events that may be cancelled
 — later sample ticks and latency deliveries — get an
 :class:`~repro.simulator.kernel.EventHandle`.  Each stats counter is
-built when its profile is first recorded, never as a throwaway default.
-The counts below are exact and need no timing: constructor calls are
+built when its profile is first recorded, never as a throwaway default,
+and so is each per-profile sample list.  The counts below are exact and need no timing: constructor calls are
 counted by patching ``__init__``.
 """
 
@@ -105,3 +105,57 @@ def test_every_counter_is_built_once(monkeypatch, kind, config):
     built = len(stats.availability) + len(stats.writes) + len(stats.reads)
     assert built > 0
     assert counters[0] == built
+
+
+class _CountingSamples(dict):
+    """A per-profile sample map that counts its inserts and its
+    ``setdefault`` calls (each of which would build a list to drop)."""
+
+    def __init__(self):
+        super().__init__()
+        self.inserts = 0
+        self.setdefaults = 0
+
+    def __setitem__(self, key, value):
+        self.inserts += 1
+        super().__setitem__(key, value)
+
+    def setdefault(self, key, default=None):
+        self.setdefaults += 1
+        return super().setdefault(key, default)
+
+
+_SAMPLE_MAPS = (
+    "propagation_by_profile",
+    "observed_by_profile",
+    "staleness_by_profile",
+    "owner_delay_by_profile",
+)
+
+
+@pytest.mark.parametrize("kind", ["facebook", "twitter"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        ReplayConfig(days=2),
+        ReplayConfig(
+            days=2, latency=UniformLatency(30.0, 7200.0), latency_seed=1,
+            use_cdn=True,
+        ),
+    ],
+    ids=["plain", "latency-cdn"],
+)
+def test_every_sample_list_is_built_once(kind, config):
+    reference = _osn(kind, config).run()
+    osn = _osn(kind, config)
+    maps = {name: _CountingSamples() for name in _SAMPLE_MAPS}
+    for name, samples in maps.items():
+        setattr(osn.stats, name, samples)
+    stats = osn.run()
+    for name, samples in maps.items():
+        assert samples.setdefaults == 0, name
+        assert samples.inserts == len(samples), name
+        # Same profiles, first-seen order and samples as a plain replay.
+        assert list(samples.items()) == list(getattr(reference, name).items())
+    assert sum(len(samples) for samples in maps.values()) > 0
+    assert maps["staleness_by_profile"]
