@@ -174,6 +174,17 @@ class IncrementalAPSP:
     sequence performs the exact same float operations, which is the
     bit-identity contract between the naive per-degree evaluation and the
     incremental sweep engine.
+
+    The distances are symmetric bit for bit: ``insert`` writes
+    ``d(i, v) = d(v, i)`` and relaxes both orders of a pair with the same
+    commutative sum.  Two ways read the ConRep delay bounds off them.
+    :meth:`diameter_seconds` and :meth:`worst_observed_seconds` are the
+    reference, one pass each with a ``divmod`` per ordered pair; the
+    per-degree oracle (:func:`actual_propagation_delay_hours`,
+    :func:`observed_propagation_delay_hours`) uses them.
+    :meth:`delay_bounds_seconds` is the fast path the incremental engine
+    uses: both bounds in one pass over the receivers, equal to the
+    reference pair with ``==``.
     """
 
     __slots__ = ("_nodes", "_dist")
@@ -262,6 +273,45 @@ class IncrementalAPSP:
                 if observed > worst:
                     worst = observed
         return worst
+
+    def delay_bounds_seconds(
+        self, schedules: Mapping[UserId, IntervalSet]
+    ) -> Tuple[float, float]:
+        """``(diameter_seconds(), worst_observed_seconds(schedules))`` in
+        one pass.
+
+        Receiver ``j``'s column equals its row (the matrix is symmetric),
+        so its largest wait ``colmax`` is one ``max`` over the row; the
+        diagonal 0 never raises it.  The diameter is the largest
+        ``colmax``, and an ``inf`` makes both bounds ``inf``.  Below a full
+        day every wait in the column has ``full_days == 0`` and
+        ``remainder == d``, so the reference's ``0 * measure + min(d,
+        measure)`` is exactly ``min(d, measure)``, and ``min`` is monotone:
+        the column's observed bound is ``min(colmax, measure)``.  Only a
+        column that reaches a full day runs the per-pair formula.
+        """
+        dist = self._dist
+        diameter = observed = 0.0
+        for j in self._nodes:
+            row = dist[j]
+            colmax = max(row.values())
+            if colmax == math.inf:
+                return math.inf, math.inf
+            if colmax > diameter:
+                diameter = colmax
+            measure = schedules[j].measure
+            if colmax < DAY_SECONDS:
+                worst = colmax if colmax <= measure else measure
+            else:
+                worst = 0.0
+                for d in row.values():
+                    full_days, remainder = divmod(d, DAY_SECONDS)
+                    wait = full_days * measure + min(remainder, measure)
+                    if wait > worst:
+                        worst = wait
+            if worst > observed:
+                observed = worst
+        return diameter, observed
 
 
 def group_apsp(

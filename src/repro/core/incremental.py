@@ -13,19 +13,34 @@ sweep that an incremental engine pays once per pair.
 requested prefix degree in a single forward pass over the selection
 sequence, maintaining across one member-at-a-time extension:
 
-* the running group union ``IntervalSet`` (availability) and its overlap
-  with the per-user cached friends union (AoD-time);
+* the group union ``IntervalSet`` (availability) and its overlap with
+  the per-user cached friends union (AoD-time), built only when a
+  snapshot reads it: the members admitted since the last snapshot fold
+  in with one k-way ``IntervalSet.union_all``, so a single-degree walk
+  does one union instead of one per member;
 * a memoized pairwise overlap matrix (:class:`OverlapCache`) shared with
   ConRep candidate filtering in the placement policies;
 * all-pairs shortest paths updated by O(n²) node insertion
   (:class:`IncrementalAPSP`) instead of full re-Dijkstra, yielding the
-  actual and observed ConRep delays per degree;
+  actual and observed ConRep delays per degree in one pass over the
+  receivers (:meth:`IncrementalAPSP.delay_bounds_seconds`);
 * a single scan of the received activities that records, per activity, the
   smallest degree at which it becomes served — the AoD-activity series and
   its expected/unexpected split for all degrees fall out by cumulative
   counting;
 * the top-2 per-member offline waits and a never-online flag, yielding the
   UnconRep delays per degree.
+
+Every :class:`UserMetrics` field except ``allowed_degree`` is a function
+of the user and the *ordered* replica prefix ``seq[:min(k, len(seq))]``
+alone, not of the policy or degree that produced it.  So the evaluator
+memoizes single-degree answers by that prefix tuple: a point query whose
+prefix was already walked (another policy picked the same replicas, or a
+sequence ran out of candidates below both requested degrees) costs a
+dict lookup.  The key keeps the selection order, since the APSP
+insertion order fixes the delay floats.  The memo lives as long as the
+evaluator: the query plane's per-user LRU bounds it, and a sweep builds
+a fresh evaluator per user cell.
 
 **Bit-identity contract:** every metric is produced by the same float
 operations, in the same order, as the per-degree
@@ -103,6 +118,8 @@ class IncrementalGroupEvaluator:
         )
         self._total = len(received)
         self._expected_total = sum(self._expected_flags)
+        # Single-degree answers by ordered replica prefix.
+        self._memo: Dict[Tuple[UserId, ...], UserMetrics] = {}
 
     @property
     def overlap_cache(self) -> OverlapCache:
@@ -125,6 +142,8 @@ class IncrementalGroupEvaluator:
         if min(degrees) < 0:
             raise ValueError("replication degree must be >= 0")
         wanted = set(degrees)
+        if len(wanted) == 1:
+            return (self._evaluate_one(seq, degrees[0]),) * len(degrees)
         state = _WalkState(self)
         by_degree: Dict[int, UserMetrics] = {}
         previous: Optional[UserMetrics] = None
@@ -148,6 +167,20 @@ class IncrementalGroupEvaluator:
         """Metrics for the single degree-``k`` prefix."""
         return self.evaluate_prefixes(sequence, (k,))[0]
 
+    def _evaluate_one(self, seq: Tuple[UserId, ...], k: int) -> UserMetrics:
+        """The degree-``k`` metrics, memoized by the walked prefix."""
+        prefix = seq[:k]
+        hit = self._memo.get(prefix)
+        if hit is None:
+            state = _WalkState(self)
+            state.extend(self._user)
+            for member in prefix:
+                state.extend(member)
+            hit = self._memo[prefix] = state.snapshot(k, prefix)
+        elif hit.allowed_degree != k:
+            hit = dataclasses.replace(hit, allowed_degree=k)
+        return hit
+
 
 class _WalkState:
     """Mutable per-sequence state of one forward pass."""
@@ -155,6 +188,7 @@ class _WalkState:
     __slots__ = (
         "_ev",
         "_union",
+        "_pending",
         "_apsp",
         "_member_schedules",
         "_unserved",
@@ -168,6 +202,8 @@ class _WalkState:
     def __init__(self, evaluator: IncrementalGroupEvaluator):
         self._ev = evaluator
         self._union = IntervalSet.empty()
+        # Schedules admitted since the union was last built.
+        self._pending: List[IntervalSet] = []
         self._apsp = IncrementalAPSP()
         self._member_schedules: Dict[UserId, IntervalSet] = {}
         self._unserved: List[int] = list(range(evaluator._total))
@@ -189,7 +225,7 @@ class _WalkState:
                 member_edge_weights(ev._cache, member, self._apsp.nodes),
             )
         self._member_schedules[member] = sched
-        self._union = self._union.union(sched)
+        self._pending.append(sched)
 
         still: List[int] = []
         instants = ev._instants
@@ -216,6 +252,9 @@ class _WalkState:
     def snapshot(self, k: int, replicas: Tuple[UserId, ...]) -> UserMetrics:
         """The degree-``k`` metrics for the current prefix."""
         ev = self._ev
+        if self._pending:
+            self._union = IntervalSet.union_all([self._union, *self._pending])
+            self._pending.clear()
         availability = self._union.measure / DAY_SECONDS
         friends_union = ev._friends_union
         if friends_union.measure > 0:
@@ -263,11 +302,10 @@ class _WalkState:
         if len(self._member_schedules) <= 1:
             return 0.0, 0.0
         if ev._mode == CONREP:
-            actual = seconds_to_hours(self._apsp.diameter_seconds())
-            observed = seconds_to_hours(
-                self._apsp.worst_observed_seconds(self._member_schedules)
+            actual, observed = self._apsp.delay_bounds_seconds(
+                self._member_schedules
             )
-            return actual, observed
+            return seconds_to_hours(actual), seconds_to_hours(observed)
         if self._never_online:
             actual = float("inf")
         else:

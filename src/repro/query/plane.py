@@ -10,7 +10,9 @@ queries:
 * the dataset's schedules, built once and shared by every query;
 * a bounded LRU of per-user :class:`IncrementalGroupEvaluator` warm
   state, whose :class:`~repro.core.connectivity.OverlapCache` rows are
-  exactly the matrices the sweeps build per user;
+  exactly the matrices the sweeps build per user, and whose prefix memo
+  answers a cold query without a walk when another policy or degree
+  already evaluated the same ordered replicas (the LRU bounds it too);
 * a bounded LRU of selection sequences keyed by ``(policy, user)`` —
   the incremental-selection property makes any longer selection's
   prefix identical to a fresh shorter one, so one cached sequence

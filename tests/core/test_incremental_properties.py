@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.incremental as incremental
 from repro.core import (
     CONREP,
     IncrementalGroupEvaluator,
@@ -179,6 +180,133 @@ def test_arbitrary_degree_requests(instance, mode, degrees, seed):
     for k, got in zip(degrees, batch):
         assert got.allowed_degree == k
         _assert_identical(got, evaluator.evaluate(sequence, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    instance=engine_instances(),
+    policy_name=st.sampled_from(_POLICIES),
+    mode=st.sampled_from([CONREP, UNCONREP]),
+    seed=st.integers(min_value=0, max_value=50),
+)
+def test_single_degree_walk_equals_sweep_and_oracle(
+    instance, policy_name, mode, seed
+):
+    """The single-degree path folds every member into the group union at
+    its one snapshot; the sweep folds one member per degree.  A *fresh*
+    evaluator per degree (no memo to hide the walk) must agree with both
+    the sweep and the oracle, field for field."""
+    dataset, schedules = instance
+    ctx = PlacementContext(
+        dataset=dataset,
+        schedules=schedules,
+        user=0,
+        mode=mode,
+        rng=random.Random(seed),
+    )
+    sequence = make_policy(policy_name).select(ctx, _NUM_FRIENDS)
+
+    def fresh():
+        return IncrementalGroupEvaluator(dataset, schedules, 0, mode=mode)
+
+    for k in range(_NUM_FRIENDS + 2):
+        got = fresh().evaluate(sequence, k)
+        _assert_identical(
+            got, fresh().evaluate_prefixes(sequence, range(k + 1))[k]
+        )
+        _assert_identical(
+            got,
+            evaluate_user(
+                dataset,
+                schedules,
+                0,
+                sequence[:k],
+                allowed_degree=k,
+                mode=mode,
+            ),
+        )
+
+
+def _count_walks(monkeypatch) -> list:
+    """Count ``_WalkState`` constructions from now on (one per walk)."""
+    calls = [0]
+    init = incremental._WalkState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(incremental._WalkState, "__init__", counting_init)
+    return calls
+
+
+class TestPrefixMemo:
+    """Single-degree answers are memoized by the ordered replica prefix."""
+
+    def _star(self):
+        g = SocialGraph()
+        for f in range(1, 5):
+            g.add_edge(0, f)
+        acts = [
+            Activity(timestamp=100.0 + 900 * f, creator=f, receiver=0)
+            for f in range(1, 5)
+        ]
+        ds = Dataset("t", "facebook", g, ActivityTrace(acts))
+        schedules = {
+            u: IntervalSet([(u * 1800, u * 1800 + 7200 + u / 7.0)])
+            for u in range(5)
+        }
+        return ds, schedules
+
+    @pytest.mark.parametrize("mode", [CONREP, UNCONREP])
+    def test_shared_prefix_costs_one_walk(self, monkeypatch, mode):
+        ds, schedules = self._star()
+        walks = _count_walks(monkeypatch)
+        evaluator = IncrementalGroupEvaluator(ds, schedules, 0, mode=mode)
+        # Two policies' sequences agreeing on the first two replicas.
+        first = evaluator.evaluate((1, 2, 3), 2)
+        second = evaluator.evaluate((1, 2, 4), 2)
+        assert walks[0] == 1
+        assert second == first
+        # Degrees past an exhausted sequence share its whole prefix.
+        answers = {k: evaluator.evaluate((3, 1), k) for k in (2, 4, 7)}
+        assert walks[0] == 2
+        # The prefix is ordered: the same members in another order walk.
+        evaluator.evaluate((1, 3), 2)
+        assert walks[0] == 3
+        for k, got in answers.items():
+            assert got.allowed_degree == k
+            assert got.replicas == (3, 1)
+            cold = IncrementalGroupEvaluator(ds, schedules, 0, mode=mode)
+            _assert_identical(got, cold.evaluate((3, 1), k))
+            _assert_identical(
+                got,
+                evaluate_user(
+                    ds, schedules, 0, (3, 1), allowed_degree=k, mode=mode
+                ),
+            )
+
+    def test_multi_degree_requests_keep_one_walk(self, monkeypatch):
+        ds, schedules = self._star()
+        walks = _count_walks(monkeypatch)
+        evaluator = IncrementalGroupEvaluator(ds, schedules, 0)
+        evaluator.evaluate_prefixes((1, 2, 3, 4), range(5))
+        evaluator.evaluate_prefixes((1, 2, 3, 4), (4, 2, 4))
+        assert walks[0] == 2
+
+    def test_owner_in_sequence_rejected_on_memo_path(self):
+        ds, schedules = self._star()
+        evaluator = IncrementalGroupEvaluator(ds, schedules, 0)
+        evaluator.evaluate((1, 2), 1)
+        with pytest.raises(ValueError):
+            evaluator.evaluate((1, 0), 1)
+
+    def test_negative_degree_rejected_on_memo_path(self):
+        ds, schedules = self._star()
+        evaluator = IncrementalGroupEvaluator(ds, schedules, 0)
+        evaluator.evaluate((1, 2), 1)
+        with pytest.raises(ValueError):
+            evaluator.evaluate((1, 2), -1)
 
 
 class TestEdgeCases:

@@ -22,11 +22,13 @@ import functools
 from repro.cache import SweepCache, point_query_key
 from repro.core import CONREP, UNCONREP, make_policy
 from repro.core.evaluation import evaluate_single
-from repro.core.metrics import UserMetrics
+from repro.core.incremental import IncrementalGroupEvaluator
+from repro.core.metrics import UserMetrics, evaluate_user
 from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel import SweepPayload, evaluate_users_chunk
 from repro.query import QueryPlane, metrics_from_payload, metrics_to_payload
+from tests.core.test_incremental_properties import _count_walks
 from tests.oracle import naive_user_cell
 
 SEED = 5
@@ -102,6 +104,98 @@ class TestPlaneMatchesSweep:
         )
         plane = QueryPlane(dataset, model, seed=SEED)
         assert plane.evaluate(user, make_policy("random"), 2) == direct
+
+
+@functools.lru_cache(maxsize=1)
+def _exhausted():
+    """A ConRep ``(user, policy, depth)`` whose selection runs out of
+    candidates at a ``depth`` of 2 to 8, below degree 10."""
+    dataset = _dataset()
+    plane = QueryPlane(dataset, SporadicModel(), seed=SEED)
+    for user in sorted(dataset.graph.users()):
+        for name in POLICIES:
+            replicas = plane.evaluate(user, make_policy(name), 10).replicas
+            if 2 <= len(replicas) < 9:
+                return user, name, len(replicas)
+    raise AssertionError("no exhausted ConRep sequence in the dataset")
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_prefix():
+    """A user for whom MaxAv and MostActive pick the same three replicas,
+    in the same order."""
+    dataset = _dataset()
+    plane = QueryPlane(dataset, SporadicModel(), seed=SEED)
+    for user in sorted(dataset.graph.users()):
+        maxav = plane.evaluate(user, make_policy("maxav"), 3).replicas
+        mostactive = plane.evaluate(user, make_policy("mostactive"), 3)
+        if len(maxav) == 3 and maxav == mostactive.replicas:
+            return user
+    raise AssertionError("no user whose two policies agree")
+
+
+class TestPrefixMemo:
+    """Cold queries whose replica prefix was already walked reuse it."""
+
+    def _check(self, got, user, policy, k):
+        """``got`` equals a cold plane's answer and the oracle's."""
+        dataset = _dataset()
+        model = SporadicModel()
+        cold = QueryPlane(dataset, model, seed=SEED)
+        assert got == cold.evaluate(user, make_policy(policy), k)
+        schedules = compute_schedules(dataset, model, seed=SEED)
+        assert got == evaluate_user(
+            dataset, schedules, user, got.replicas, allowed_degree=k
+        )
+
+    def test_degrees_past_an_exhausted_sequence_cost_one_walk(
+        self, monkeypatch
+    ):
+        user, name, depth = _exhausted()
+        plane = QueryPlane(_dataset(), SporadicModel(), seed=SEED).warm()
+        walks = _count_walks(monkeypatch)
+        answers = {
+            k: plane.evaluate(user, make_policy(name), k)
+            for k in (depth + 1, depth + 2)
+        }
+        assert walks[0] == 1
+        for k, got in answers.items():
+            assert got.allowed_degree == k
+            assert len(got.replicas) == depth
+            self._check(got, user, name, k)
+
+    def test_policies_sharing_a_prefix_cost_one_walk(self, monkeypatch):
+        user = _shared_prefix()
+        plane = QueryPlane(_dataset(), SporadicModel(), seed=SEED).warm()
+        walks = _count_walks(monkeypatch)
+        answers = {
+            (name, 3): plane.evaluate(user, make_policy(name), 3)
+            for name in ("maxav", "mostactive")
+        }
+        assert walks[0] == 1
+        # Degree 0 is the owner alone under every policy.
+        for name in POLICIES:
+            answers[name, 0] = plane.evaluate(user, make_policy(name), 0)
+        assert walks[0] == 2
+        for (name, k), got in answers.items():
+            self._check(got, user, name, k)
+
+    def test_owner_and_negative_degree_raise_on_memo_path(self):
+        user, name, depth = _exhausted()
+        dataset = _dataset()
+        plane = QueryPlane(dataset, SporadicModel(), seed=SEED)
+        plane.evaluate(user, make_policy(name), depth)
+        with pytest.raises(ValueError):
+            plane.evaluate(user, make_policy(name), -1)
+        evaluator = IncrementalGroupEvaluator(dataset, plane.schedules, user)
+        replicas = evaluator.evaluate(
+            plane.place(user, make_policy(name), depth), depth
+        ).replicas
+        with pytest.raises(ValueError):
+            evaluate_single(
+                dataset, plane.schedules, user, make_policy(name), depth,
+                seed=SEED, evaluator=evaluator, sequence=replicas + (user,),
+            )
 
 
 class TestResultStore:
