@@ -425,7 +425,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"[query] plane: {stats['queries']} queries, "
         f"{stats['result_hits']} result hits, "
         f"{stats['store_hits']} store hits; evaluators "
-        f"{evaluators['entries']}/{evaluators['max_entries']}, results "
+        f"{evaluators['entries']}, results "
         f"{results['entries']}/{results['max_entries']}"
     )
     for counter in ("stale_served", "fallback_served", "failed"):

@@ -21,7 +21,8 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.connectivity import OverlapCache
 from repro.datasets.schema import Dataset
@@ -120,25 +121,46 @@ class ConnectivityTracker:
 
 
 class PlacementPolicy(ABC):
-    """Chooses replica locations for one user."""
+    """Chooses replica locations for one user.
+
+    A policy is a *stream* of picks: :meth:`picks` yields one replica
+    per greedy round, and :meth:`select` is that stream truncated to
+    ``k``.  Every policy here is incremental — round ``i`` never looks
+    at how many rounds will follow — so the degree-``k`` selection is
+    the exact prefix of the degree-``k + 1`` one, draw for draw on the
+    context's RNG, and a suspended stream resumed later returns what a
+    fresh, deeper :meth:`select` would.
+    """
 
     #: Registry/report name.
     name: str = "abstract"
 
-    @abstractmethod
-    def select(self, ctx: PlacementContext, k: int) -> Tuple[UserId, ...]:
-        """Choose up to ``k`` replicas for ``ctx.user``.
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Every policy class holds ``select`` in its own namespace, so a
+        # per-class wrapper (benchmarks/e2e/tracing.py times each
+        # policy's selections) never patches the shared base.
+        if "select" not in vars(cls):
+            cls.select = PlacementPolicy.select
 
-        Under ConRep the result may be shorter than ``k`` ("the actual
-        number of replicas chosen may be much lower than the maximum
-        allowed replication degree, as enough connected replicas can not
-        always be found" — §V-A1); UnconRep policies may also stop early
-        when no candidate improves their objective.
+    @abstractmethod
+    def picks(self, ctx: PlacementContext) -> Iterator[UserId]:
+        """Yield ``ctx.user``'s replicas, one per round, best first.
+
+        Under ConRep the stream may end early ("the actual number of
+        replicas chosen may be much lower than the maximum allowed
+        replication degree, as enough connected replicas can not
+        always be found" — §V-A1); UnconRep policies may also stop when
+        no candidate improves their objective.  Setup (rankings,
+        shuffles) runs at the first pick, so an unconsumed stream draws
+        nothing from ``ctx.rng``.
         """
 
-    def _check_k(self, k: int) -> None:
+    def select(self, ctx: PlacementContext, k: int) -> Tuple[UserId, ...]:
+        """Choose up to ``k`` replicas: the first ``k`` of :meth:`picks`."""
         if k < 0:
             raise ValueError("replication degree must be >= 0")
+        return tuple(islice(self.picks(ctx), k))
 
     def cache_key(self) -> Tuple[object, ...]:
         """Value identity for the content-addressed sweep cache.

@@ -18,7 +18,7 @@ coverage reason.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterator, Tuple
 
 from repro.core.placement.base import (
     CONREP,
@@ -43,20 +43,15 @@ class HybridPlacement(PlacementPolicy):
         # Delegate to the ranker's key: the window rides along with it.
         return super().cache_key() + (self._ranker.cache_key(),)
 
-    def select(self, ctx: PlacementContext, k: int) -> Tuple[UserId, ...]:
-        self._check_k(k)
-        if k == 0:
-            return ()
-        ranked = self._ranker.ranking(ctx)
+    def picks(self, ctx: PlacementContext) -> Iterator[UserId]:
+        pool = self._ranker.ranking(ctx)
         own = ctx.schedule_of(ctx.user)
         universe = IntervalUniverse.over(
             [ctx.schedule_of(c) for c in ctx.candidates] + [own],
             covered=own,
         )
         tracker = ConnectivityTracker(ctx) if ctx.mode == CONREP else None
-        chosen: List[UserId] = []
-        pool = list(ranked)
-        while pool and len(chosen) < k:
+        while pool:
             pick = None
             for candidate in pool:
                 if tracker is not None and not tracker.is_connected(candidate):
@@ -65,10 +60,9 @@ class HybridPlacement(PlacementPolicy):
                     pick = candidate
                     break
             if pick is None:
-                break  # nothing admissible adds coverage
+                return  # nothing admissible adds coverage
             pool.remove(pick)
             universe.commit(ctx.schedule_of(pick))
             if tracker is not None:
                 tracker.admit(pick)
-            chosen.append(pick)
-        return tuple(chosen)
+            yield pick

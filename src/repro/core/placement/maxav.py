@@ -17,7 +17,7 @@ admissible candidate improves coverage.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator
 
 from repro.core.placement.base import (
     CONREP,
@@ -60,10 +60,7 @@ class MaxAvPlacement(PlacementPolicy):
         ]
         return PointUniverse(instants, covered=own)
 
-    def select(self, ctx: PlacementContext, k: int) -> Tuple[UserId, ...]:
-        self._check_k(k)
-        if k == 0:
-            return ()
+    def picks(self, ctx: PlacementContext) -> Iterator[UserId]:
         universe = self._universe(ctx)
         tracker = ConnectivityTracker(ctx) if ctx.mode == CONREP else None
         # ctx.candidates is already sorted; scanning that fixed order with a
@@ -72,8 +69,7 @@ class MaxAvPlacement(PlacementPolicy):
         remaining: Dict[UserId, IntervalSet] = {
             c: ctx.schedule_of(c) for c in order
         }
-        chosen: List[UserId] = []
-        while remaining and len(chosen) < k:
+        while remaining:
             best_key = None
             best_gain = 0.0
             for key in order:
@@ -87,10 +83,9 @@ class MaxAvPlacement(PlacementPolicy):
                     best_gain = gain
                     best_key = key
             if best_key is None:
-                break  # no admissible candidate improves coverage
+                return  # no admissible candidate improves coverage
             schedule = remaining.pop(best_key)
             universe.commit(schedule)
             if tracker is not None:
                 tracker.admit(best_key)
-            chosen.append(best_key)
-        return tuple(chosen)
+            yield best_key

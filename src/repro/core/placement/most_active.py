@@ -19,7 +19,7 @@ tends to maximise availability-on-demand as a side effect.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.core.placement.base import (
     CONREP,
@@ -57,21 +57,16 @@ class MostActivePlacement(PlacementPolicy):
         ctx.rng.shuffle(inactive)
         return active + inactive
 
-    def select(self, ctx: PlacementContext, k: int) -> Tuple[UserId, ...]:
-        self._check_k(k)
-        if k == 0:
-            return ()
-        ranked = self.ranking(ctx)
+    def picks(self, ctx: PlacementContext) -> Iterator[UserId]:
+        pool = self.ranking(ctx)
         if ctx.mode != CONREP:
-            return tuple(ranked[:k])
+            yield from pool
+            return
         tracker = ConnectivityTracker(ctx)
-        chosen: List[UserId] = []
-        pool = list(ranked)
-        while pool and len(chosen) < k:
+        while pool:
             pick = next((c for c in pool if tracker.is_connected(c)), None)
             if pick is None:
-                break
+                return
             pool.remove(pick)
             tracker.admit(pick)
-            chosen.append(pick)
-        return tuple(chosen)
+            yield pick

@@ -8,7 +8,7 @@ none remains.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterator, List
 
 from repro.core.placement.base import (
     CONREP,
@@ -24,22 +24,18 @@ class RandomPlacement(PlacementPolicy):
 
     name = "random"
 
-    def select(self, ctx: PlacementContext, k: int) -> Tuple[UserId, ...]:
-        self._check_k(k)
-        if k == 0:
-            return ()
+    def picks(self, ctx: PlacementContext) -> Iterator[UserId]:
         pool: List[UserId] = list(ctx.candidates)
         if ctx.mode != CONREP:
             ctx.rng.shuffle(pool)
-            return tuple(pool[:k])
+            yield from pool
+            return
         tracker = ConnectivityTracker(ctx)
-        chosen: List[UserId] = []
-        while pool and len(chosen) < k:
+        while pool:
             connected = tracker.filter_connected(pool)
             if not connected:
-                break
+                return
             pick = ctx.rng.choice(connected)
             pool.remove(pick)
             tracker.admit(pick)
-            chosen.append(pick)
-        return tuple(chosen)
+            yield pick

@@ -27,9 +27,13 @@ than a bare pool map.  A worker that raises, dies (breaking the pool) or
 hangs past the per-chunk deadline (``chunk_timeout``, off by default) is
 answered by pool teardown + rebuild where needed and chunk retry with
 exponential backoff and deterministic jitter
-(:class:`~repro.parallel.supervise.RetryPolicy`).  A chunk that keeps
-failing is bisected and its halves retried, narrowing the failure to the
-single poison item, which is **quarantined**: excluded from the phase,
+(:class:`~repro.parallel.supervise.RetryPolicy`).  A worker death fails
+every in-flight chunk at once, so the chunks it interrupted first rerun
+one at a time: only a chunk that kills a pool on its own is charged an
+attempt, and a healthy chunk that ran beside a poison one is never
+bisected or quarantined.  A chunk that keeps failing is bisected and
+its halves retried, narrowing the failure to the single poison item,
+which is **quarantined**: excluded from the phase,
 reported in :attr:`ParallelExecutor.failures` (a
 :class:`~repro.parallel.supervise.FailureReport` with item, error and
 traceback) and returned as the
@@ -415,11 +419,20 @@ class ParallelExecutor:
             start: ChunkTask(start, items[start : start + size])
             for start in range(0, len(items), size)
         }
+        # Tasks unfinished when a worker died beside them: each reruns
+        # alone before anyone is charged, so only a task that kills a
+        # pool on its own spends an attempt.
+        suspects: List[int] = []
         try:
             while pending:
-                failures = self._run_round(
-                    pending, out, worker, payload, jobs, phase
+                if suspects:
+                    starts = [suspects.pop(0)]
+                else:
+                    starts = sorted(pending)
+                failures, lost = self._run_round(
+                    starts, pending, out, worker, payload, jobs, phase
                 )
+                suspects += lost
                 if failures:
                     self._handle_failures(failures, pending, out, phase)
         except BaseException:
@@ -432,21 +445,29 @@ class ParallelExecutor:
 
     def _run_round(
         self,
+        starts: List[int],
         pending: Dict[int, ChunkTask],
         out: List[Any],
         worker: Callable,
         payload: Any,
         jobs: int,
         phase: str,
-    ) -> List[Tuple[ChunkTask, str, str, str, Optional[BaseException]]]:
-        """Submit every pending task once; harvest completions into ``out``.
+    ) -> Tuple[
+        List[Tuple[ChunkTask, str, str, str, Optional[BaseException]]],
+        List[int],
+    ]:
+        """Submit the pending tasks at ``starts`` once; harvest
+        completions into ``out``.
 
         Returns this round's failures as ``(task, kind, error,
-        traceback, original_exception)`` tuples.  When the round ends
-        with a broken pool (worker death) or an expired chunk deadline,
-        the wedged pool has already been killed on return; tasks that
-        were merely *victims* of the teardown are left in ``pending`` at
-        unchanged attempt counts and simply run again next round.
+        traceback, original_exception)`` tuples, and the starts of the
+        tasks *lost* to a worker death without attribution.  When the
+        round ends with a broken pool (worker death) or an expired chunk
+        deadline, the wedged pool has already been killed on return;
+        tasks that were merely *victims* of the teardown are left in
+        ``pending`` at unchanged attempt counts and simply run again.
+        A worker death is charged to a task only when that task ran
+        alone; otherwise every unfinished task comes back as lost.
         """
         failures: List[
             Tuple[ChunkTask, str, str, str, Optional[BaseException]]
@@ -454,7 +475,7 @@ class ParallelExecutor:
         try:
             pool = self._ensure_pool(worker, payload, jobs)
             futures: Dict[Future, ChunkTask] = {}
-            for start in sorted(pending):
+            for start in starts:
                 task = pending[start]
                 futures[
                     pool.submit(
@@ -464,10 +485,10 @@ class ParallelExecutor:
                 ] = task
         except BrokenExecutor as exc:
             self._shutdown_pool(kill=True, rebuild=True)
-            return [
-                (task, KIND_WORKER_LOST, _describe(exc), "", None)
-                for _, task in sorted(pending.items())
-            ]
+            if len(starts) > 1:
+                return failures, list(starts)
+            task = pending[starts[0]]
+            return [(task, KIND_WORKER_LOST, _describe(exc), "", None)], []
         waiting = set(futures)
         started_at: Dict[Future, float] = {}
         broken: Optional[BaseException] = None
@@ -503,22 +524,28 @@ class ParallelExecutor:
                     )
             if broken is not None:
                 # A worker process died.  The break fails every in-flight
-                # future indiscriminately, so attribution is impossible:
-                # every unfinished task of this round must retry.
+                # future indiscriminately, so a task is to blame only if
+                # it ran alone; otherwise the unfinished tasks are lost.
                 self._shutdown_pool(kill=True, rebuild=True)
                 recorded = {task.start for task, *_ in failures}
-                for start, task in sorted(pending.items()):
-                    if start not in recorded:
-                        failures.append(
-                            (
-                                task,
-                                KIND_WORKER_LOST,
-                                f"worker process died: {_describe(broken)}",
-                                "",
-                                None,
-                            )
-                        )
-                return failures
+                unfinished = [
+                    start
+                    for start in starts
+                    if start in pending and start not in recorded
+                ]
+                if len(starts) > 1:
+                    return failures, unfinished
+                failures += [
+                    (
+                        pending[start],
+                        KIND_WORKER_LOST,
+                        f"worker process died: {_describe(broken)}",
+                        "",
+                        None,
+                    )
+                    for start in unfinished
+                ]
+                return failures, []
             if self.chunk_timeout is not None and waiting:
                 for fut in waiting:
                     if fut not in started_at and fut.running():
@@ -546,8 +573,8 @@ class ParallelExecutor:
                                 None,
                             )
                         )
-                    return failures
-        return failures
+                    return failures, []
+        return failures, []
 
     def _handle_failures(
         self,

@@ -5,9 +5,9 @@ answers whole-cohort sweeps; this package answers *single-user*
 questions — "place replicas for user X at degree k", "what
 availability/AOD does X get under policy P" — at interactive latency:
 
-* :class:`QueryPlane` keeps schedules, per-user
-  incremental evaluators and selection sequences resident between
-  queries, with bounded LRUs and an optional shared
+* :class:`QueryPlane` keeps schedules and, per user, an incremental
+  evaluator and resumable selection streams resident between
+  queries, with a bounded result LRU and an optional shared
   :class:`~repro.cache.SweepCache` content-address store;
 * its resilient entry point (``evaluate_resilient``) adds per-request
   :class:`~repro.resilience.Deadline` budgets, a fallback recompute

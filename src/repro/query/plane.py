@@ -8,15 +8,21 @@ under policy P" — pays that whole setup for one answer.  A
 queries:
 
 * the dataset's schedules, built once and shared by every query;
-* a bounded LRU of per-user :class:`IncrementalGroupEvaluator` warm
-  state, whose :class:`~repro.core.connectivity.OverlapCache` rows are
-  exactly the matrices the sweeps build per user, and whose prefix memo
-  answers a cold query without a walk when another policy or degree
-  already evaluated the same ordered replicas (the LRU bounds it too);
-* a bounded LRU of selection sequences keyed by ``(policy, user)`` —
-  the incremental-selection property makes any longer selection's
-  prefix identical to a fresh shorter one, so one cached sequence
-  serves every degree at or below its length;
+* one resident entry per user (an LRU, uncapped by default, so it
+  holds at most one entry per dataset user), carrying
+  - the user's :class:`IncrementalGroupEvaluator`, whose
+    :class:`~repro.core.connectivity.OverlapCache` rows are exactly the
+    matrices the sweeps build per user, and whose prefix memo answers a
+    cold query without a walk when another policy or degree already
+    evaluated the same ordered replicas;
+  - per policy, a suspended selection stream
+    (:meth:`~repro.core.placement.PlacementPolicy.picks` over the
+    evaluator's overlap rows and a fresh ``(seed, policy, user)`` RNG)
+    and the picks drawn from it so far.  Selection is incremental —
+    :meth:`~repro.core.placement.PlacementPolicy.select` is the stream
+    truncated to ``k`` — so the drawn picks answer every degree at or
+    below their count, and a deeper degree resumes the stream where it
+    stopped instead of selecting again;
 * a bounded LRU of finished :class:`~repro.core.metrics.UserMetrics`,
   optionally backed by a shared :class:`~repro.cache.SweepCache` under
   the content address of :func:`~repro.cache.point_query_key` — a
@@ -45,7 +51,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.keys import point_query_key
 from repro.core.connectivity import OverlapCache
@@ -69,15 +76,17 @@ from repro.resilience import (
 )
 from repro.seeding import derive_rng
 
+
 class _LRU:
-    """A tiny bounded mapping with hit/miss/eviction counters."""
+    """A tiny mapping with hit/miss/eviction counters, bounded unless
+    ``max_entries`` is ``None``."""
 
     __slots__ = ("max_entries", "hits", "misses", "evictions", "_data")
 
-    def __init__(self, max_entries: int):
-        if max_entries < 1:
+    def __init__(self, max_entries: Optional[int]):
+        if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
+        self.max_entries = None if max_entries is None else int(max_entries)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -98,12 +107,19 @@ class _LRU:
         degraded stale scan must not skew serving statistics)."""
         return self._data.get(key)
 
-    def put(self, key, value) -> None:
+    def put(self, key, value) -> List[object]:
+        """Insert as most recent; returns the evicted values."""
         self._data[key] = value
         self._data.move_to_end(key)
-        while len(self._data) > self.max_entries:
-            self._data.popitem(last=False)
-            self.evictions += 1
+        evicted = []
+        if self.max_entries is not None:
+            while len(self._data) > self.max_entries:
+                evicted.append(self._data.popitem(last=False)[1])
+                self.evictions += 1
+        return evicted
+
+    def values(self):
+        return self._data.values()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -116,6 +132,16 @@ class _LRU:
             "misses": self.misses,
             "evictions": self.evictions,
         }
+
+
+#: A policy's resumable selection for one user: the suspended
+#: :meth:`~repro.core.placement.PlacementPolicy.picks` generator
+#: (``None`` once exhausted) and the picks drawn from it so far.
+_Stream = Tuple[Optional[Iterator[UserId]], Tuple[UserId, ...]]
+
+#: A user's resident entry: the evaluator and the policy streams, keyed
+#: by :meth:`~repro.core.placement.PlacementPolicy.cache_key`.
+_UserState = Tuple[IncrementalGroupEvaluator, Dict[Tuple[object, ...], _Stream]]
 
 
 class QueryPlane:
@@ -133,6 +159,9 @@ class QueryPlane:
     store — the key deliberately excludes every execution knob, so
     entries written by any plane or sweep serve all others.
 
+    ``max_users`` caps the resident per-user entries (``None``, the
+    default, keeps one per queried user); an evicted user's next query
+    rebuilds the entry and replays the identical selection draws.
     ``overlap_max_rows`` bounds each resident evaluator's
     :class:`~repro.core.connectivity.OverlapCache` (see its
     ``max_rows``); eviction only forgets memoized overlaps, never
@@ -147,8 +176,7 @@ class QueryPlane:
         mode: str = CONREP,
         seed: int = 0,
         cache=None,
-        max_users: int = 256,
-        max_sequences: int = 1024,
+        max_users: Optional[int] = None,
         max_results: int = 4096,
         overlap_max_rows: Optional[int] = None,
         degradation: Optional[DegradationPolicy] = None,
@@ -162,9 +190,11 @@ class QueryPlane:
         self._overlap_max_rows = overlap_max_rows
         self._lock = threading.RLock()
         self._schedules = None
-        self._evaluators = _LRU(max_users)
-        self._sequences = _LRU(max_sequences)
+        self._users = _LRU(max_users)
         self._results = _LRU(max_results)
+        self._sequence_hits = 0
+        self._sequence_misses = 0
+        self._streams_evicted = 0
         self._queries = 0
         self._result_hits = 0
         self._store_hits = 0
@@ -195,10 +225,10 @@ class QueryPlane:
         self.warm()
         return self._schedules
 
-    def _evaluator_for(self, user: UserId) -> IncrementalGroupEvaluator:
-        """The user's resident evaluator."""
-        evaluator = self._evaluators.get(user)
-        if evaluator is None:
+    def _state_for(self, user: UserId) -> _UserState:
+        """The user's resident entry, built on first use."""
+        state = self._users.get(user)
+        if state is None:
             evaluator = IncrementalGroupEvaluator(
                 self.dataset,
                 self._schedules,
@@ -208,8 +238,10 @@ class QueryPlane:
                     self._schedules, max_rows=self._overlap_max_rows
                 ),
             )
-            self._evaluators.put(user, evaluator)
-        return evaluator
+            state = (evaluator, {})
+            for _, streams in self._users.put(user, state):
+                self._streams_evicted += len(streams)
+        return state
 
     def _sequence_for(
         self,
@@ -217,33 +249,36 @@ class QueryPlane:
         policy: PlacementPolicy,
         k: int,
         evaluator: IncrementalGroupEvaluator,
+        streams: Dict[Tuple[object, ...], _Stream],
     ) -> Tuple[UserId, ...]:
-        """The user's selection sequence, at least ``k`` deep.
-
-        Cached sequences are reusable downward (prefix property) and
-        when selection exhausted the candidate pool below the depth
-        they were requested at; otherwise the sequence is re-selected
-        at the larger depth with a *fresh* ``(seed, policy, user)`` RNG
-        — which replays the identical draws, extended.
+        """The user's picks under ``policy``, drawn at least ``k`` deep
+        unless the stream ran out first (only the ``k``-prefix counts).
         """
-        key = (policy.cache_key(), user)
-        cached = self._sequences.get(key)
-        if cached is not None:
-            depth, sequence = cached
-            if depth >= k or len(sequence) < depth:
-                return sequence
-        depth = max(int(k), 0 if cached is None else cached[0])
-        ctx = PlacementContext(
-            dataset=self.dataset,
-            schedules=self._schedules,
-            user=user,
-            mode=self.mode,
-            rng=derive_rng(self.seed, policy.name, user),
-            overlap_cache=evaluator.overlap_cache,
-        )
-        sequence = tuple(policy.select(ctx, depth))
-        self._sequences.put(key, (depth, sequence))
-        return sequence
+        key = policy.cache_key()
+        # Popped while drawing: a generator that raised is finished and
+        # would read as exhausted, so the next request starts afresh.
+        picks, drawn = streams.pop(key, (None, None))
+        if drawn is None:
+            ctx = PlacementContext(
+                dataset=self.dataset,
+                schedules=self._schedules,
+                user=user,
+                mode=self.mode,
+                rng=derive_rng(self.seed, policy.name, user),
+                overlap_cache=evaluator.overlap_cache,
+            )
+            picks, drawn = policy.picks(ctx), ()
+        need = k - len(drawn)
+        if need > 0 and picks is not None:
+            self._sequence_misses += 1
+            more = tuple(islice(picks, need))
+            if len(more) < need:
+                picks = None
+            drawn += more
+        else:
+            self._sequence_hits += 1
+        streams[key] = (picks, drawn)
+        return drawn
 
     # -- lookups ------------------------------------------------------------
 
@@ -287,8 +322,8 @@ class QueryPlane:
             self._fault_injector.apply_query(user, 0)
         if deadline is not None:
             deadline.check("warm-state lookup")
-        evaluator = self._evaluator_for(user)
-        sequence = self._sequence_for(user, policy, k, evaluator)
+        evaluator, streams = self._state_for(user)
+        sequence = self._sequence_for(user, policy, k, evaluator, streams)
         if deadline is not None:
             deadline.check("replica selection")
         metrics = evaluate_single(
@@ -311,7 +346,7 @@ class QueryPlane:
         """The degraded retry: recompute without the warm state.
 
         Bypasses every piece of possibly-poisoned warm state — the
-        resident evaluator and the cached sequence — and recomputes from
+        resident evaluator and the drawn picks — and recomputes from
         the schedules alone.  The plane's determinism contract makes the
         floats bit-identical to the primary path; only the latency
         differs.
@@ -512,7 +547,15 @@ class QueryPlane:
                 "fallback_served": self._fallback_served,
                 "failed": self._failed,
                 "degraded_mode": self.degradation.mode,
-                "evaluators": self._evaluators.stats(),
-                "sequences": self._sequences.stats(),
+                "evaluators": self._users.stats(),
+                "sequences": {
+                    "entries": sum(
+                        len(streams) for _, streams in self._users.values()
+                    ),
+                    "max_entries": None,
+                    "hits": self._sequence_hits,
+                    "misses": self._sequence_misses,
+                    "evictions": self._streams_evicted,
+                },
                 "results": self._results.stats(),
             }

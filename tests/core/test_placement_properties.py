@@ -2,11 +2,14 @@
 
 These are the contracts the evaluation pipeline silently relies on:
 selections are valid subsets, ConRep groups are genuinely time-connected,
-coverage is monotone in the allowed degree, and the metric values respect
-their definitional bounds.
+coverage is monotone in the allowed degree, the metric values respect
+their definitional bounds, and a pick stream resumed in any increments
+is the selection a fresh context makes at every degree (the query plane
+keeps streams suspended between requests on that contract).
 """
 
 import random
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +23,10 @@ from repro.core import (
     make_policy,
     PlacementContext,
 )
+from repro.core.connectivity import OverlapCache
 from repro.datasets import Activity, ActivityTrace, Dataset
 from repro.graph import SocialGraph
+from repro.seeding import derive_rng
 from repro.timeline import DAY_SECONDS, IntervalSet
 
 _NUM_FRIENDS = 8
@@ -168,3 +173,56 @@ def test_metric_bounds(instance, k, seed):
     # Observed delay never exceeds the actual delay.
     assert m.delay_hours_observed <= m.delay_hours_actual + 1e-12
     assert m.replication_degree == len(selection)
+
+
+#: Every registered policy and objective, as ``(name, kwargs)``.
+_STREAM_POLICIES = (
+    ("maxav", {}),
+    ("maxav", {"objective": "activity"}),
+    ("mostactive", {}),
+    ("random", {}),
+    ("hybrid", {}),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    instance=placement_instances(),
+    spec=st.sampled_from(_STREAM_POLICIES),
+    mode=st.sampled_from([CONREP, UNCONREP]),
+    increments=st.lists(
+        st.integers(min_value=0, max_value=3), max_size=_NUM_FRIENDS
+    ),
+    shared_overlaps=st.booleans(),
+    seed=st.integers(min_value=0, max_value=100),
+)
+def test_stream_in_increments_equals_fresh_select(
+    instance, spec, mode, increments, shared_overlaps, seed
+):
+    """Drawing ``picks`` a few at a time, suspended in between, gives
+    exactly ``select`` on a fresh context (its own fresh RNG) at every
+    requested depth, including depths past the stream's end, and the
+    whole stream's ``k``-prefix is ``select`` at every ``k``."""
+    dataset, schedules = instance
+    name, kwargs = spec
+    policy = make_policy(name, **kwargs)
+
+    def fresh():
+        return PlacementContext(
+            dataset=dataset,
+            schedules=schedules,
+            user=0,
+            mode=mode,
+            rng=derive_rng(seed, policy.name, 0),
+            overlap_cache=OverlapCache(schedules) if shared_overlaps else None,
+        )
+
+    stream = policy.picks(fresh())
+    drawn = ()
+    for step in increments:
+        depth = len(drawn) + step
+        drawn += tuple(islice(stream, step))
+        assert drawn == policy.select(fresh(), depth)
+    drawn += tuple(stream)
+    for k in range(_NUM_FRIENDS + 2):
+        assert drawn[:k] == policy.select(fresh(), k)

@@ -1,6 +1,8 @@
 """Tests for the supervised execution path: crash/hang/error recovery,
 retry/backoff, bisection, quarantine, and strict fail-fast."""
 
+import time
+
 import pytest
 
 from repro.parallel import (
@@ -25,6 +27,14 @@ from repro.parallel.supervise import (
 def _square_chunk(payload, chunk):
     """Top-level worker (process pools resolve it by module path)."""
     return [payload * item * item for item in chunk]
+
+
+def _slow_first_square_chunk(payload, chunk):
+    """Like :func:`_square_chunk`, but item 0 takes half a second, so its
+    chunk is still in flight when a poison chunk beside it crashes."""
+    if 0 in chunk:
+        time.sleep(0.5)
+    return _square_chunk(payload, chunk)
 
 
 #: Fast schedule for tests: no real sleeping between retries.
@@ -120,6 +130,22 @@ class TestCrashRecovery:
         assert ex.pool_stats.quarantined == 1
         assert ex.failures.quarantined_items() == [5]
         assert ex.failures.quarantined[0].kind == KIND_WORKER_LOST
+
+    def test_crash_never_charges_a_chunk_in_flight_beside_it(self):
+        # Item 1 kills its worker on every attempt while item 0's chunk
+        # is still running; the death breaks both futures.  Only the
+        # chunk that kills a pool on its own may spend an attempt.
+        injector = FaultInjector.poison(CRASH, [1])
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        with ParallelExecutor(
+            jobs=2, chunk_size=1, retry=policy, fault_injector=injector
+        ) as ex:
+            with pytest.warns(RuntimeWarning, match="quarantined item 1"):
+                out = ex.map_shared(_slow_first_square_chunk, 2, [0, 1, 2])
+        assert out == [0, QUARANTINED, 8]
+        assert ex.failures.quarantined_items() == [1]
+        assert {f.start for f in ex.failures.chunk_failures} == {1}
+        assert ex.pool_stats.rebuilds >= 2
 
 
 @needs_fork

@@ -12,6 +12,7 @@ touching the floats.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from repro.core import CONREP, UNCONREP, make_policy
 from repro.core.evaluation import evaluate_single
 from repro.core.incremental import IncrementalGroupEvaluator
 from repro.core.metrics import UserMetrics, evaluate_user
+from repro.core.placement import RandomPlacement
 from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel import SweepPayload, evaluate_users_chunk
@@ -196,6 +198,138 @@ class TestPrefixMemo:
                 dataset, plane.schedules, user, make_policy(name), depth,
                 seed=SEED, evaluator=evaluator, sequence=replicas + (user,),
             )
+
+
+@functools.lru_cache(maxsize=None)
+def _cold(mode, user, name, k):
+    """``evaluate_single`` with nothing resident."""
+    dataset = _dataset()
+    schedules = compute_schedules(dataset, SporadicModel(), seed=SEED)
+    return evaluate_single(
+        dataset, schedules, user, make_policy(name), k, mode=mode, seed=SEED
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _deep_users():
+    """Users whose ConRep selections reach degree 6 under every policy,
+    so their streams have picks left to draw at every tested degree."""
+    users = [
+        user
+        for user in sorted(_dataset().graph.users())
+        if all(
+            len(_cold(CONREP, user, name, 6).replicas) == 6
+            for name in POLICIES
+        )
+    ]
+    assert len(users) >= 3
+    return users
+
+
+def _count_streams(monkeypatch) -> list:
+    """Count ``picks`` streams started from now on, and ``select`` calls."""
+    calls = [0, 0]
+    for cls in {type(make_policy(name)) for name in POLICIES}:
+        picks, select = cls.picks, cls.select
+
+        def counting_picks(self, ctx, picks=picks):
+            calls[0] += 1
+            return picks(self, ctx)
+
+        def counting_select(self, ctx, k, select=select):
+            calls[1] += 1
+            return select(self, ctx, k)
+
+        monkeypatch.setattr(cls, "picks", counting_picks)
+        monkeypatch.setattr(cls, "select", counting_select)
+    return calls
+
+
+class TestStreams:
+    """One resumable pick stream per (user, policy), drawn on demand."""
+
+    STREAM_DEGREES = (0, 1, 2, 3, 5, 8)
+
+    @pytest.mark.parametrize("max_users", [None, 2])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("mode", [CONREP, UNCONREP])
+    def test_request_order_is_invisible(self, mode, order, max_users):
+        users = _deep_users()[:3]
+        requests = [
+            (user, name, k)
+            for k in self.STREAM_DEGREES
+            for user in users
+            for name in POLICIES
+        ]
+        if order == "descending":
+            requests.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(requests)
+        plane = QueryPlane(
+            _dataset(), SporadicModel(), mode=mode, seed=SEED,
+            max_users=max_users,
+        )
+        for user, name, k in requests:
+            got = plane.evaluate(user, make_policy(name), k)
+            assert got == _cold(mode, user, name, k)
+        evictions = plane.stats()["evaluators"]["evictions"]
+        assert (evictions > 0) == (max_users is not None)
+
+    def test_default_plane_never_evicts(self):
+        dataset = _dataset()
+        plane = QueryPlane(dataset, SporadicModel(), seed=SEED)
+        users = sorted(dataset.graph.users())
+        for user in users:
+            plane.evaluate(user, make_policy("mostactive"), 1)
+        stats = plane.stats()
+        assert stats["evaluators"]["evictions"] == 0
+        assert stats["evaluators"]["entries"] == len(users)
+        assert stats["evaluators"]["max_entries"] is None
+        assert stats["sequences"]["entries"] == len(users)
+
+    def test_deeper_degree_extends_the_stream(self, monkeypatch):
+        user = _deep_users()[0]
+        degrees = (1, 3, 2, 6, 4)
+        cold = {
+            (name, k): _cold(CONREP, user, name, k)
+            for name in POLICIES
+            for k in degrees
+        }
+        plane = QueryPlane(_dataset(), SporadicModel(), seed=SEED).warm()
+        calls = _count_streams(monkeypatch)
+        for name in POLICIES:
+            for k in degrees:
+                got = plane.evaluate(user, make_policy(name), k)
+                assert got == cold[name, k]
+        assert calls == [len(POLICIES), 0]
+        sequences = plane.stats()["sequences"]
+        # Degrees 2 and 4 are answered from picks already drawn; 1, 3
+        # and 6 draw more.
+        assert sequences["hits"] == 2 * len(POLICIES)
+        assert sequences["misses"] == 3 * len(POLICIES)
+
+    def test_a_stream_that_raised_restarts_fresh(self):
+        class FailsOnce(RandomPlacement):
+            """Random, except the first stream dies after one pick."""
+
+            failed = False
+
+            def picks(self, ctx):
+                stream = super().picks(ctx)
+                yield next(stream)
+                if not FailsOnce.failed:
+                    FailsOnce.failed = True
+                    raise RuntimeError("selection failed mid-stream")
+                yield from stream
+
+        user = _deep_users()[0]
+        plane = QueryPlane(_dataset(), SporadicModel(), seed=SEED)
+        policy = FailsOnce()
+        assert plane.evaluate(user, policy, 1) == _cold(CONREP, user, "random", 1)
+        with pytest.raises(RuntimeError):
+            plane.evaluate(user, policy, 4)
+        # The failed generator is dropped, not read as an exhausted one.
+        assert plane.evaluate(user, policy, 4) == _cold(CONREP, user, "random", 4)
 
 
 class TestResultStore:
